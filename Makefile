@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check bench bench-speed timing bench-gate chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+.PHONY: build test check fmt-check bench bench-speed timing bench-gate bench-smoke chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,9 @@ bench:
 # bench-speed is the simulator-throughput check: the core hot-path
 # microbenchmarks with allocation reporting (the scheduler pop path, the
 # observability hooks, the bitvec disambiguation kernels, and whole-pipeline
-# cycles/sec), then a fresh timing report (BENCH_harness.json) carrying
-# informational cycles_per_sec deltas against the previous run. Wall-clock
+# cycles/sec, including the gather/scatter path), then a fresh timing report
+# (BENCH_harness.json) carrying informational cycles_per_sec deltas against
+# the previous run. Wall-clock
 # numbers are machine-relative: eyeball them, gate on `make bench-gate`.
 bench-speed: build
 	$(GO) test -run '^$$' -bench 'QuietTarget|AdvanceQuiet|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
@@ -48,6 +49,12 @@ bench-gate: build
 	$(GO) run ./cmd/srvbench -timing .bench-fresh.json $(GATE_FLAGS)
 	$(GO) run ./cmd/benchgate BENCH_baseline.json .bench-fresh.json; \
 	code=$$?; rm -f .bench-fresh.json; exit $$code
+
+# bench-smoke runs the srvperf benchmark's own tests: a short run of every
+# workload plus its unit tests. bench/ is a separate Go module, so the root
+# `go test ./...` never reaches it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # chaos-smoke is the resilience drill: fault-inject 20% of simulations on a
 # single figure and require the run to complete with contained failures

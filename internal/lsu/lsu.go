@@ -9,18 +9,20 @@
 //
 // The implementation is organised for the simulator's hot path: live
 // entries sit on an intrusive list in allocation order (the order the old
-// slice preserved), removed entries recycle through a free list so steady
-// state allocates nothing, a per-cacheline index narrows every candidate
-// search to the lines an access touches, and the CAM/disambiguation
+// slice preserved), removed entries recycle through a free list pre-built
+// from one slab so steady state allocates nothing, a fixed per-cacheline
+// bucket table narrows every candidate search to the lines an access
+// touches, and the CAM/disambiguation
 // statistics — which model a hardware CAM that compares against every
 // entry — are maintained arithmetically from live-entry counters so the
 // index never changes what Fig 11/12 report.
 package lsu
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"srvsim/internal/bitvec"
 	"srvsim/internal/core"
@@ -32,6 +34,10 @@ const NoInstance = -1
 
 // lineShift selects the cacheline granule of the address index.
 const lineShift = 6
+
+// maxFootprint is the largest entry footprint in bytes (an 8-byte-element
+// contiguous access): the size of each entry's slot in the SDQ data slab.
+const maxFootprint = 8 * isa.NumLanes
 
 // Entry is one LQ or SAQ/SDQ entry.
 type Entry struct {
@@ -61,11 +67,11 @@ type Entry struct {
 	// Queue plumbing (not architectural state).
 	prev, next   *Entry // live list in allocation order; next doubles as the free-list link
 	alloc        int64  // allocation stamp: position in the legacy slice order
-	gen          uint64 // candidate-collection dedup stamp
 	key          lsuKey // current byKey registration (valid when inMap)
 	inMap        bool
 	indexed      bool   // registered in the per-line address index
 	idxLo, idxHi uint64 // registered line range
+	bprev, bnext *Entry // line-index bucket chain (the bucket of idxLo)
 }
 
 // lsuKey identifies a region entry for the SRV-id reuse rule.
@@ -175,10 +181,8 @@ type LSU struct {
 	validLoadsOutside int
 	validLoadsByInst  map[int]int
 
-	// Per-cacheline address index over valid entries.
-	loadLines  map[uint64][]*Entry
-	storeLines map[uint64][]*Entry
-	queryGen   uint64
+	// Per-cacheline address index over valid entries, one table per queue.
+	loadLines, storeLines lineIndex
 
 	// Scratch buffers, reused across calls on the hot path.
 	cands    []*Entry
@@ -189,20 +193,45 @@ type LSU struct {
 	units    []fwdUnit
 }
 
-// New returns an LSU with the given total entry capacity.
+// maxSlab caps the entries New builds up front. The capacity comes from a
+// request's configuration, so an LSU larger than any the evaluation sweeps
+// allocates its entries past the slab lazily instead of all at once.
+const maxSlab = 1024
+
+// New returns an LSU with the given total entry capacity. Its entries (up
+// to maxSlab), their SDQ data buffers and both line-index tables are carved
+// from slabs sized here, so no entry is allocated while the LSU runs.
 func New(capacity int, m isa.Memory, ctrl *core.Controller) *LSU {
-	return &LSU{
+	slab := min(max(capacity, 0), maxSlab)
+	l := &LSU{
 		capacity:          capacity,
 		mem:               m,
 		ctrl:              ctrl,
-		byKey:             make(map[lsuKey]*Entry),
+		byKey:             make(map[lsuKey]*Entry, slab),
 		instCount:         make(map[int]int),
 		validStoresByInst: make(map[int]int),
 		validLoadsByInst:  make(map[int]int),
-		loadLines:         make(map[uint64][]*Entry),
-		storeLines:        make(map[uint64][]*Entry),
 		written:           bitvec.NewSet(),
+		cands:             make([]*Entry, 0, slab),
+		stores:            make([]*Entry, 0, slab),
+		memAddrs:          make([]uint64, 0, maxFootprint),
 	}
+	entries := make([]Entry, slab)
+	data := make([]byte, slab*maxFootprint)
+	for i := slab - 1; i >= 0; i-- {
+		e := &entries[i]
+		e.Data = data[i*maxFootprint : i*maxFootprint : (i+1)*maxFootprint]
+		e.next = l.free
+		l.free = e
+	}
+	n := 16
+	for n < 2*slab {
+		n <<= 1
+	}
+	buckets := make([]*Entry, 2*n)
+	l.loadLines = lineIndex{buckets: buckets[:n:n], mask: uint64(n - 1)}
+	l.storeLines = lineIndex{buckets: buckets[n:], mask: uint64(n - 1)}
+	return l
 }
 
 // Len returns the number of live entries.
@@ -310,11 +339,21 @@ func (l *LSU) dropValid(e *Entry) {
 	}
 }
 
-func (l *LSU) lineTable(isStore bool) map[uint64][]*Entry {
+// lineIndex is the per-cacheline address index of one queue: a fixed
+// power-of-two table of intrusive bucket chains. Each indexed entry sits on
+// exactly one chain, the bucket of its first line, so the index holds the
+// live entries and nothing else, and registering one never allocates.
+type lineIndex struct {
+	buckets []*Entry
+	mask    uint64
+	maxSpan uint64 // widest idxHi-idxLo registered: how far back a query looks
+}
+
+func (l *LSU) lineTable(isStore bool) *lineIndex {
 	if isStore {
-		return l.storeLines
+		return &l.storeLines
 	}
-	return l.loadLines
+	return &l.loadLines
 }
 
 // reindex registers a valid entry's current footprint in the per-line
@@ -326,10 +365,20 @@ func (l *LSU) reindex(e *Entry) {
 		return
 	}
 	l.unindex(e)
-	tbl := l.lineTable(e.IsStore)
-	for ln := lo; ln <= hi; ln++ {
-		tbl[ln] = append(tbl[ln], e)
+	// Chains stay in allocation order, so collect's sort has little to do.
+	x := l.lineTable(e.IsStore)
+	var prev *Entry
+	at := &x.buckets[lo&x.mask]
+	for *at != nil && (*at).alloc < e.alloc {
+		prev = *at
+		at = &prev.bnext
 	}
+	e.bprev, e.bnext = prev, *at
+	if *at != nil {
+		(*at).bprev = e
+	}
+	*at = e
+	x.maxSpan = max(x.maxSpan, hi-lo)
 	e.indexed, e.idxLo, e.idxHi = true, lo, hi
 }
 
@@ -337,38 +386,40 @@ func (l *LSU) unindex(e *Entry) {
 	if !e.indexed {
 		return
 	}
-	tbl := l.lineTable(e.IsStore)
-	for ln := e.idxLo; ln <= e.idxHi; ln++ {
-		b := tbl[ln]
-		for i, x := range b {
-			if x == e {
-				b[i] = b[len(b)-1]
-				tbl[ln] = b[:len(b)-1]
-				break
-			}
-		}
+	if e.bprev != nil {
+		e.bprev.bnext = e.bnext
+	} else {
+		x := l.lineTable(e.IsStore)
+		x.buckets[e.idxLo&x.mask] = e.bnext
 	}
+	if e.bnext != nil {
+		e.bnext.bprev = e.bprev
+	}
+	e.bprev, e.bnext = nil, nil
 	e.indexed = false
 }
 
 // collect gathers the valid entries of one queue whose indexed footprint
-// overlaps the line range of [addr, addr+n), deduplicated (an entry spans
-// several lines) and sorted into allocation order so that tie-breaks match
-// a front-to-back walk of the legacy entry slice. The returned slice is the
-// LSU's scratch buffer: it is valid until the next collect call.
+// overlaps the line range of [addr, addr+n), sorted into allocation order
+// so that tie-breaks match a front-to-back walk of the legacy entry slice.
+// An overlapping entry's first line lies at most maxSpan lines before the
+// range, so the walk covers those buckets too and keeps the entries whose
+// line range overlaps exactly. Consecutive lines fall in distinct buckets,
+// and the walk stops after one lap of the table, so no entry is seen twice.
+// The returned slice is the LSU's scratch buffer: it is valid until the
+// next collect call.
 func (l *LSU) collect(isStore bool, addr uint64, n int) []*Entry {
-	l.queryGen++
-	g := l.queryGen
-	tbl := l.lineTable(isStore)
+	x := l.lineTable(isStore)
 	out := l.cands[:0]
+	lo := addr >> lineShift
 	hi := (addr + uint64(n) - 1) >> lineShift
-	for ln := addr >> lineShift; ln <= hi; ln++ {
-		for _, e := range tbl[ln] {
-			if e.gen == g {
-				continue
+	first := lo - min(lo, x.maxSpan)
+	walk := min(hi-first+1, uint64(len(x.buckets)))
+	for i := uint64(0); i < walk; i++ {
+		for e := x.buckets[(first+i)&x.mask]; e != nil; e = e.bnext {
+			if e.idxLo <= hi && e.idxHi >= lo {
+				out = append(out, e)
 			}
-			e.gen = g
-			out = append(out, e)
 		}
 	}
 	// Insertion sort: candidate sets are tiny and mostly ordered already.
@@ -976,7 +1027,7 @@ func (l *LSU) collectStores(instance int) []*Entry {
 // byte wins, then frees every entry of the instance (paper §III-B3, §III-D4).
 func (l *LSU) CommitRegion(instance int) {
 	stores := l.collectStores(instance)
-	sort.Slice(stores, func(i, j int) bool { return storeSeqLess(stores[i], stores[j]) })
+	slices.SortFunc(stores, cmpStoreSeq)
 	written := l.written
 	written.Reset()
 	for i := len(stores) - 1; i >= 0; i-- { // youngest first; skip overwritten bytes
@@ -1011,7 +1062,7 @@ func (l *LSU) CommitRegion(instance int) {
 	l.freeInstance(instance)
 }
 
-// storeSeqLess orders two same-instance store entries in sequential
+// cmpStoreSeq orders two same-instance store entries in sequential
 // (iteration-major) order. Contiguous stores span all lanes; they are
 // ordered against element entries by their lowest active lane, with ID as
 // the within-lane tie-break. For byte-accurate WAW resolution the
@@ -1020,33 +1071,26 @@ func (l *LSU) CommitRegion(instance int) {
 // have well-defined lanes at that byte. Contiguous-vs-element collisions on
 // a byte order by the byte's lane, which equals the element's lane when they
 // collide; ID breaks the tie.
-func storeSeqLess(a, b *Entry) bool {
+func cmpStoreSeq(a, b *Entry) int {
 	la, lb := a.laneOr0(), b.laneOr0()
 	if a.Kind == core.KindContig || b.Kind == core.KindContig {
 		// Same-byte collisions between contiguous entries (same lane at the
 		// byte) and element entries reduce to ID order when lanes tie.
 		if a.Kind == core.KindContig && b.Kind == core.KindContig {
-			return a.ID < b.ID
+			return cmp.Compare(a.ID, b.ID)
 		}
 		// Compare the element entry's lane against the contiguous entry's
 		// lane at the element's address.
 		if a.Kind == core.KindContig {
-			ca, _ := a.Access().LaneBounds(clampAddr(b.Addr, a))
-			if ca != lb {
-				return ca < lb
-			}
-			return a.ID < b.ID
+			la, _ = a.Access().LaneBounds(clampAddr(b.Addr, a))
+		} else {
+			lb, _ = b.Access().LaneBounds(clampAddr(a.Addr, b))
 		}
-		cb, _ := b.Access().LaneBounds(clampAddr(a.Addr, b))
-		if la != cb {
-			return la < cb
-		}
-		return a.ID < b.ID
 	}
 	if la != lb {
-		return la < lb
+		return cmp.Compare(la, lb)
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func clampAddr(addr uint64, e *Entry) uint64 {
@@ -1066,7 +1110,7 @@ func clampAddr(addr uint64, e *Entry) uint64 {
 // discarded with the instance.
 func (l *LSU) WritebackNonSpec(instance, oldestLane, uptoID int) {
 	stores := l.collectStores(instance)
-	sort.Slice(stores, func(i, j int) bool { return storeSeqLess(stores[i], stores[j]) })
+	slices.SortFunc(stores, cmpStoreSeq)
 	nonSpec := func(lo int, e *Entry) bool {
 		return lo < oldestLane || (lo == oldestLane && e.ID < uptoID)
 	}

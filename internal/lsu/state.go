@@ -107,13 +107,10 @@ func (l *LSU) SetState(st LSUState) error {
 		delete(l.validLoadsByInst, k)
 	}
 	l.validStores, l.validLoadsOutside = 0, 0
-	for k := range l.loadLines {
-		delete(l.loadLines, k)
+	for _, x := range []*lineIndex{&l.loadLines, &l.storeLines} {
+		clear(x.buckets)
+		x.maxSpan = 0
 	}
-	for k := range l.storeLines {
-		delete(l.storeLines, k)
-	}
-	l.queryGen = 0
 	l.allocSeq = st.AllocSeq
 	l.Stats = st.Stats
 

@@ -19,7 +19,8 @@ type CacheStats struct {
 // timing: data lives in the Image, the cache only decides latency.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]line
+	lines    []line // one slab, set-major: set s, way w at s*Ways+w
+	nSets    int
 	setMask  uint64
 	lineBits uint
 	lruTick  uint64 // per-cache so concurrent simulations share nothing
@@ -43,12 +44,14 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<lineBits < cfg.LineB {
 		lineBits++
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(nSets - 1), lineBits: lineBits}
-	c.sets = make([][]line, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
+	return &Cache{cfg: cfg, lines: make([]line, nSets*cfg.Ways), nSets: nSets,
+		setMask: uint64(nSets - 1), lineBits: lineBits}
+}
+
+// set returns the ways of set s, a window of the line slab.
+func (c *Cache) set(s uint64) []line {
+	w := uint64(c.cfg.Ways)
+	return c.lines[s*w : s*w+w : s*w+w]
 }
 
 // Lookup probes the cache for addr, fills on miss, and reports whether the
@@ -56,7 +59,7 @@ func NewCache(cfg CacheConfig) *Cache {
 func (c *Cache) Lookup(addr uint64) bool {
 	c.lruTick++
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag & c.setMask)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.lruTick

@@ -74,12 +74,10 @@ type CacheState struct {
 
 // State captures the cache's tag array, LRU clock and statistics.
 func (c *Cache) State() CacheState {
-	st := CacheState{Sets: len(c.sets), Ways: c.cfg.Ways, LRUTick: c.lruTick,
-		Lines: make([]LineState, 0, len(c.sets)*c.cfg.Ways), Stats: c.Stats}
-	for _, set := range c.sets {
-		for _, ln := range set {
-			st.Lines = append(st.Lines, LineState{Tag: ln.tag, Valid: ln.valid, LRU: ln.lru})
-		}
+	st := CacheState{Sets: c.nSets, Ways: c.cfg.Ways, LRUTick: c.lruTick,
+		Lines: make([]LineState, len(c.lines)), Stats: c.Stats}
+	for i, ln := range c.lines {
+		st.Lines[i] = LineState{Tag: ln.tag, Valid: ln.valid, LRU: ln.lru}
 	}
 	return st
 }
@@ -87,20 +85,17 @@ func (c *Cache) State() CacheState {
 // SetState replaces the cache's contents with a captured state. The cache
 // must have the same geometry the state was captured from.
 func (c *Cache) SetState(st CacheState) error {
-	if st.Sets != len(c.sets) || st.Ways != c.cfg.Ways {
+	if st.Sets != c.nSets || st.Ways != c.cfg.Ways {
 		return fmt.Errorf("mem: cache %s geometry mismatch: state %dx%d, cache %dx%d",
-			c.cfg.Name, st.Sets, st.Ways, len(c.sets), c.cfg.Ways)
+			c.cfg.Name, st.Sets, st.Ways, c.nSets, c.cfg.Ways)
 	}
 	if len(st.Lines) != st.Sets*st.Ways {
 		return fmt.Errorf("mem: cache %s has %d lines, want %d", c.cfg.Name, len(st.Lines), st.Sets*st.Ways)
 	}
 	c.lruTick = st.LRUTick
 	c.Stats = st.Stats
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ls := st.Lines[s*st.Ways+w]
-			c.sets[s][w] = line{tag: ls.Tag, valid: ls.Valid, lru: ls.LRU}
-		}
+	for i, ls := range st.Lines {
+		c.lines[i] = line{tag: ls.Tag, valid: ls.Valid, lru: ls.LRU}
 	}
 	return nil
 }

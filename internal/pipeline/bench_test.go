@@ -47,3 +47,11 @@ func BenchmarkPipelineScalar(b *testing.B) {
 func BenchmarkPipelineSRV(b *testing.B) {
 	benchRun(b, "is", 0, compiler.ModeSRV)
 }
+
+// BenchmarkPipelineGatherSRV runs a gather/scatter loop (h264ref's motion
+// compensation) in SRV form. The is loop above never reserves the per-lane
+// LSU entries a gather or scatter takes, so only this benchmark watches that
+// dispatch path's allocations.
+func BenchmarkPipelineGatherSRV(b *testing.B) {
+	benchRun(b, "h264ref", 0, compiler.ModeSRV)
+}

@@ -175,6 +175,16 @@ func equivScenarios() []equivScenario {
 		cfg.LSQSize = 8
 		return New(cfg, c.Prog, im), im
 	})
+	// Budgets past New's 1024-entry slabs: the scalar loop outgrows the ROB
+	// slab and the SRV loop the LSU slab, so both lazy fallbacks run.
+	for _, m := range []compiler.Mode{compiler.ModeScalar, compiler.ModeSRV} {
+		m := m
+		add("bigcfg/"+m.String(), func() (*Pipeline, *mem.Image) {
+			cfg, c, im := buildWorkload("soplex", 0, m)
+			cfg.ROBSize, cfg.LSQSize, cfg.IQSize = 4096, 4096, 512
+			return New(cfg, c.Prog, im), im
+		})
+	}
 
 	// 7. Precise faults: oldest-lane immediate delivery and younger-lane
 	// deferral to replay, plus a fault racing an interrupt.

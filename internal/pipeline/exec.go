@@ -489,6 +489,7 @@ func (p *Pipeline) executeVecLoad(e *robEntry, update, act isa.Pred, loadSlots *
 			return
 		}
 		elems := 0
+		memAddrs = p.gatherAddrs[:0]
 		for lane := 0; lane < isa.NumLanes; lane++ {
 			le := e.lsuEntries[lane]
 			if !update[lane] && le.Valid {
@@ -509,6 +510,7 @@ func (p *Pipeline) executeVecLoad(e *robEntry, update, act isa.Pred, loadSlots *
 			}
 			memAddrs = append(memAddrs, res.MemAddrs...)
 		}
+		p.gatherAddrs = memAddrs[:0]
 		if elems == 0 {
 			elems = 1
 		}

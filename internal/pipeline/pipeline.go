@@ -68,10 +68,11 @@ type robEntry struct {
 	predTaken  bool
 	predTarget int
 
-	// Memory state.
+	// Memory state. lsuBuf backs lsuEntries for every access, one entry per
+	// lane for gathers and scatters, so reserving them never allocates.
 	lsuEntries []*lsu.Entry
-	lsuBuf     [1]*lsu.Entry // inline backing for the common one-entry case
-	memElems   int           // port slots still to drain
+	lsuBuf     [isa.NumLanes]*lsu.Entry
+	memElems   int // port slots still to drain
 	cacheLat   int
 	granted    bool // all port slots granted; doneAt fixed
 
@@ -157,8 +158,9 @@ type Pipeline struct {
 	// recycled through entryPool.
 	committedSeq int64
 
-	// entryPool recycles retired/squashed robEntries so steady-state
-	// dispatch allocates nothing (GC scan cost dominated the tick core).
+	// entryPool recycles retired/squashed robEntries so dispatch allocates
+	// nothing (GC scan cost dominated the tick core). New fills it from one
+	// slab of Cfg.ROBSize entries, the most the ROB can hold, up to maxSlab.
 	entryPool []*robEntry
 
 	fetchPC      int
@@ -233,6 +235,10 @@ type Pipeline struct {
 
 	// Scratch buffer for memLatency's distinct-line dedup.
 	lineScratch []uint64
+	// Scratch buffer collecting a gather's memory-sourced byte addresses
+	// across its lanes. Each lane's LoadResult.MemAddrs aliases an LSU
+	// buffer the next ExecLoad overwrites, so lanes are copied in.
+	gatherAddrs []uint64
 
 	// Region durations: cycles from srv_start execution to region commit
 	// (including replays), capped at TimelineCap entries.
@@ -271,6 +277,11 @@ type Pipeline struct {
 	restoredLastProgress int64
 }
 
+// maxSlab caps the ROB entries New builds up front. ROBSize comes from a
+// request's configuration, so a ROB larger than any the evaluation uses
+// allocates its entries past the slab lazily instead of all at once.
+const maxSlab = 1024
+
 // New builds a pipeline over prog with fresh architectural state.
 func New(cfg Config, prog *isa.Program, image *mem.Image) *Pipeline {
 	ctrl := &core.Controller{}
@@ -287,6 +298,17 @@ func New(cfg Config, prog *isa.Program, image *mem.Image) *Pipeline {
 	}
 	p.Hier.NextLinePrefetch = cfg.Prefetch
 	p.LSU = lsu.New(cfg.LSQSize, image, ctrl)
+	p.srcScratch = make([]isa.RegRef, 0, len(robEntry{}.srcBuf))
+	p.lineScratch = make([]uint64, 0, 8*isa.NumLanes)
+	p.gatherAddrs = make([]uint64, 0, 8*isa.NumLanes)
+	n := min(max(cfg.ROBSize, 0), maxSlab)
+	p.rob = make([]*robEntry, 0, n)
+	p.active = make([]*robEntry, 0, n)
+	slab := make([]robEntry, n)
+	p.entryPool = make([]*robEntry, len(slab))
+	for i := range slab {
+		p.entryPool[i] = &slab[len(slab)-1-i] // allocEntry pops slab[0] first
+	}
 	return p
 }
 
@@ -427,8 +449,8 @@ func (p *Pipeline) pushROB(e *robEntry) {
 	p.rob = append(p.rob, e)
 }
 
-// allocEntry takes a zeroed robEntry from the pool, or a fresh one while the
-// pool warms up to the maximum in-flight population.
+// allocEntry takes a zeroed robEntry from the pool, or a fresh one should
+// the pool ever run dry.
 func (p *Pipeline) allocEntry() *robEntry {
 	if n := len(p.entryPool); n > 0 {
 		e := p.entryPool[n-1]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -166,45 +167,59 @@ func TestFairQueueConcurrent(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var mu sync.Mutex
-	popped := make(map[string][]string) // tenant -> ids in pop order
-	total := 0
+	// Each consumer logs its own pops: a shared log would record two
+	// consumers' pops in whichever order they reach the lock, not the order
+	// the queue handed the jobs out.
+	var total atomic.Int64
+	logs := make([][]*job, consumers)
 	var cwg sync.WaitGroup
 	for c := 0; c < consumers; c++ {
 		cwg.Add(1)
-		go func() {
+		go func(c int) {
 			defer cwg.Done()
 			for {
 				j, ok := q.Pop(ctx, nil)
 				if !ok {
 					return
 				}
-				mu.Lock()
-				popped[j.tenant] = append(popped[j.tenant], j.id)
-				total++
-				done := total == tenants*perTenant
-				mu.Unlock()
-				if done {
+				logs[c] = append(logs[c], j)
+				if total.Add(1) == tenants*perTenant {
 					cancel() // release the other consumers
 					return
 				}
 			}
-		}()
+		}(c)
 	}
 	wg.Wait()
 	cwg.Wait()
 
-	if total != tenants*perTenant {
-		t.Fatalf("popped %d jobs, want %d (lost or duplicated work)", total, tenants*perTenant)
+	if n := total.Load(); n != tenants*perTenant {
+		t.Fatalf("popped %d jobs, want %d (lost or duplicated work)", n, tenants*perTenant)
 	}
-	for tenant, ids := range popped {
-		if len(ids) != perTenant {
-			t.Fatalf("tenant %s popped %d jobs, want %d", tenant, len(ids), perTenant)
+	// Every tenant's exact id set came out once each ...
+	seen := make(map[string]int)
+	for _, log := range logs {
+		for _, j := range log {
+			seen[j.id]++
 		}
-		for i, id := range ids {
-			if want := fqJob(tenant, i).id; id != want {
-				t.Fatalf("tenant %s pop %d = %s, want %s (per-tenant FIFO broken)", tenant, i, id, want)
+	}
+	for ti := 0; ti < tenants; ti++ {
+		tenant := fmt.Sprintf("t%d", ti)
+		for i := 0; i < perTenant; i++ {
+			if id := fqJob(tenant, i).id; seen[id] != 1 {
+				t.Fatalf("job %s popped %d times, want 1", id, seen[id])
 			}
+		}
+	}
+	// ... and each consumer saw every tenant's jobs in push order (ids are
+	// zero-padded, so string order is push order within a tenant).
+	for c, log := range logs {
+		last := make(map[string]string)
+		for _, j := range log {
+			if prev, ok := last[j.tenant]; ok && j.id <= prev {
+				t.Fatalf("consumer %d popped %s after %s (per-tenant FIFO broken)", c, j.id, prev)
+			}
+			last[j.tenant] = j.id
 		}
 	}
 }
