@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check bench bench-speed timing bench-gate bench-smoke chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+.PHONY: build test check fmt-check bench bench-speed timing bench-gate bench-smoke equiv-golden chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ bench-gate: build
 	$(GO) run ./cmd/srvbench -timing .bench-fresh.json $(GATE_FLAGS)
 	$(GO) run ./cmd/benchgate BENCH_baseline.json .bench-fresh.json; \
 	code=$$?; rm -f .bench-fresh.json; exit $$code
+
+# equiv-golden regenerates internal/pipeline/testdata/equiv_digests.golden,
+# the per-scenario hashes of the simulator's outputs that
+# TestCrossCoreEquivalence checks. Run it only after an intentional change
+# to simulated behaviour, and say why in the change's description.
+equiv-golden:
+	$(GO) test ./internal/pipeline -run '^TestCrossCoreEquivalence$$' -count=1 -update-golden
 
 # bench-smoke runs the srvperf benchmark's own tests: a short run of every
 # workload plus its unit tests. bench/ is a separate Go module, so the root

@@ -1,11 +1,16 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,9 +27,18 @@ import (
 // workload sweep plus interrupt / fault / wedge / budget / ablation
 // variants and randomised fuzz loops.
 //
-// The same scenario list doubles as a golden-digest tool: setting
-// SRVSIM_EQUIV_GOLDEN=<path> writes one digest per scenario to that file,
-// so a pre-refactor capture can be diffed against a post-refactor one.
+// Both cores share fetch, issue and complete, so a change to that shared
+// code cannot show up as a cross-core mismatch. testdata/equiv_digests.golden
+// therefore pins every scenario's outputs as well: one line per scenario
+// holding a hash of the event core's digest text and final memory image.
+// After an intentional change to simulated behaviour, regenerate it with
+// `go test ./internal/pipeline -run TestCrossCoreEquivalence -update-golden`
+// (or `make equiv-golden`). Setting SRVSIM_EQUIV_GOLDEN=<path> additionally
+// writes the full digest text per scenario, so two captures can be diffed.
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/equiv_digests.golden")
+
+const equivGoldenPath = "testdata/equiv_digests.golden"
 
 type equivScenario struct {
 	name  string
@@ -302,6 +316,50 @@ func runDigest(p *Pipeline, err error) string {
 	return b.String()
 }
 
+// imageHash hashes the non-zero pages of an image in address order (zero
+// pages read the same as absent ones, as in Image.Equal).
+func imageHash(im *mem.Image) []byte {
+	h := sha256.New()
+	var pn [8]byte
+	for _, pg := range im.State().Pages {
+		if bytes.Count(pg.Data, []byte{0}) == len(pg.Data) {
+			continue
+		}
+		binary.LittleEndian.PutUint64(pn[:], pg.PN)
+		h.Write(pn[:])
+		h.Write(pg.Data)
+	}
+	return h.Sum(nil)
+}
+
+// goldenLine renders one scenario's line of the golden file.
+func goldenLine(name, digest string, im *mem.Image) string {
+	h := sha256.New()
+	h.Write([]byte(digest))
+	h.Write(imageHash(im))
+	return fmt.Sprintf("%s %x", name, h.Sum(nil)[:16])
+}
+
+// readEquivGolden loads the golden file as scenario name -> line.
+func readEquivGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(equivGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/pipeline -run TestCrossCoreEquivalence -update-golden` to create it)", err)
+	}
+	defer f.Close()
+	lines := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, _, _ := strings.Cut(sc.Text(), " ")
+		lines[name] = sc.Text()
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
 // configureCore selects the scheduler under test. The reference tick core
 // never skips a cycle; the event core may only jump across provably quiet
 // stretches.
@@ -312,13 +370,20 @@ func configureCore(p *Pipeline, tick bool) {
 }
 
 // TestCrossCoreEquivalence runs every scenario under both cores and
-// requires bit-identical digests and memory images. With
+// requires bit-identical digests and memory images, and the event core's
+// digest and image to match testdata/equiv_digests.golden. With
 // SRVSIM_EQUIV_GOLDEN set it additionally writes the event-core digests to
 // the named file for out-of-tree diffing.
 func TestCrossCoreEquivalence(t *testing.T) {
 	golden := os.Getenv("SRVSIM_EQUIV_GOLDEN")
 	var goldenBuf bytes.Buffer
-	for _, sc := range equivScenarios() {
+	var want map[string]string
+	if !*updateGolden {
+		want = readEquivGolden(t)
+	}
+	scns := equivScenarios()
+	var lines []string
+	for _, sc := range scns {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			pEvent, imEvent := sc.build()
@@ -336,6 +401,12 @@ func TestCrossCoreEquivalence(t *testing.T) {
 			if addr, diff := imEvent.FirstDiff(imTick); diff {
 				t.Errorf("memory image diverges at %#x", addr)
 			}
+			line := goldenLine(sc.name, dEvent, imEvent)
+			lines = append(lines, line)
+			if want != nil && want[sc.name] != line {
+				t.Errorf("outputs drifted from %s:\n got: %s\nwant: %s\n(if the change to simulated behaviour is intentional, run `make equiv-golden`)",
+					equivGoldenPath, line, want[sc.name])
+			}
 			if golden != "" {
 				fmt.Fprintf(&goldenBuf, "=== %s\n%s\n", sc.name, dEvent)
 			}
@@ -346,5 +417,17 @@ func TestCrossCoreEquivalence(t *testing.T) {
 			t.Fatalf("write golden: %v", err)
 		}
 		t.Logf("wrote golden digests to %s", golden)
+	}
+	if *updateGolden {
+		if len(lines) != len(scns) {
+			t.Fatalf("-update-golden needs every scenario: %d of %d ran", len(lines), len(scns))
+		}
+		if err := os.MkdirAll(filepath.Dir(equivGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(equivGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d scenario digests to %s", len(lines), equivGoldenPath)
 	}
 }
