@@ -254,7 +254,7 @@ func BenchmarkStepCheckpointOff(b *testing.B) {
 	e.granted = true
 	e.doneAt = 1 << 60 // never completes: every step is pure bookkeeping
 	p.pushROB(e)
-	p.active = append(p.active, e)
+	p.inflight = append(p.inflight, e)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,10 +42,10 @@ func (p *Pipeline) violated(check, format string, args ...any) {
 
 func (p *Pipeline) checkInvariants() {
 	// 1. ROB sequence numbers strictly increase and states are sane. The
-	// scheduler's derived structures (incremental IQ count, the active
-	// window) must agree with a from-scratch scan.
+	// scheduler's derived structures (incremental IQ count, operand counts,
+	// wake chains and lists) must agree with a from-scratch scan.
 	var prev int64 = -1
-	dispatched, inFlight := 0, 0
+	dispatched := 0
 	for i, e := range p.robWin() {
 		if e.seq <= prev {
 			p.violated("rob-order", "ROB seq not increasing at %d (%d after %d)", i, e.seq, prev)
@@ -58,9 +58,6 @@ func (p *Pipeline) checkInvariants() {
 		default:
 			p.violated("rob-state", "bad state %d at seq %d", e.state, e.seq)
 		}
-		if e.state != sDone || e.faulted {
-			inFlight++
-		}
 	}
 	// 2. Structural capacities.
 	if p.robLen() > p.Cfg.ROBSize {
@@ -72,10 +69,7 @@ func (p *Pipeline) checkInvariants() {
 	if dispatched != p.iqCount {
 		p.violated("iq-capacity", "incremental IQ count %d != scanned %d", p.iqCount, dispatched)
 	}
-	if inFlight != len(p.active) {
-		p.violated("rob-state", "active window %d entries, ROB scan finds %d in flight",
-			len(p.active), inFlight)
-	}
+	p.checkScheduler()
 	if p.LSU.Len() > p.Cfg.LSQSize {
 		p.violated("lsq-capacity", "LSU %d > %d", p.LSU.Len(), p.Cfg.LSQSize)
 	}
@@ -120,6 +114,94 @@ func (p *Pipeline) checkInvariants() {
 		}
 		if !e.hasWrite || renameIdx(e.writeRef) != i || e.seq <= p.committedSeq {
 			p.violated("rename-map", "rename[%d] points at a non-writer (pc %d)", i, e.pc)
+		}
+	}
+}
+
+// checkScheduler holds the wakeup/select state to a from-scratch scan of the
+// ROB: every entry's operand counts equal its linked operands, each wake
+// chain links exactly the operands that name its producer, and each list
+// holds exactly, in seq order, the entries its definition selects.
+func (p *Pipeline) checkScheduler() {
+	var ready, inflight, drain, stores int
+	var endIssued *robEntry
+	links := 0
+	for _, e := range p.robWin() {
+		var pending, merge uint8
+		srcs := e.srcs()
+		for i := range srcs {
+			if s := &srcs[i]; p.linked(s) {
+				links++
+				if s.mergeOnly {
+					merge++
+				} else {
+					pending++
+				}
+			}
+		}
+		if pending != e.pending || merge != e.mergePending {
+			p.violated("rob-state", "seq %d counts %d+%d pending operands, scan finds %d+%d",
+				e.seq, e.pending, e.mergePending, pending, merge)
+		}
+		switch e.state {
+		case sDispatched:
+			if e.pending == 0 || e.inst.Op == isa.OpSRVEnd {
+				ready++
+			}
+			if e.inst.IsStore() {
+				stores++
+			}
+		case sIssued:
+			if e.granted {
+				inflight++
+			} else {
+				drain++
+			}
+			if e.inst.Op == isa.OpSRVEnd {
+				endIssued = e
+			}
+		}
+	}
+	for _, e := range p.robWin() {
+		for c, slot := e.wakeHead, e.wakeSlot; c != nil; {
+			s := &c.pay.srcBuf[slot]
+			if s.prod != e || !p.linked(s) {
+				p.violated("rob-state", "wake chain of seq %d reaches a foreign operand of seq %d", e.seq, c.seq)
+			}
+			links--
+			c, slot = s.next, s.nextSlot
+		}
+	}
+	if links != 0 {
+		p.violated("rob-state", "wake chains miss %d linked operands", links)
+	}
+	p.checkList("ready", p.readyList, ready, func(e *robEntry) bool {
+		return e.state == sDispatched && (e.pending == 0 || e.inst.Op == isa.OpSRVEnd)
+	})
+	p.checkList("drain", p.drain, drain, func(e *robEntry) bool { return e.state == sIssued && !e.granted })
+	p.checkList("stores", p.stores, stores, func(e *robEntry) bool { return e.state == sDispatched && e.inst.IsStore() })
+	if len(p.inflight) != inflight {
+		p.violated("rob-state", "in-flight list holds %d entries, ROB scan finds %d", len(p.inflight), inflight)
+	}
+	for _, e := range p.inflight {
+		if e.state != sIssued || !e.granted {
+			p.violated("rob-state", "in-flight list holds seq %d in state %s", e.seq, stateName(e.state))
+		}
+	}
+	if p.endIssued != endIssued {
+		p.violated("rob-state", "issued srv_end is not the one the ROB holds")
+	}
+}
+
+// checkList checks a seq-ordered scheduler list against the count a ROB scan
+// found and the predicate that defines its members.
+func (p *Pipeline) checkList(name string, list []*robEntry, want int, member func(*robEntry) bool) {
+	if len(list) != want {
+		p.violated("rob-state", "%s list holds %d entries, ROB scan finds %d", name, len(list), want)
+	}
+	for i, e := range list {
+		if !member(e) || (i > 0 && list[i-1].seq >= e.seq) {
+			p.violated("rob-state", "%s list entry %d (seq %d) misplaced", name, i, e.seq)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func quietBenchPipeline(tb testing.TB) *Pipeline {
 	e.granted = true
 	e.doneAt = p.cycle + 90
 	p.pushROB(e)
-	p.active = append(p.active, e)
+	p.inflight = append(p.inflight, e)
 	return p
 }
 
