@@ -18,6 +18,14 @@ import (
 
 const benchSeed = 7
 
+// requestConfig is the Table I configuration under the harness's cycle
+// budget: the largest a request may carry (harness.MaxConfigCycles).
+func requestConfig() pipeline.Config {
+	c := pipeline.DefaultConfig()
+	c.MaxCycles = harness.MaxConfigCycles
+	return c
+}
+
 // measure caches the expensive full-suite measurement across benchmarks.
 var measured *harness.Results
 
@@ -217,13 +225,13 @@ func BenchmarkStructuralSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		iq16 := pipeline.DefaultConfig()
+		iq16 := requestConfig()
 		iq16.IQSize = 16
 		small, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(iq16))
 		if err != nil {
 			b.Fatal(err)
 		}
-		lsq24 := pipeline.DefaultConfig()
+		lsq24 := requestConfig()
 		lsq24.LSQSize = 24
 		cliff, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(lsq24))
 		if err != nil {
@@ -282,7 +290,7 @@ func BenchmarkAblationRelaxedBarrier(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := pipeline.DefaultConfig()
+		cfg := requestConfig()
 		cfg.RelaxedBarrier = true
 		relaxed, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
@@ -301,7 +309,7 @@ func BenchmarkAblationConservativeMem(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := pipeline.DefaultConfig()
+		cfg := requestConfig()
 		cfg.ConservativeMem = true
 		cons, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
@@ -347,7 +355,7 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 	conflicting, _ := workloads.ByName("is") // violations at run time
 	clean, _ := workloads.ByName("gcc")      // unknown deps, never violate
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig()
+		cfg := requestConfig()
 		cfg.NoSelectiveReplay = true
 
 		with, err := harness.RunLoop(conflicting.Name, conflicting.Loops[0], benchSeed)
@@ -399,7 +407,7 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := pipeline.DefaultConfig()
+		cfg := requestConfig()
 		cfg.Prefetch = true
 		on, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
@@ -417,7 +425,7 @@ func BenchmarkAblationLSQSweep(b *testing.B) {
 	bm, _ := workloads.ByName("omnetpp")
 	for i := 0; i < b.N; i++ {
 		for _, size := range []int{64, 48, 24} {
-			cfg := pipeline.DefaultConfig()
+			cfg := requestConfig()
 			cfg.LSQSize = size
 			lr, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 			if err != nil {
@@ -441,7 +449,7 @@ func BenchmarkAblationLSQSweep(b *testing.B) {
 func BenchmarkAblationInOrder(b *testing.B) {
 	bm, _ := workloads.ByName("gcc")
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig()
+		cfg := requestConfig()
 		cfg.InOrder = true
 		io, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {

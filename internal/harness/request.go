@@ -144,7 +144,46 @@ func (r Request) Canonical() (Request, error) {
 	default:
 		return r, fmt.Errorf("harness: %w: unknown mode %q", ErrInvalidRequest, r.Mode)
 	}
+	if r.Config != nil {
+		if err := checkConfig(r.Config); err != nil {
+			return r, err
+		}
+	}
 	return r, nil
+}
+
+// Request configuration bounds. The simulator sizes its structures and
+// scheduler lists from these fields, so Canonical refuses a configuration
+// outside them rather than let one request build or run an outsized
+// machine. The evaluation's largest sweep points sit far inside them.
+const (
+	MaxConfigWidth  = 64   // Config.Width
+	MaxConfigQueue  = 4096 // Config.IQSize, ROBSize and LSQSize
+	MaxConfigCycles = defaultMaxCycles
+)
+
+// checkConfig validates a request's pipeline configuration against the
+// bounds above.
+func checkConfig(c *pipeline.Config) error {
+	sizes := []struct {
+		name string
+		v    int
+		max  int
+	}{
+		{"Width", c.Width, MaxConfigWidth},
+		{"IQSize", c.IQSize, MaxConfigQueue},
+		{"ROBSize", c.ROBSize, MaxConfigQueue},
+		{"LSQSize", c.LSQSize, MaxConfigQueue},
+	}
+	for _, s := range sizes {
+		if s.v < 1 || s.v > s.max {
+			return fmt.Errorf("harness: %w: config %s %d outside [1, %d]", ErrInvalidRequest, s.name, s.v, s.max)
+		}
+	}
+	if c.MaxCycles > MaxConfigCycles {
+		return fmt.Errorf("harness: %w: config MaxCycles %d above %d", ErrInvalidRequest, c.MaxCycles, int64(MaxConfigCycles))
+	}
+	return nil
 }
 
 // effectiveConfig returns the pipeline configuration the request runs under.

@@ -3,9 +3,11 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
+	"srvsim/internal/pipeline"
 	"srvsim/internal/workloads"
 )
 
@@ -206,5 +208,52 @@ func TestRunLoopWrapperEquivalence(t *testing.T) {
 	}
 	if withOpt.ScalarCycles == direct.ScalarCycles {
 		t.Fatal("config override had no effect (scalar latency change should alter cycles)")
+	}
+}
+
+// TestCanonicalBoundsConfig pins the request-config bounds: sizes must be
+// positive and within their caps, and the cycle budget may not exceed the
+// harness default.
+func TestCanonicalBoundsConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(c *pipeline.Config)
+		ok   bool
+	}{
+		{"default", func(c *pipeline.Config) {}, true},
+		{"width at cap", func(c *pipeline.Config) { c.Width = MaxConfigWidth }, true},
+		{"sizes at cap", func(c *pipeline.Config) {
+			c.IQSize, c.ROBSize, c.LSQSize = MaxConfigQueue, MaxConfigQueue, MaxConfigQueue
+		}, true},
+		{"budget at cap", func(c *pipeline.Config) { c.MaxCycles = MaxConfigCycles }, true},
+		{"budget default", func(c *pipeline.Config) { c.MaxCycles = 0 }, true},
+		{"width zero", func(c *pipeline.Config) { c.Width = 0 }, false},
+		{"width over cap", func(c *pipeline.Config) { c.Width = MaxConfigWidth + 1 }, false},
+		{"iq negative", func(c *pipeline.Config) { c.IQSize = -1 }, false},
+		{"iq over cap", func(c *pipeline.Config) { c.IQSize = MaxConfigQueue + 1 }, false},
+		{"rob zero", func(c *pipeline.Config) { c.ROBSize = 0 }, false},
+		{"rob over cap", func(c *pipeline.Config) { c.ROBSize = 1 << 20 }, false},
+		{"lsq zero", func(c *pipeline.Config) { c.LSQSize = 0 }, false},
+		{"lsq over cap", func(c *pipeline.Config) { c.LSQSize = MaxConfigQueue + 1 }, false},
+		{"budget over cap", func(c *pipeline.Config) { c.MaxCycles = MaxConfigCycles + 1 }, false},
+		{"pipeline default budget", func(c *pipeline.Config) { c.MaxCycles = pipeline.DefaultConfig().MaxCycles }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cfg()
+			tc.mut(&c)
+			req := Request{Mode: ModeBenchmark, Bench: "is", Seed: 7, Config: &c}
+			_, err := req.Canonical()
+			if tc.ok && err != nil {
+				t.Fatalf("valid config refused: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrInvalidRequest) {
+				t.Fatalf("config accepted or refused untyped: %v", err)
+			}
+		})
+	}
+	// A nil config is the harness default and needs no check.
+	if _, err := (Request{Mode: ModeBenchmark, Bench: "is", Seed: 7}).Canonical(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,9 +59,12 @@ type LoopResult struct {
 // cfg returns the Table I pipeline configuration with a test-sized budget.
 func cfg() pipeline.Config {
 	c := pipeline.DefaultConfig()
-	c.MaxCycles = 500_000_000
+	c.MaxCycles = defaultMaxCycles
 	return c
 }
+
+// defaultMaxCycles is the harness's cycle budget per simulation.
+const defaultMaxCycles = 500_000_000
 
 // warm pre-touches every line of the loop's arrays through the cache
 // hierarchy, modelling the steady state of a loop whose working set was

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"srvsim/internal/harness"
+	"srvsim/internal/pipeline"
 	"srvsim/internal/workloads"
 )
 
@@ -205,6 +206,39 @@ func TestInvalidRequestIs400(t *testing.T) {
 	_, err = c.Submit(ctx, harness.Request{Mode: harness.ModeBenchmark, Bench: "no-such-bench"})
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestOutOfBoundsConfigIs400 submits a request whose pipeline
+// configuration exceeds the request bounds and checks the typed envelope:
+// HTTP 400, code invalid_request, no retry hint, and no job admitted.
+func TestOutOfBoundsConfigIs400(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := testLoopReq()
+	c := pipeline.DefaultConfig()
+	c.MaxCycles = harness.MaxConfigCycles
+	c.ROBSize = 1 << 20
+	req.Config = &c
+	resp, _, apiErr := rawSubmit(t, ts.URL, req, nil)
+	if resp.StatusCode != http.StatusBadRequest || apiErr.Code != CodeInvalidRequest {
+		t.Fatalf("oversized ROB: HTTP %d code %q, want 400 %q", resp.StatusCode, apiErr.Code, CodeInvalidRequest)
+	}
+	if apiErr.RetryAfterMS != 0 || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("invalid request carries a retry hint: %+v", apiErr)
+	}
+	if !strings.Contains(apiErr.Message, "ROBSize") {
+		t.Fatalf("message %q does not name the field", apiErr.Message)
+	}
+	s.mu.RLock()
+	n := len(s.jobs)
+	s.mu.RUnlock()
+	if n != 0 {
+		t.Fatalf("%d jobs tracked after a refused submission, want 0", n)
 	}
 }
 
