@@ -12,10 +12,22 @@
 // srv_end serialisation barrier, selective replay, LSU-overflow sequential
 // fallback, and precise interrupt handling inside SRV regions (§III-D).
 //
-// Memory dependence scheduling is conservative by default: a load issues
-// only after every older store has executed (addresses and data known), so
-// vertical RAW violations never occur and the store-set predictor acts as
-// documentation of the aggressive design point (see DESIGN.md).
+// Memory dependence scheduling outside SRV regions is speculative, gated by
+// the store-set predictor: a load waits only for older unexecuted stores in
+// its own store set (or any older store of a speculative region), and a
+// vertical RAW violation squashes and trains the predictor. Inside regions,
+// and under the ConservativeMem ablation, a load waits for every older
+// store to execute.
+//
+// Scheduling is event-driven at two levels. Within a cycle, issue selects
+// from a ready list that completing producers feed through per-entry wake
+// chains, complete walks only granted in-flight entries, and no stage scans
+// the reorder buffer window (wakeup.go). Across cycles, a step that changes
+// no state lets the run jump to the next wake event (scheduler.go). The
+// per-cycle reference tick core (UseReferenceTickCore) shares every stage
+// and differs only in never jumping. The fetch queue stores one run per
+// fetch cycle (fetchq.go), and ROB entries keep their bulky operands,
+// results and LSU pointers in a payload carved from the entry slab.
 package pipeline
 
 // Config holds the structural and latency parameters of the core.
