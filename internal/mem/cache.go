@@ -27,11 +27,18 @@ type Cache struct {
 	Stats    CacheStats
 }
 
+// line is one tag-array slot. The valid bit rides in the top bit of the
+// last-use tick (lruValid), which keeps a line at 16 bytes: the L2 array of
+// every pipeline is 16K lines. Ticks count accesses, so they never reach
+// that bit.
 type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64 // last-use tick
+	tag uint64
+	lru uint64 // last-use tick, with lruValid set once the line is filled
 }
+
+const lruValid = 1 << 63
+
+func (ln *line) valid() bool { return ln.lru&lruValid != 0 }
 
 // NewCache builds a cache from cfg. Sizes must be powers of two.
 func NewCache(cfg CacheConfig) *Cache {
@@ -61,8 +68,8 @@ func (c *Cache) Lookup(addr uint64) bool {
 	tag := addr >> c.lineBits
 	set := c.set(tag & c.setMask)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.lruTick
+		if set[i].valid() && set[i].tag == tag {
+			set[i].lru = c.lruTick | lruValid
 			c.Stats.Hits++
 			return true
 		}
@@ -70,15 +77,15 @@ func (c *Cache) Lookup(addr uint64) bool {
 	c.Stats.Misses++
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if set[i].lru < set[victim].lru { // both valid: the bit cancels
 			victim = i
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, lru: c.lruTick}
+	set[victim] = line{tag: tag, lru: c.lruTick | lruValid}
 	return false
 }
 
