@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test check fmt-check bench bench-speed timing bench-gate bench-smoke equiv-golden chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+.PHONY: build test check loc fmt-check bench bench-speed timing bench-gate bench-smoke equiv-golden chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# loc prints the non-test Go lines of every package in the root module
+# (bench/ is a separate module and is not counted).
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done
 
 # fmt-check fails on any file gofmt would rewrite.
 fmt-check:

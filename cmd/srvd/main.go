@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -77,7 +76,7 @@ func main() {
 	obsSmoke := flag.Bool("obs-smoke", false, "run the in-process observability smoke test (scrape prometheus, trace one job end to end) and exit")
 	flag.Parse()
 
-	logger, err := buildLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obsv.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srvd:", err)
 		os.Exit(1)
@@ -165,33 +164,6 @@ func main() {
 		logger.Warn("http shutdown", "err", err)
 	}
 	logger.Info("drained")
-}
-
-// buildLogger constructs the process logger from the -log-level/-log-format
-// flags. The server adds trace_id/job fields to every job-scoped line.
-func buildLogger(w *os.File, level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
 }
 
 // withPprof optionally mounts the Go runtime profiling endpoints next to the

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 
-	logger, err := buildLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obsv.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srvgw:", err)
 		os.Exit(1)
@@ -144,32 +143,6 @@ func main() {
 	_ = hs.Shutdown(sctx)
 	_ = gw.Shutdown(sctx)
 	logger.Info("stopped")
-}
-
-// buildLogger mirrors srvd's flag handling.
-func buildLogger(w *os.File, level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
 }
 
 // fleetNode is one in-process srvd node of the smoke drill.
@@ -259,8 +232,8 @@ func runFleetSmoke() error {
 		if err != nil {
 			return fmt.Errorf("submit %d: %w", i, err)
 		}
-		if !strings.HasPrefix(st.ID, "gw-") {
-			return fmt.Errorf("submit %d: gateway did not issue its own job ID (got %q)", i, st.ID)
+		if st.ID != st.CacheKey {
+			return fmt.Errorf("submit %d: job ID %q is not the cache key %q", i, st.ID, st.CacheKey)
 		}
 		ids[i] = st.ID
 	}

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"srvsim/internal/harness"
@@ -111,66 +110,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// gwJob tracks one submission the gateway accepted: which node owns it,
-// what its remote job ID is there, and — because requests are
-// content-addressed and the simulator deterministic — everything needed to
-// resubmit it elsewhere (the canonical body) if the owner drains or dies.
-type gwJob struct {
-	id        string
+// rescueRecord is what the gateway keeps for one forwarded key that is still
+// live on its owner: everything needed to resubmit it elsewhere if the owner
+// drains or dies. The canonical body is that fault-recovery state — the
+// request is content-addressed and the simulator deterministic, so any node
+// turns it into the byte-identical result. The record is deleted once the
+// gateway sees the key terminal.
+type rescueRecord struct {
 	key       string
 	body      []byte // canonical request JSON, the resubmission payload
-	mode      harness.Mode
-	bench     string
 	tenant    string // submitting principal, forwarded as X-Srv-Tenant
 	bodyBytes int64  // charged against the tenant's in-flight-bytes quota
 	deadline  time.Time
 	budget    int              // remaining hand-off attempts beyond the first forward
 	trace     obsv.SpanContext // trace + the gateway's route span (forwarded parent)
-	submitted time.Time
 
-	mu       sync.Mutex
-	node     string // owning node's ring name
-	remoteID string // job ID on the owning node
-	handoffs int
-	released bool             // tenant's in-flight bytes returned already
-	final    *serve.JobStatus // terminal status, once known
+	mu   sync.Mutex
+	node string // owning node's ring name
 }
 
-func (j *gwJob) snapshot() (node, remoteID string, final *serve.JobStatus) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.node, j.remoteID, j.final
+func (rec *rescueRecord) owner() string {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.node
 }
 
-func (j *gwJob) setOwner(node, remoteID string) {
-	j.mu.Lock()
-	j.node, j.remoteID = node, remoteID
-	j.mu.Unlock()
-}
-
-func (j *gwJob) setFinal(st serve.JobStatus) {
-	j.mu.Lock()
-	j.final = &st
-	j.mu.Unlock()
-}
-
-// finish records a job's terminal status and returns its body bytes to the
-// tenant's in-flight allowance, exactly once however many paths race to it.
-func (g *Gateway) finish(j *gwJob, st serve.JobStatus) {
-	j.setFinal(st)
-	g.releaseJob(j)
-}
-
-// releaseJob returns the job's charged bytes without finalising it (refusal
-// paths, where the job will never run). Idempotent.
-func (g *Gateway) releaseJob(j *gwJob) {
-	j.mu.Lock()
-	release := !j.released
-	j.released = true
-	j.mu.Unlock()
-	if release {
-		g.quotas.ReleaseBytes(j.tenant, j.bodyBytes)
-	}
+func (rec *rescueRecord) setOwner(node string) {
+	rec.mu.Lock()
+	rec.node = node
+	rec.mu.Unlock()
 }
 
 // Gateway shards submissions across the fleet and forwards the /v1 surface.
@@ -187,9 +155,10 @@ type Gateway struct {
 	spans  *obsv.SpanRecorder
 	logger *slog.Logger
 
-	mu     sync.RWMutex
-	jobs   map[string]*gwJob
-	nextID atomic.Int64
+	// jobs holds one rescue record per forwarded live key. Cache hits and
+	// terminal replies add none.
+	mu   sync.RWMutex
+	jobs map[string]*rescueRecord
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -210,12 +179,12 @@ func New(cfg Config) (*Gateway, error) {
 		nodes:  make(map[string]*node, len(cfg.Nodes)),
 		cache:  serve.NewResultCacheBytes(cfg.CacheSize, cfg.CacheMaxBytes),
 		quotas: serve.NewQuotas(cfg.TenantQuota, cfg.TenantQuotas),
-		jobs:   make(map[string]*gwJob),
+		jobs:   make(map[string]*rescueRecord),
 		spans:  obsv.NewSpanRecorder(cfg.SpanCap),
 		logger: cfg.Logger,
 	}
 	if g.logger == nil {
-		g.logger = slog.New(discardHandler{})
+		g.logger = obsv.DiscardLogger()
 	}
 	for _, addr := range cfg.Nodes {
 		if _, dup := g.nodes[addr]; dup {
@@ -438,13 +407,28 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.CodeInternal, "hashing request: %v", err)
 		return
 	}
+
+	// Tier 1: the gateway's own LRU answers repeats without a network hop,
+	// and keeps no record of them.
+	if data, ok := g.cache.Get(key); ok {
+		g.met.cacheHits.Add(1)
+		st := serve.CachedStatus(key, data, time.Now())
+		st.Mode, st.Bench, st.Node = creq.Mode, creq.Bench, g.cfg.NodeID
+		st.TraceID = parent.Trace.String()
+		routed("cache-hit", map[string]string{"cache_key": key})
+		g.logger.Info("job served from gateway cache",
+			"trace_id", st.TraceID, "job", key, "cache_key", key)
+		serve.WriteJSON(w, http.StatusOK, st)
+		return
+	}
+	g.met.cacheMisses.Add(1)
+
 	canonical, err := json.Marshal(creq)
 	if err != nil {
 		routed("encode-error", nil)
 		serve.WriteError(w, serve.CodeInternal, "encoding request: %v", err)
 		return
 	}
-
 	// The hand-off budget is the configured cap, lowered (never raised) by
 	// the caller's remaining retry budget: a client on its last attempt gets
 	// one forward and no storm.
@@ -454,61 +438,35 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			budget = b
 		}
 	}
-
-	id := fmt.Sprintf("gw-%06d", g.nextID.Add(1))
-	j := &gwJob{
-		id: id, key: key, body: canonical,
-		mode: creq.Mode, bench: creq.Bench,
-		tenant: tenant, bodyBytes: int64(len(body)),
+	rec := &rescueRecord{
+		key: key, body: canonical, tenant: tenant, bodyBytes: int64(len(body)),
 		deadline: deadline, budget: budget,
-		trace:     obsv.SpanContext{Trace: parent.Trace, Span: route.Span},
-		submitted: arrived,
-		// Nothing is charged against the tenant yet: the byte quota is only
-		// admitted after a cache miss, so "released" starts true and flips
-		// once the charge lands.
-		released: true,
+		trace: obsv.SpanContext{Trace: parent.Trace, Span: route.Span},
 	}
-	g.mu.Lock()
-	g.jobs[id] = j
-	g.mu.Unlock()
 
-	// Tier 1: the gateway's own LRU answers repeats without a network hop.
-	if data, ok := g.cache.Get(key); ok {
-		g.met.cacheHits.Add(1)
-		now := time.Now()
-		st := serve.JobStatus{
-			ID: id, State: serve.StateDone, Mode: creq.Mode, Bench: creq.Bench,
-			CacheKey: key, Cached: true, TraceID: parent.Trace.String(),
-			Node: g.cfg.NodeID, SubmittedAt: arrived,
-			StartedAt: &now, FinishedAt: &now, Result: data,
-		}
-		j.setFinal(st)
-		routed("cache-hit", map[string]string{"cache_key": key})
-		g.logger.Info("job served from gateway cache",
-			"trace_id", parent.Trace.String(), "job", id, "cache_key", key)
-		serve.WriteJSON(w, http.StatusOK, st)
-		return
-	}
-	g.met.cacheMisses.Add(1)
-
-	// In-flight-bytes quota, charged only for work that will actually travel
-	// to a node (cache hits above are free); released when the job reaches a
-	// terminal state at the gateway or is refused below.
-	if !g.quotas.AdmitBytes(tenant, j.bodyBytes) {
+	// In-flight-bytes quota, charged only for work that will start on a node:
+	// a key with a rescue record is already charged, and its owner coalesces
+	// the repeat onto the live job. The charge is returned when the gateway
+	// sees the key terminal, or on refusal below.
+	g.mu.RLock()
+	_, joined := g.jobs[key]
+	g.mu.RUnlock()
+	if joined {
+		rec.bodyBytes = 0
+	} else if !g.quotas.AdmitBytes(tenant, rec.bodyBytes) {
 		g.met.shedQuota.Add(1)
 		routed("quota-bytes", map[string]string{"tenant": tenant})
 		serve.WriteErrorRetry(w, serve.CodeOverCapacity, g.cfg.HealthInterval,
 			"tenant %q over in-flight bytes quota", tenantLabel(tenant))
 		return
 	}
-	j.released = false
 
 	wait := r.URL.Query().Get("wait")
 	syncWait := wait == "1" || wait == "true"
-	resp, owner := g.forwardSubmit(r.Context(), j, syncWait)
+	resp, owner := g.forwardSubmit(r.Context(), rec, syncWait)
 	if owner == nil {
-		g.releaseJob(j)
-		if !j.deadline.IsZero() && time.Now().After(j.deadline) {
+		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			g.met.shedDeadline.Add(1)
 			routed("deadline-expired", map[string]string{"cache_key": key})
 			serve.WriteError(w, serve.CodeTimeout, "deadline expired during forwarding")
@@ -530,18 +488,15 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	g.met.submitted.Add(1)
 	if resp.Status/100 != 2 {
-		// A terminal failure envelope (failed ?wait=1 job) forwards untouched;
-		// remember the node-side job ID so status polls keep working.
+		// A terminal failure envelope (failed ?wait=1 job) forwards untouched
+		// and settles the key.
+		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
 		var env struct {
 			Error serve.APIError `json:"error"`
 		}
 		if json.Unmarshal(resp.Body, &env) == nil && env.Error.Job != nil {
-			j.setOwner(owner.name, env.Error.Job.ID)
-			st := *env.Error.Job
-			st.ID, st.Node = id, owner.name
-			j.setFinal(st)
+			g.settle(key)
 		}
-		g.releaseJob(j)
 		routed("forwarded-error", map[string]string{
 			"node": owner.name, "cache_key": key, "status": fmt.Sprint(resp.Status)})
 		g.forwardRaw(w, resp)
@@ -550,23 +505,84 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	var st serve.JobStatus
 	if err := json.Unmarshal(resp.Body, &st); err != nil {
+		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
 		routed("decode-error", map[string]string{"node": owner.name})
 		serve.WriteError(w, serve.CodeInternal, "decoding node response: %v", err)
 		return
 	}
-	j.setOwner(owner.name, st.ID)
-	st.ID, st.Node = id, owner.name
-	if st.State == serve.StateDone && len(st.Result) > 0 {
-		g.cache.Put(key, st.Result)
-		g.finish(j, st)
+	st.Node = owner.name
+	rec.node = owner.name
+	if g.observe(key, st) {
+		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
+	} else {
+		g.track(rec)
 	}
-	routed("forwarded", map[string]string{"node": owner.name, "job": id, "cache_key": key})
-	g.logger.Info("job routed", "trace_id", parent.Trace.String(), "job", id,
-		"node", owner.name, "cache_key", key, "sync", syncWait, "handoffs", j.handoffs)
+	routed("forwarded", map[string]string{"node": owner.name, "job": key, "cache_key": key})
+	g.logger.Info("job routed", "trace_id", parent.Trace.String(), "job", key,
+		"node", owner.name, "cache_key", key, "sync", syncWait)
 	serve.WriteJSON(w, resp.Status, st)
 }
 
-// forwardSubmit walks the job's hand-off order, forwarding the submission
+// track keeps rec as its key's rescue record. When one is kept already, or
+// the key finished meanwhile (its result reached the gateway cache), rec's
+// byte charge is returned instead.
+func (g *Gateway) track(rec *rescueRecord) {
+	g.mu.Lock()
+	_, dup := g.jobs[rec.key]
+	if !dup {
+		if _, dup = g.cache.Get(rec.key); !dup {
+			g.jobs[rec.key] = rec
+		}
+	}
+	g.mu.Unlock()
+	if dup {
+		g.quotas.ReleaseBytes(rec.tenant, rec.bodyBytes)
+	}
+}
+
+// settle drops key's rescue record, if any, and returns its byte charge.
+func (g *Gateway) settle(key string) {
+	g.mu.Lock()
+	rec := g.jobs[key]
+	delete(g.jobs, key)
+	g.mu.Unlock()
+	if rec != nil {
+		g.quotas.ReleaseBytes(rec.tenant, rec.bodyBytes)
+	}
+}
+
+// observe settles key when a node reports it terminal, caching a done result
+// at the gateway tier. It reports whether the key is terminal.
+func (g *Gateway) observe(key string, st serve.JobStatus) bool {
+	if st.State != serve.StateDone && st.State != serve.StateFailed {
+		return false
+	}
+	if st.State == serve.StateDone && len(st.Result) > 0 {
+		g.cache.Put(key, st.Result)
+	}
+	g.settle(key)
+	return true
+}
+
+// record returns key's rescue record, or nil.
+func (g *Gateway) record(key string) *rescueRecord {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.jobs[key]
+}
+
+// ownerOf is the node to ask about key: its rescue record's owner, else the
+// key's ring owner.
+func (g *Gateway) ownerOf(key string, rec *rescueRecord) *node {
+	if rec != nil {
+		if n := g.nodes[rec.owner()]; n != nil {
+			return n
+		}
+	}
+	return g.nodes[g.ring.Owner(key)]
+}
+
+// forwardSubmit walks the record's hand-off order, forwarding the submission
 // until a node accepts it. A draining (503) or over-capacity (429) answer
 // and any transport failure move on to the next ring owner — this is the
 // drain-aware hand-off: a queued job on a dying node is resubmitted, not
@@ -574,59 +590,48 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // Returns (resp, owner) on acceptance; (lastResp, nil) when every candidate
 // refused with a non-hand-offable error; (nil, nil) when no candidate could
 // be reached at all.
-func (g *Gateway) forwardSubmit(ctx context.Context, j *gwJob, syncWait bool) (*serve.APIResponse, *node) {
+func (g *Gateway) forwardSubmit(ctx context.Context, rec *rescueRecord, syncWait bool) (*serve.APIResponse, *node) {
 	path := "/v1/sims"
 	perCall := serve.DefaultPollTimeout
 	if syncWait {
 		path += "?wait=1"
 		perCall = 0 // long poll: simulations can run for minutes
 	}
-	header := http.Header{}
-	header.Set("Content-Type", "application/json")
-	header.Set("traceparent", j.trace.Traceparent())
-	if j.tenant != "" {
-		header.Set(serve.HeaderTenant, j.tenant)
-	}
-	// Nodes must not hand off further — the gateway owns the walk.
-	header.Set(serve.HeaderRetryBudget, "0")
-
-	cands := g.route(j.key, "")
+	header := rec.header()
+	cands := g.route(rec.key, "")
 	// The walk is bounded by the hand-off budget: the owner plus at most
-	// j.budget successors, so a refused submission cannot storm the fleet.
-	if max := 1 + j.budget; len(cands) > max {
+	// rec.budget successors, so a refused submission cannot storm the fleet.
+	if max := 1 + rec.budget; len(cands) > max {
 		cands = cands[:max]
 	}
 	var last *serve.APIResponse
 	for attempt, n := range cands {
 		if attempt > 0 {
 			g.met.handoffs.Add(1)
-			j.mu.Lock()
-			j.handoffs++
-			j.mu.Unlock()
 		}
-		if !j.deadline.IsZero() {
+		if !rec.deadline.IsZero() {
 			// Re-derive the remaining time per attempt: a slow hand-off walk
 			// shrinks what the node is promised. An exhausted deadline ends
 			// the walk — nobody is waiting for the result any more.
-			ms := time.Until(j.deadline).Milliseconds()
+			ms := time.Until(rec.deadline).Milliseconds()
 			if ms <= 0 {
 				return last, nil
 			}
 			header.Set(serve.HeaderDeadlineMS, strconv.FormatInt(ms, 10))
 		}
-		resp, err := n.client.RoundTrip(ctx, http.MethodPost, path, header, j.body, perCall)
+		resp, err := n.client.RoundTrip(ctx, http.MethodPost, path, header, rec.body, perCall)
 		if err != nil {
 			if ctx.Err() != nil {
 				return last, nil
 			}
 			g.logger.Warn("node unreachable, handing off",
-				"node", n.name, "job", j.id, "err", err)
+				"node", n.name, "job", rec.key, "err", err)
 			continue
 		}
 		switch resp.Status {
 		case http.StatusServiceUnavailable:
 			n.markDraining()
-			g.logger.Info("node draining, handing off", "node", n.name, "job", j.id)
+			g.logger.Info("node draining, handing off", "node", n.name, "job", rec.key)
 			last = resp
 			continue
 		case http.StatusTooManyRequests:
@@ -636,6 +641,20 @@ func (g *Gateway) forwardSubmit(ctx context.Context, j *gwJob, syncWait bool) (*
 		return resp, n
 	}
 	return last, nil
+}
+
+// header is the forwarded submission's header set: the trace (the gateway's
+// route span as parent), the tenant, and a zero retry budget — nodes must not
+// hand off further, the gateway owns the walk.
+func (rec *rescueRecord) header() http.Header {
+	header := http.Header{}
+	header.Set("Content-Type", "application/json")
+	header.Set("traceparent", rec.trace.Traceparent())
+	if rec.tenant != "" {
+		header.Set(serve.HeaderTenant, rec.tenant)
+	}
+	header.Set(serve.HeaderRetryBudget, "0")
+	return header
 }
 
 // forwardRaw relays a node response verbatim — body bytes, status, and the
@@ -650,46 +669,36 @@ func (g *Gateway) forwardRaw(w http.ResponseWriter, resp *serve.APIResponse) {
 	_, _ = w.Write(resp.Body)
 }
 
-// lookup resolves a gateway job ID, writing the 404 envelope when unknown.
-func (g *Gateway) lookup(w http.ResponseWriter, id string) *gwJob {
-	g.mu.RLock()
-	j := g.jobs[id]
-	g.mu.RUnlock()
-	if j == nil {
-		serve.WriteError(w, serve.CodeNotFound, "unknown job %q", id)
-	}
-	return j
-}
-
-// handleStatus serves one job's status: terminal statuses straight from the
-// gateway, live ones by asking the owning node (rewriting the node's job ID
-// and stamping the owner). A vanished owner triggers an immediate rescue.
+// handleStatus answers a job ID (its CacheKey) from the gateway cache, else
+// from its rescue record's owner, else from the key's ring owner, passing a
+// node's reply through (a 404 included) with the owner stamped. An
+// unreachable or forgetful owner of a live record triggers an immediate
+// rescue.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := g.lookup(w, r.PathValue("id"))
-	if j == nil {
+	key := r.PathValue("id")
+	if data, ok := g.cache.Get(key); ok {
+		st := serve.CachedStatus(key, data, time.Now())
+		st.Node = g.cfg.NodeID
+		serve.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	nodeName, remoteID, final := j.snapshot()
-	if final != nil {
-		serve.WriteJSON(w, http.StatusOK, *final)
-		return
-	}
-	owner := g.nodes[nodeName]
-	if owner == nil || remoteID == "" {
-		// Accepted but not yet placed (mid-hand-off): report it queued.
-		serve.WriteJSON(w, http.StatusOK, g.queuedStatus(j))
-		return
-	}
-	resp, err := owner.client.RoundTrip(r.Context(), http.MethodGet, "/v1/sims/"+remoteID, nil, nil, serve.DefaultPollTimeout)
-	if err != nil || resp.Status == http.StatusNotFound {
+	rec := g.record(key)
+	owner := g.ownerOf(key, rec)
+	resp, err := owner.client.RoundTrip(r.Context(), http.MethodGet, "/v1/sims/"+key, nil, nil, serve.DefaultPollTimeout)
+	if rec != nil && (err != nil || resp.Status == http.StatusNotFound) {
 		// The owner is gone (or restarted without its journal): resubmit to
-		// the next ring owner and report the job queued there.
-		if g.rescue(j, nodeName) {
-			serve.WriteJSON(w, http.StatusOK, g.queuedStatus(j))
+		// the next ring owner and report the job there.
+		if st, ok := g.rescue(rec, owner.name); ok {
+			serve.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		serve.WriteErrorRetry(w, serve.CodeDraining, g.cfg.HealthInterval,
-			"owner of job %s unreachable and no eligible node to rescue to", j.id)
+			"owner of job %s unreachable and no eligible node to rescue to", key)
+		return
+	}
+	if err != nil {
+		serve.WriteErrorRetry(w, serve.CodeDraining, g.cfg.HealthInterval,
+			"owner of job %s unreachable: %v", key, err)
 		return
 	}
 	if resp.Status/100 != 2 {
@@ -701,59 +710,34 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.CodeInternal, "decoding node response: %v", err)
 		return
 	}
-	st.ID, st.Node = j.id, owner.name
-	if st.State == serve.StateDone && len(st.Result) > 0 {
-		g.cache.Put(j.key, st.Result)
-		g.finish(j, st)
-	} else if st.State == serve.StateFailed {
-		g.finish(j, st)
-	}
+	st.Node = owner.name
+	g.observe(key, st)
 	serve.WriteJSON(w, http.StatusOK, st)
 }
 
-// queuedStatus synthesises the status of a job the gateway has accepted but
-// whose owner cannot answer right now.
-func (g *Gateway) queuedStatus(j *gwJob) serve.JobStatus {
-	nodeName, _, _ := j.snapshot()
-	return serve.JobStatus{
-		ID: j.id, State: serve.StateQueued, Mode: j.mode, Bench: j.bench,
-		CacheKey: j.key, TraceID: j.trace.Trace.String(), Node: nodeName,
-		SubmittedAt: j.submitted,
-	}
-}
-
-// handleStream proxies the owning node's NDJSON stream line by line,
-// rewriting the terminal JobStatus to the gateway's job identity. Terminal
-// jobs answer immediately with their final status line.
+// handleStream proxies the NDJSON stream of the node handleStatus would ask,
+// line by line, stamping the owner on the terminal JobStatus. A key the
+// gateway cache holds answers at once with its done status.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := g.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
-	}
-	nodeName, remoteID, final := j.snapshot()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if final != nil {
+	key := r.PathValue("id")
+	if data, ok := g.cache.Get(key); ok {
+		st := serve.CachedStatus(key, data, time.Now())
+		st.Node = g.cfg.NodeID
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		_ = enc.Encode(*final)
+		_ = json.NewEncoder(w).Encode(st)
 		return
 	}
-	owner := g.nodes[nodeName]
-	if owner == nil || remoteID == "" {
-		w.WriteHeader(http.StatusOK)
-		_ = enc.Encode(g.queuedStatus(j))
-		return
-	}
+	owner := g.ownerOf(key, g.record(key))
 	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		owner.client.Base()+"/v1/sims/"+remoteID+"/stream", nil)
+		owner.client.Base()+"/v1/sims/"+key+"/stream", nil)
 	if err != nil {
 		serve.WriteError(w, serve.CodeInternal, "building stream request: %v", err)
 		return
 	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
-		serve.WriteError(w, serve.CodeDraining, "owner of job %s unreachable: %v", j.id, err)
+		serve.WriteError(w, serve.CodeDraining, "owner of job %s unreachable: %v", key, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -762,18 +746,18 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		g.forwardRaw(w, &serve.APIResponse{Status: resp.StatusCode, Header: resp.Header, Body: body})
 		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var st serve.JobStatus
-		if err := json.Unmarshal(line, &st); err == nil && st.ID == remoteID && st.State != "" {
-			st.ID, st.Node = j.id, owner.name
-			if st.State == serve.StateDone && len(st.Result) > 0 {
-				g.cache.Put(j.key, st.Result)
-				g.finish(j, st)
-			}
+		if err := json.Unmarshal(line, &st); err == nil && st.ID == key && st.State != "" {
+			st.Node = owner.name
+			g.observe(key, st)
 			_ = enc.Encode(st)
 		} else {
 			_, _ = w.Write(append(line, '\n'))
@@ -784,58 +768,45 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rescueOrphans resubmits every live job whose owner has become ineligible
+// rescueOrphans resubmits every live key whose owner has become ineligible
 // (draining, ejected, or failing health polls) to the next ring owner — the
 // drain-aware hand-off for asynchronous jobs whose submitter is long gone.
 func (g *Gateway) rescueOrphans() {
 	g.mu.RLock()
-	jobs := make([]*gwJob, 0, len(g.jobs))
-	for _, j := range g.jobs {
-		jobs = append(jobs, j)
+	recs := make([]*rescueRecord, 0, len(g.jobs))
+	for _, rec := range g.jobs {
+		recs = append(recs, rec)
 	}
 	g.mu.RUnlock()
-	for _, j := range jobs {
-		nodeName, remoteID, final := j.snapshot()
-		if final != nil || remoteID == "" {
+	for _, rec := range recs {
+		owner := rec.owner()
+		if n := g.nodes[owner]; n != nil && n.eligible() {
 			continue
 		}
-		owner := g.nodes[nodeName]
-		if owner != nil && owner.eligible() {
-			continue
-		}
-		g.rescue(j, nodeName)
+		g.rescue(rec, owner)
 	}
 }
 
-// rescue resubmits one job to the next eligible ring owner after exclude.
-// The duplicate submission is safe: the request is content-addressed and
-// the simulator deterministic, so whichever node finishes first populates
-// the caches with the byte-identical Result.
-func (g *Gateway) rescue(j *gwJob, exclude string) bool {
-	header := http.Header{}
-	header.Set("Content-Type", "application/json")
-	header.Set("traceparent", j.trace.Traceparent())
-	if j.tenant != "" {
-		header.Set(serve.HeaderTenant, j.tenant)
-	}
-	header.Set(serve.HeaderRetryBudget, "0")
-	cands := g.route(j.key, exclude)
+// rescue resubmits one live key to the next eligible ring owner after
+// exclude and returns that node's status for it. The duplicate submission is
+// safe: the request is content-addressed and the simulator deterministic, so
+// whichever node finishes first populates the caches with the byte-identical
+// Result.
+func (g *Gateway) rescue(rec *rescueRecord, exclude string) (serve.JobStatus, bool) {
+	header := rec.header()
+	cands := g.route(rec.key, exclude)
 	if max := 1 + g.cfg.HandoffBudget; len(cands) > max {
 		cands = cands[:max]
 	}
 	for _, n := range cands {
 		ctx, cancel := context.WithTimeout(g.ctx, serve.DefaultPollTimeout)
-		resp, err := n.client.RoundTrip(ctx, http.MethodPost, "/v1/sims", header, j.body, serve.DefaultPollTimeout)
+		resp, err := n.client.RoundTrip(ctx, http.MethodPost, "/v1/sims", header, rec.body, serve.DefaultPollTimeout)
 		cancel()
 		if err != nil {
 			continue
 		}
-		switch resp.Status {
-		case http.StatusServiceUnavailable:
+		if resp.Status == http.StatusServiceUnavailable {
 			n.markDraining()
-			continue
-		case http.StatusTooManyRequests:
-			continue
 		}
 		if resp.Status/100 != 2 {
 			continue
@@ -845,21 +816,15 @@ func (g *Gateway) rescue(j *gwJob, exclude string) bool {
 			continue
 		}
 		g.met.rescued.Add(1)
-		j.mu.Lock()
-		j.node, j.remoteID = n.name, st.ID
-		j.handoffs++
-		j.mu.Unlock()
-		if st.State == serve.StateDone && len(st.Result) > 0 {
-			st.ID, st.Node = j.id, n.name
-			g.cache.Put(j.key, st.Result)
-			g.finish(j, st)
-		}
-		g.logger.Info("job rescued", "job", j.id, "from", exclude, "to", n.name,
-			"trace_id", j.trace.Trace.String())
-		return true
+		rec.setOwner(n.name)
+		st.Node = n.name
+		g.observe(rec.key, st)
+		g.logger.Info("job rescued", "job", rec.key, "from", exclude, "to", n.name,
+			"trace_id", rec.trace.Trace.String())
+		return st, true
 	}
-	g.logger.Warn("job stranded: no eligible node to rescue to", "job", j.id, "from", exclude)
-	return false
+	g.logger.Warn("job stranded: no eligible node to rescue to", "job", rec.key, "from", exclude)
+	return serve.JobStatus{}, false
 }
 
 // Health is the gateway's /v1/healthz payload: the node-compatible summary
@@ -966,11 +931,3 @@ func tenantLabel(t string) string {
 	}
 	return t
 }
-
-// discardHandler mirrors serve's nil-logger sink.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

@@ -93,8 +93,8 @@ func TestFleetDrainHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if !strings.HasPrefix(st.ID, "gw-") {
-			t.Fatalf("submit %d: want a gateway job ID, got %q", i, st.ID)
+		if st.ID != st.CacheKey {
+			t.Fatalf("submit %d: job ID %q is not the cache key %q", i, st.ID, st.CacheKey)
 		}
 		if st.Node == "" {
 			t.Fatalf("submit %d: status carries no owning node", i)
@@ -205,7 +205,7 @@ func TestGatewayForwardsErrorEnvelope(t *testing.T) {
 	}
 
 	// Unknown job: the gateway's own 404 envelope carries the stable code.
-	_, err = c.Status(ctx, "gw-999999")
+	_, err = c.Status(ctx, strings.Repeat("ab", 32))
 	var he *serve.HTTPError
 	if !errors.As(err, &he) || he.Code != serve.CodeNotFound {
 		t.Fatalf("unknown job error = %v, want code %q", err, serve.CodeNotFound)
@@ -296,7 +296,7 @@ func TestGatewayWorkStealing(t *testing.T) {
 }
 
 // TestGatewayStream: the NDJSON stream proxies through with the terminal
-// status rewritten to the gateway's job identity.
+// status carrying the job ID and the owning node.
 func TestGatewayStream(t *testing.T) {
 	f := startFleet(t, 2, Config{})
 	c := serve.NewClient(f.front.URL)
@@ -340,12 +340,60 @@ func TestGatewayStream(t *testing.T) {
 		lines++
 	}
 	if last.ID != st.ID {
-		t.Fatalf("terminal stream line carries ID %q, want the gateway ID %q", last.ID, st.ID)
+		t.Fatalf("terminal stream line carries ID %q, want the job ID %q", last.ID, st.ID)
 	}
 	if last.State != serve.StateDone {
 		t.Fatalf("terminal stream line state %q", last.State)
 	}
 	if last.Node == "" {
 		t.Fatal("terminal stream line carries no owning node")
+	}
+}
+
+// TestGatewayRepeatHitsKeepNoRecords: repeat submissions answered from the
+// gateway cache leave no per-job state behind, and the key — the job ID —
+// still answers status polls.
+func TestGatewayRepeatHitsKeepNoRecords(t *testing.T) {
+	f := startFleet(t, 2, Config{})
+	c := serve.NewClient(f.front.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	req := testLoopReq(41)
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.State != serve.StateDone {
+		if st.State == serve.StateFailed {
+			t.Fatalf("job failed: %s", st.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if st, err = c.Status(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const hits = 20
+	for i := 0; i < hits; i++ {
+		hit, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.ID != st.CacheKey {
+			t.Fatalf("repeat %d: cached=%v id=%q, want a cache hit named %q", i, hit.Cached, hit.ID, st.CacheKey)
+		}
+	}
+	if n := f.gw.Registry().Lookup("gateway.cache.hits"); n == nil || n.Int() != hits {
+		t.Fatalf("gateway.cache.hits != %d", hits)
+	}
+	if n := f.gw.Registry().Lookup("gateway.jobs_tracked"); n == nil || n.Int() != 0 {
+		t.Fatalf("gateway.jobs_tracked = %v after repeat hits, want 0", n.Int())
+	}
+	got, err := c.Status(ctx, st.CacheKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != serve.StateDone || !bytes.Equal(got.Result, st.Result) {
+		t.Fatalf("status of a hit key = %s, want done with the original result", got.State)
 	}
 }

@@ -46,7 +46,7 @@ func (m *gwMetrics) registry(g *Gateway) *obsv.Registry {
 	s.CounterFn("gateway.jobs_rescued", "orphaned jobs resubmitted after their owner drained or died", m.rescued.Load)
 	s.CounterFn("gateway.no_eligible_node", "submissions refused because no node was eligible", m.noNodes.Load)
 	s.CounterFn("gateway.health_polls", "fleet health-poll rounds completed", m.healthPolls.Load)
-	s.CounterFn("gateway.jobs_tracked", "jobs the gateway is tracking", func() int64 {
+	s.CounterFn("gateway.jobs_tracked", "live forwarded jobs the gateway keeps a rescue record for", func() int64 {
 		g.mu.RLock()
 		defer g.mu.RUnlock()
 		return int64(len(g.jobs))

@@ -13,7 +13,8 @@
 // content-addressed and the simulator is deterministic, so resubmitting a
 // job to a different node — on hand-off, rescue, or plain retry — always
 // produces the byte-identical Result, and duplicate submissions dedupe
-// through each node's own cache.
+// through each node's own cache. The CacheKey is also the job ID on every
+// node and at the gateway, so the gateway maps no IDs.
 package gateway
 
 import (

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -115,13 +116,14 @@ func chaosLivelock() error {
 var errChaosTimeout = errors.New("chaos: injected wall-clock timeout")
 
 // chaosSlow models a stuck-slow worker: a short real sleep, then a pipeline
-// whose cooperative-cancellation hook reports an exhausted wall-clock budget
-// at the first poll.
+// run under a context already cancelled for an exhausted wall-clock budget,
+// so it stops at the first poll.
 func chaosSlow() error {
 	time.Sleep(10 * time.Millisecond)
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCycles = 50_000_000
 	p := pipeline.New(cfg, chaosSpinProg(), mem.NewImage())
-	p.SetCancel(func() error { return errChaosTimeout })
-	return p.Run()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errChaosTimeout)
+	return p.RunContext(ctx)
 }

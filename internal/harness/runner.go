@@ -98,7 +98,7 @@ func prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
 // simContext derives the context one simulation variant runs under: the
 // caller's context, bounded by the per-simulation wall-clock budget
 // (SetSimTimeout) when one is configured. The deadline starts when the
-// variant starts, matching the old SetCancel-hook semantics.
+// variant starts.
 func simContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if d := SimTimeout(); d > 0 {
 		return context.WithTimeout(ctx, d)

@@ -18,8 +18,8 @@ var (
 	// overrun this is a wedge: the machine is cycling without retiring
 	// anything, which a longer budget cannot fix.
 	ErrDeadlock = errors.New("pipeline: no forward progress")
-	// ErrCancelled: the cooperative cancellation hook (SetCancel) asked the
-	// run to stop, e.g. a harness-imposed wall-clock timeout.
+	// ErrCancelled: the context passed to RunContext was cancelled, e.g. by
+	// a harness-imposed wall-clock timeout.
 	ErrCancelled = errors.New("pipeline: simulation cancelled")
 )
 

@@ -320,10 +320,6 @@ type Pipeline struct {
 	// Paranoid mode: check structural invariants after every cycle.
 	paranoid bool
 
-	// Cooperative cancellation: checked every cancelCheckMask+1 cycles by
-	// Run so the harness can enforce per-simulation wall-clock timeouts.
-	cancel func() error
-
 	// Chaos/test hook: from this cycle on commit retires nothing, wedging
 	// the machine so the forward-progress watchdog can be exercised on
 	// otherwise-healthy programs. 0 = disabled.
@@ -397,13 +393,6 @@ func (p *Pipeline) ScheduleInterrupt(at, dur int64) {
 	p.intrAt, p.intrDur = at, dur
 }
 
-// SetCancel installs a cooperative cancellation hook, polled every few
-// thousand cycles alongside the RunContext context check. It predates
-// context threading and survives as a shim: new code should cancel via the
-// context passed to RunContext instead. A non-nil return aborts the
-// simulation with an ErrCancelled-wrapped error.
-func (p *Pipeline) SetCancel(fn func() error) { p.cancel = fn }
-
 // InjectWedge is a chaos/test hook: from the given cycle on, commit retires
 // nothing, so the machine stops making forward progress while still cycling
 // — the synthetic livelock the watchdog exists to catch.
@@ -428,14 +417,14 @@ const cancelCheckMask = 1<<12 - 1
 // Run simulates until Halt commits. Abnormal exits are typed: an exhausted
 // budget wraps ErrCycleBudget, a commit-free watchdog window returns a
 // *DeadlockError (errors.Is ErrDeadlock) carrying a machine snapshot, and a
-// tripped cancellation hook wraps ErrCancelled.
+// cancelled context (RunContext) wraps ErrCancelled.
 func (p *Pipeline) Run() error { return p.RunContext(context.Background()) }
 
 // RunContext is Run under a caller-supplied context: cancellation and
-// deadlines are polled at the same cancelCheckMask throttle as the legacy
-// SetCancel hook and abort the simulation with an ErrCancelled-wrapped
-// error, preserving the PR 2 failure taxonomy (classify maps it to
-// KindRunError with full attribution).
+// deadlines are polled every cancelCheckMask+1 cycles and abort the
+// simulation with an ErrCancelled-wrapped error naming the context's cause,
+// preserving the PR 2 failure taxonomy (classify maps it to KindRunError
+// with full attribution).
 func (p *Pipeline) RunContext(ctx context.Context) error {
 	max := p.Cfg.MaxCycles
 	if max == 0 {
@@ -459,15 +448,9 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 			return fmt.Errorf("%w: %d cycles at pc %d (rob=%d)", ErrCycleBudget, max, p.fetchPC, p.robLen())
 		}
 		if p.cycle&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
+			if ctx.Err() != nil {
 				p.Stats.Cycles = p.cycle
-				return fmt.Errorf("%w at cycle %d: %v", ErrCancelled, p.cycle, err)
-			}
-			if p.cancel != nil {
-				if err := p.cancel(); err != nil {
-					p.Stats.Cycles = p.cycle
-					return fmt.Errorf("%w at cycle %d: %v", ErrCancelled, p.cycle, err)
-				}
+				return fmt.Errorf("%w at cycle %d: %v", ErrCancelled, p.cycle, context.Cause(ctx))
 			}
 			// Periodic checkpoint emission shares the poll boundary: both
 			// schedulers visit every boundary (quietTarget clamps to them),

@@ -1,8 +1,8 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -92,18 +92,25 @@ func TestWatchdogQuietOnProgressingRun(t *testing.T) {
 	}
 }
 
+// pollCtx is a context whose Err trips at its third call: it counts the
+// pipeline's cancellation polls.
+type pollCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= 3 {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestCancelHookStopsRun(t *testing.T) {
 	c := testConfig()
 	p := New(c, spinProg(), mem.NewImage())
-	polls := 0
-	p.SetCancel(func() error {
-		polls++
-		if polls >= 3 {
-			return fmt.Errorf("wall-clock budget exhausted")
-		}
-		return nil
-	})
-	err := p.Run()
+	err := p.RunContext(&pollCtx{Context: context.Background()})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("cancelled run returned %v, want ErrCancelled", err)
 	}

@@ -166,26 +166,8 @@ func decode(resp *http.Response, v interface{}, max int64) error {
 			}
 			return he
 		}
-		// Legacy fallbacks (pre-envelope daemons): a bare failed JobStatus
-		// body, then a plain {"error": "msg"} string shape.
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err == nil && st.State == StateFailed {
-			if st.Failure != nil {
-				return st.Failure.SimError()
-			}
-			return fmt.Errorf("serve: job %s failed: %s", st.ID, st.Error)
-		}
-		var legacy struct {
-			Error string `json:"error"`
-		}
-		code := codeForStatus(resp.StatusCode)
-		if err := json.Unmarshal(body, &legacy); err == nil && legacy.Error != "" {
-			if resp.StatusCode == http.StatusBadRequest {
-				return &HTTPError{Status: resp.StatusCode, Code: code, RetryAfter: ra, Msg: legacy.Error, err: harness.ErrInvalidRequest}
-			}
-			return &HTTPError{Status: resp.StatusCode, Code: code, RetryAfter: ra, Msg: legacy.Error}
-		}
-		return &HTTPError{Status: resp.StatusCode, Code: code, RetryAfter: ra, Msg: string(bytes.TrimSpace(body))}
+		// Not an envelope: net/http's own plain-text 404/405 and the like.
+		return &HTTPError{Status: resp.StatusCode, Code: codeForStatus(resp.StatusCode), RetryAfter: ra, Msg: string(bytes.TrimSpace(body))}
 	}
 	return json.Unmarshal(body, v)
 }

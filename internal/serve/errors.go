@@ -92,8 +92,8 @@ func (c ErrorCode) statusFor() int {
 	}
 }
 
-// codeForStatus is the reverse mapping, used when decoding a legacy
-// (pre-envelope) response that carried only a status line.
+// codeForStatus is the reverse mapping, used when decoding a response that
+// carried no envelope, only a status line.
 func codeForStatus(status int) ErrorCode {
 	switch status {
 	case http.StatusBadRequest:

@@ -14,6 +14,7 @@ import (
 type metrics struct {
 	requests     atomic.Int64 // HTTP requests accepted (any endpoint)
 	submitted    atomic.Int64 // simulation jobs admitted to the queue
+	coalesced    atomic.Int64 // submissions that joined the live job of their key
 	rejectedFull atomic.Int64 // submissions refused with 429 (queue full)
 	invalid      atomic.Int64 // submissions refused with 400 (bad request)
 	cacheHits    atomic.Int64 // submissions served from the result cache
@@ -88,6 +89,7 @@ func (m *metrics) registry(cacheLen func() int64, brownout func() int64, spans *
 	s := reg.Section("serve")
 	s.CounterFn("serve.http_requests", "HTTP requests accepted across all endpoints", m.requests.Load)
 	s.CounterFn("serve.jobs_submitted", "simulation jobs admitted to the queue", m.submitted.Load)
+	s.CounterFn("serve.jobs_coalesced", "submissions that joined the queued or running job of their key", m.coalesced.Load)
 	s.CounterFn("serve.jobs_rejected_queue_full", "submissions refused because the queue was full", m.rejectedFull.Load)
 	s.CounterFn("serve.jobs_rejected_invalid", "submissions refused as invalid requests", m.invalid.Load)
 	s.CounterFn("serve.jobs_shed_deadline", "submissions shed because the predicted queue wait exceeded the deadline", m.shedDeadline.Load)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"sync"
 	"time"
 
@@ -28,6 +29,8 @@ func (s JobState) terminal() bool { return s == StateDone || s == StateFailed }
 // harness.Result verbatim (the exact bytes a cache hit replays), so clients
 // comparing results across submissions can compare bytes.
 type JobStatus struct {
+	// ID is the request's CacheKey: every submission of one request names
+	// the same job, on every node and at the gateway, across restarts.
 	ID       string       `json:"id"`
 	State    JobState     `json:"state"`
 	Mode     harness.Mode `json:"mode"`
@@ -58,25 +61,21 @@ type JobStatus struct {
 	Error   string                 `json:"error,omitempty"`
 }
 
-// job is one queued simulation. All mutable state is guarded by mu; done is
-// closed exactly once on entering a terminal state, and cond broadcasts on
-// every event append so streamers can tail the event log without polling.
+// job is one simulation, shared by every submission of its request. All
+// mutable state is guarded by mu; done is closed exactly once on entering a
+// terminal state, and cond broadcasts on every event append so streamers can
+// tail the event log without polling.
 type job struct {
+	// id is the request's CacheKey: one live job per content address.
 	id  string
-	key string
 	req harness.Request // canonical form
 	// tenant keys the fair queue's subqueue, the quota accounting and the
-	// brownout shedding decision. Empty is the default tenant. Set once at
-	// admission (or journal replay), never mutated after.
+	// brownout shedding decision. Empty is the default tenant. Set once by
+	// the creating submission (or journal replay), never mutated after.
 	tenant string
-	// bodyBytes is the submission body size charged against the tenant's
-	// in-flight-bytes quota until the job reaches a terminal state.
+	// bodyBytes is the creating submission's body size, charged against the
+	// tenant's in-flight-bytes quota until the job reaches a terminal state.
 	bodyBytes int64
-	// deadline is the absolute point after which the job's result is useless
-	// to the caller (propagated via X-Srv-Deadline-Ms). Zero means none. A
-	// worker that dequeues an already-expired job cancels it without
-	// simulating into the void.
-	deadline time.Time
 	// resume holds the journal-replayed machine checkpoints of an
 	// interrupted job (one per loop simulation that had emitted any), handed
 	// to harness.WithResume when the job runs. Set once before the job is
@@ -89,11 +88,15 @@ type job struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
+	// deadline is the absolute point after which the job's result is useless
+	// to its callers (propagated via X-Srv-Deadline-Ms). Zero means none.
+	// Joiners may lift it while the job is queued (join); a worker that
+	// claims an already-expired job fails it without simulating into the void.
+	deadline time.Time
 	// events is an append-only log of progress events; streamers hold a
 	// cursor into it, so late subscribers replay the full history.
 	events  []harness.ProgressEvent
 	state   JobState
-	cached  bool
 	result  json.RawMessage
 	failure *harness.FailureRecord
 	errMsg  string
@@ -106,19 +109,45 @@ type job struct {
 	done       chan struct{}
 }
 
-func newJob(id, key string, req harness.Request, now time.Time) *job {
-	j := &job{id: id, key: key, req: req, state: StateQueued, submitted: now, done: make(chan struct{})}
+func newJob(key string, req harness.Request, now time.Time) *job {
+	j := &job{id: key, req: req, state: StateQueued, submitted: now, done: make(chan struct{})}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
-// setRunning transitions queued → running.
-func (j *job) setRunning(now time.Time) {
+// live reports whether the job is queued or running, so a new submission of
+// its key joins it instead of creating another.
+func (j *job) live() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.state.terminal()
+}
+
+// join folds a coalesced submitter's deadline into a queued job: the latest
+// deadline wins, and no deadline (zero) beats any. A job that is already
+// running keeps the deadline it was claimed with.
+func (j *job) join(deadline time.Time) {
+	j.mu.Lock()
+	if j.state == StateQueued && !j.deadline.IsZero() && (deadline.IsZero() || deadline.After(j.deadline)) {
+		j.deadline = deadline
+	}
+	j.mu.Unlock()
+}
+
+// claim moves a queued job to running and returns the deadline it runs
+// under. A job whose deadline has already passed fails instead, and claim
+// reports false.
+func (j *job) claim(now time.Time) (time.Time, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.deadline.IsZero() && now.After(j.deadline) {
+		j.finishLocked(nil, nil, "deadline expired before execution", http.StatusGatewayTimeout, now)
+		return j.deadline, false
+	}
 	j.state = StateRunning
 	j.started = now
 	j.cond.Broadcast()
-	j.mu.Unlock()
+	return j.deadline, true
 }
 
 // appendEvent records one progress event (called concurrently from
@@ -134,8 +163,12 @@ func (j *job) appendEvent(ev harness.ProgressEvent) {
 // result, or failed with a typed failure record and message.
 func (j *job) finish(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failStatus int, now time.Time) {
 	j.mu.Lock()
+	j.finishLocked(result, failure, errMsg, failStatus, now)
+	j.mu.Unlock()
+}
+
+func (j *job) finishLocked(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failStatus int, now time.Time) {
 	if j.state.terminal() {
-		j.mu.Unlock()
 		return
 	}
 	if errMsg == "" {
@@ -150,20 +183,16 @@ func (j *job) finish(result json.RawMessage, failure *harness.FailureRecord, err
 	j.finished = now
 	close(j.done)
 	j.cond.Broadcast()
-	j.mu.Unlock()
 }
 
-// finishCached completes a job immediately from the cache, without it ever
-// entering the queue.
-func (j *job) finishCached(result json.RawMessage, now time.Time) {
-	j.mu.Lock()
-	j.cached = true
-	j.state = StateDone
-	j.result = result
-	j.started, j.finished = now, now
-	close(j.done)
-	j.cond.Broadcast()
-	j.mu.Unlock()
+// CachedStatus is the done status of key answered from a result cache, with
+// no job record behind it. Callers stamp what they know of the request
+// (mode, bench, trace, node).
+func CachedStatus(key string, result json.RawMessage, now time.Time) JobStatus {
+	return JobStatus{
+		ID: key, State: StateDone, CacheKey: key, Cached: true,
+		SubmittedAt: now, StartedAt: &now, FinishedAt: &now, Result: result,
+	}
 }
 
 // status snapshots the job for the wire.
@@ -172,7 +201,7 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, State: j.state, Mode: j.req.Mode, Bench: j.req.Bench,
-		CacheKey: j.key, Cached: j.cached, SubmittedAt: j.submitted,
+		CacheKey: j.id, SubmittedAt: j.submitted,
 		Result: j.result, Failure: j.failure, Error: j.errMsg,
 		Tenant: j.tenant,
 	}

@@ -117,9 +117,6 @@ func TestClientErrorTaxonomy(t *testing.T) {
 			Code: CodeSimFailed, Message: "job sim-000001 failed: replay storm",
 			Job: func() *JobStatus { st := failedStatus(); return &st }(),
 		}}, 1, wantSimError},
-		// Pre-envelope daemons answered with a bare failed JobStatus; the
-		// client's legacy fallback must keep decoding it.
-		{"500-simerror-legacy", http.StatusInternalServerError, failedStatus(), 1, wantSimError},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -151,8 +151,8 @@ func TestSubmitPollStreamCache(t *testing.T) {
 	if !st2.Cached || st2.State != StateDone {
 		t.Fatalf("resubmission not served from cache: %+v", st2)
 	}
-	if st2.ID == st.ID {
-		t.Fatal("resubmission reused the original job id")
+	if st2.ID != st.ID || st2.ID != st.CacheKey {
+		t.Fatalf("resubmission named job %q, want the cache key %q", st2.ID, st.CacheKey)
 	}
 	if !bytes.Equal(st2.Result, st.Result) {
 		t.Fatalf("cached result differs:\n  %s\n  %s", st2.Result, st.Result)

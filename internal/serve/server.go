@@ -10,7 +10,7 @@
 //
 //	POST /v1/sims             submit a harness.Request; 202 + job status
 //	                          (?wait=1 blocks and returns the final status)
-//	GET  /v1/sims/{id}        poll one job
+//	GET  /v1/sims/{id}        poll one job (its id is the request's CacheKey)
 //	GET  /v1/sims/{id}/stream NDJSON progress events, then the final status
 //	GET  /v1/healthz          liveness + build identity + serving|draining
 //	GET  /v1/metrics          obsv registry JSON (queue/cache/job/journal counters);
@@ -164,6 +164,8 @@ type Server struct {
 	spans   *obsv.SpanRecorder
 	logger  *slog.Logger
 
+	// jobs holds one record per CacheKey that was admitted to the queue (or
+	// replayed from the journal). Cache hits add none.
 	mu   sync.RWMutex
 	jobs map[string]*job
 
@@ -172,7 +174,6 @@ type Server struct {
 	// maxTenantWeight is the largest weight in the quota config; the brownout
 	// shed-low step refuses tenants strictly below it.
 	maxTenantWeight int
-	nextID          atomic.Int64
 
 	state    atomic.Int32
 	draining chan struct{} // closed when Drain begins: workers stop dequeuing
@@ -200,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 		logger:   cfg.Logger,
 	}
 	if s.logger == nil {
-		s.logger = slog.New(discardHandler{})
+		s.logger = obsv.DiscardLogger()
 	}
 	s.met.initHistograms()
 	s.quotas = NewQuotas(cfg.TenantQuota, cfg.TenantQuotas)
@@ -238,8 +239,7 @@ func New(cfg Config) (*Server, error) {
 			s.met.journalReplayedDone.Add(1)
 		}
 		for _, e := range st.pending {
-			id := fmt.Sprintf("sim-%06d", s.nextID.Add(1))
-			j := newJob(id, e.key, *e.req, time.Now())
+			j := newJob(e.key, *e.req, time.Now())
 			j.tenant = e.tenant
 			if j.tenant == "" {
 				j.tenant = e.req.Tenant
@@ -454,17 +454,16 @@ func (s *Server) runJob(j *job) {
 	// A job whose caller-supplied deadline has already passed is cancelled
 	// here, before execution: simulating it would burn a worker on a result
 	// nobody is waiting for.
-	if !j.deadline.IsZero() && start.After(j.deadline) {
-		j.finish(nil, nil, "deadline expired before execution", http.StatusGatewayTimeout, start)
+	deadline, ok := j.claim(start)
+	if !ok {
 		s.met.jobsExpired.Add(1)
 		s.met.e2eMS.Observe(start.Sub(j.submitted).Milliseconds())
 		s.jobLogger(j).Warn("job expired in queue",
 			"queue_wait_ms", start.Sub(j.submitted).Milliseconds())
-		s.journalAppend(journalRecord{Op: opFail, Key: j.key, ID: j.id, At: start, Error: "deadline expired"})
+		s.journalAppend(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: start, Error: "deadline expired"})
 		return
 	}
 
-	j.setRunning(start)
 	// Queue-wait stage: submission → worker pickup, as a span and in the
 	// SLO histogram.
 	s.met.queueWaitMS.Observe(start.Sub(j.submitted).Milliseconds())
@@ -474,7 +473,7 @@ func (s *Server) runJob(j *job) {
 	lg := s.jobLogger(j)
 	lg.Info("job started", "bench", j.req.Bench, "mode", string(j.req.Mode),
 		"queue_wait_ms", start.Sub(j.submitted).Milliseconds())
-	s.journalAppend(journalRecord{Op: opStart, Key: j.key, ID: j.id, At: start})
+	s.journalAppend(journalRecord{Op: opStart, Key: j.id, ID: j.id, At: start})
 
 	ctx := s.ctx
 	cancel := func() {}
@@ -482,11 +481,11 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 	}
 	defer cancel()
-	if !j.deadline.IsZero() {
+	if !deadline.IsZero() {
 		// The caller's deadline bounds execution too: a job that outlives it
 		// is cancelled cooperatively and fails 504, like a timeout.
 		var dcancel context.CancelFunc
-		ctx, dcancel = context.WithDeadline(ctx, j.deadline)
+		ctx, dcancel = context.WithDeadline(ctx, deadline)
 		defer dcancel()
 	}
 	// Each progress event doubles as a zero-duration child span of the
@@ -501,10 +500,10 @@ func (s *Server) runJob(j *job) {
 		})
 	})
 	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
-		key, id := j.key, j.id
+		key := j.id
 		ctx = harness.WithCheckpoints(ctx, s.cfg.CheckpointEvery, func(rc harness.RunCheckpoint) {
 			s.met.checkpointsJournaled.Add(1)
-			s.journalAppend(journalRecord{Op: opCkpt, Key: key, ID: id, At: time.Now(), Checkpoint: &rc})
+			s.journalAppend(journalRecord{Op: opCkpt, Key: key, ID: key, At: time.Now(), Checkpoint: &rc})
 		})
 	}
 	if len(j.resume) > 0 {
@@ -518,7 +517,7 @@ func (s *Server) runJob(j *job) {
 		s.spans.Record(obsv.Span{
 			Trace: j.trace.Trace, ID: exec.Span, Parent: j.trace.Span,
 			Name: "execute", Start: start, End: now,
-			Attrs: map[string]string{"job": j.id, "cache_key": j.key, "outcome": outcome},
+			Attrs: map[string]string{"job": j.id, "cache_key": j.id, "outcome": outcome},
 		})
 		s.met.e2eMS.Observe(now.Sub(j.submitted).Milliseconds())
 		return now
@@ -549,12 +548,12 @@ func (s *Server) runJob(j *job) {
 			now := endExecute("preempted")
 			lg.Info("job preempted", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
 			s.met.jobsPreempted.Add(1)
-			journalSpan(journalRecord{Op: opPreempt, Key: j.key, ID: j.id, At: time.Now(), Error: se.Error()})
+			journalSpan(journalRecord{Op: opPreempt, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
 			return
 		}
 		now := endExecute("failed")
 		lg.Warn("job failed", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
-		journalSpan(journalRecord{Op: opFail, Key: j.key, ID: j.id, At: time.Now(), Error: se.Error()})
+		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
 		return
 	}
 	data, err := json.Marshal(res)
@@ -564,16 +563,16 @@ func (s *Server) runJob(j *job) {
 		s.met.jobsFailed.Add(1)
 		endExecute("failed")
 		lg.Warn("job failed", "err", msg)
-		journalSpan(journalRecord{Op: opFail, Key: j.key, ID: j.id, At: time.Now(), Error: msg})
+		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: msg})
 		return
 	}
-	s.cache.Put(j.key, data)
+	s.cache.Put(j.id, data)
 	j.finish(data, nil, "", 0, time.Now())
 	s.met.jobsDone.Add(1)
 	s.observeService(time.Since(start))
 	now := endExecute("done")
 	lg.Info("job done", "duration_ms", now.Sub(start).Milliseconds(), "result_bytes", len(data))
-	journalSpan(journalRecord{Op: opDone, Key: j.key, ID: j.id, At: time.Now(), Result: data})
+	journalSpan(journalRecord{Op: opDone, Key: j.id, ID: j.id, At: time.Now(), Result: data})
 }
 
 // failStatusFor maps a failed job to the HTTP status a synchronous waiter
@@ -639,9 +638,11 @@ func parseDeadlineMS(h string) (time.Duration, bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// handleSubmit admits one harness.Request: cache hits complete immediately
-// with the byte-identical cached Result (always, even under brownout),
-// misses are queued (202) unless the server is draining (503), the body
+// handleSubmit admits one harness.Request under its CacheKey, which is also
+// the job ID: cache hits complete immediately with the byte-identical cached
+// Result (always, even under brownout), a key with a live job joins it
+// (single flight), and other misses are queued (202) unless the server is
+// draining (503), the body
 // blows the size guard (413), the tenant is over a quota or the brownout
 // step refuses it (429), the caller's deadline cannot be met (504), the
 // predicted queue wait exceeds the deadline (429), or the queue — total or
@@ -658,12 +659,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		parent = obsv.NewTrace()
 	}
 	adm := parent.Child()
-	admitted := func(outcome, id, key string) {
+	admitted := func(outcome, key string) {
 		attrs := map[string]string{"outcome": outcome}
-		if id != "" {
-			attrs["job"] = id
-		}
 		if key != "" {
+			attrs["job"] = key
 			attrs["cache_key"] = key
 		}
 		s.spans.Record(obsv.Span{
@@ -672,7 +671,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	refused := func(outcome, detail string) {
-		admitted(outcome, "", "")
+		admitted(outcome, "")
 		s.logger.Warn("submission refused",
 			"trace_id", parent.Trace.String(), "reason", outcome, "detail", detail)
 	}
@@ -734,55 +733,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id := fmt.Sprintf("sim-%06d", s.nextID.Add(1))
-	j := newJob(id, key, creq, time.Now())
-	j.tenant = tenant
-	j.bodyBytes = body.n
 	deadlineIn, hasDeadline := parseDeadlineMS(r.Header.Get(HeaderDeadlineMS))
+	var deadline time.Time
 	if hasDeadline {
-		j.deadline = arrived.Add(deadlineIn)
+		deadline = arrived.Add(deadlineIn)
 	}
-	// Worker-side stage spans parent to the admission span.
-	j.trace = obsv.SpanContext{Trace: parent.Trace, Span: adm.Span}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.mu.Unlock()
 
 	lookupStart := time.Now()
 	data, hit := s.cache.Get(key)
 	s.stageSpan(parent.Trace, adm.Span, "cache-lookup", lookupStart, time.Now(),
 		map[string]string{"hit": strconv.FormatBool(hit), "cache_key": key})
 	if hit {
+		// A hit is answered from the cache alone: no job record is kept.
 		s.met.cacheHits.Add(1)
-		j.finishCached(data, time.Now())
+		st := CachedStatus(key, data, time.Now())
+		st.Mode, st.Bench, st.Tenant, st.Node = creq.Mode, creq.Bench, tenant, s.cfg.NodeID
+		st.TraceID = parent.Trace.String()
 		s.met.e2eMS.Observe(time.Since(arrived).Milliseconds())
-		admitted("cache-hit", id, key)
-		s.jobLogger(j).Info("job served from cache")
-		WriteJSON(w, http.StatusOK, s.jobStatus(j))
+		admitted("cache-hit", key)
+		s.logger.Info("job served from cache", "trace_id", st.TraceID, "job", key, "cache_key", key)
+		WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	s.met.cacheMisses.Add(1)
 
-	// unadmit rolls back a refused post-cache-miss submission.
-	unadmit := func() {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-	}
-
 	// A deadline the queue alone would already blow is refused up front: no
 	// retry will help unless the caller extends the deadline, so this is a
 	// timeout, not an over-capacity refusal.
+	if hasDeadline && deadlineIn <= 0 {
+		s.met.jobsExpired.Add(1)
+		refused("deadline-expired", "")
+		WriteError(w, CodeTimeout, "deadline already expired on arrival")
+		return
+	}
+
+	// Single flight: a live job for this key takes the submission.
+	s.mu.RLock()
+	j := s.jobs[key]
+	s.mu.RUnlock()
+	if j != nil && j.live() {
+		s.coalesce(w, r, j, deadline, admitted)
+		return
+	}
+
 	if hasDeadline {
-		if deadlineIn <= 0 {
-			unadmit()
-			s.met.jobsExpired.Add(1)
-			refused("deadline-expired", "")
-			WriteError(w, CodeTimeout, "deadline already expired on arrival")
-			return
-		}
 		if est := s.estimatedWait(); est > deadlineIn {
-			unadmit()
 			s.met.jobsExpired.Add(1)
 			refused("deadline-infeasible", est.String())
 			WriteError(w, CodeTimeout,
@@ -798,7 +793,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if step := s.brownoutStep(); step > 0 {
 		shed := step >= 2 || s.quotas.WeightFor(tenant) < s.maxTenantWeight
 		if shed {
-			unadmit()
 			s.met.shedBrownout.Add(1)
 			refused("brownout", brownoutNames[step])
 			WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
@@ -809,17 +803,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// In-flight-bytes quota: charged here, released when the job reaches a
 	// terminal state (runJob) or is refused below.
-	if !s.quotas.AdmitBytes(tenant, j.bodyBytes) {
-		unadmit()
+	if !s.quotas.AdmitBytes(tenant, body.n) {
 		s.met.shedQuota.Add(1)
 		refused("quota-bytes", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
 			"tenant %q over in-flight bytes quota", tenantName(tenant))
 		return
-	}
-	unadmitCharged := func() {
-		s.quotas.ReleaseBytes(tenant, j.bodyBytes)
-		unadmit()
 	}
 
 	// Admission control: shed jobs that would out-wait the deadline instead
@@ -827,7 +816,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// itself — when the backlog has cleared, so has the reason to shed.
 	if d := s.cfg.QueueDeadline; d > 0 {
 		if est := s.estimatedWait(); est > d {
-			unadmitCharged()
+			s.quotas.ReleaseBytes(tenant, body.n)
 			s.met.shedDeadline.Add(1)
 			refused("shed-deadline", est.String())
 			WriteErrorRetry(w, CodeOverCapacity, est,
@@ -836,100 +825,142 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Journal the submission before it becomes visible to a worker, so the
-	// journal's per-key record order always starts with submit.
-	s.journalAppend(journalRecord{Op: opSubmit, Key: key, ID: id, At: time.Now(), Req: &creq, Tenant: tenant})
+	j = newJob(key, creq, time.Now())
+	j.tenant = tenant
+	j.bodyBytes = body.n
+	j.deadline = deadline
+	// Worker-side stage spans parent to the admission span.
+	j.trace = obsv.SpanContext{Trace: parent.Trace, Span: adm.Span}
 
-	switch err := s.fq.Push(j); err {
+	// The record check, the journal and the queue move together under s.mu,
+	// so two racing creators of one key queue it once. The submit record is
+	// journaled before a worker can see the job, so the journal's per-key
+	// record order always starts with submit; a refused push terminalises it
+	// so replay does not resurrect a job the client was told to retry.
+	s.mu.Lock()
+	if live := s.jobs[key]; live != nil && live.live() {
+		s.mu.Unlock()
+		s.quotas.ReleaseBytes(tenant, body.n)
+		s.coalesce(w, r, live, deadline, admitted)
+		return
+	}
+	s.journalAppend(journalRecord{Op: opSubmit, Key: key, ID: key, At: time.Now(), Req: &creq, Tenant: tenant})
+	if err = s.fq.Push(j); err == nil {
+		s.jobs[key] = j
+	} else {
+		s.journalAppend(journalRecord{Op: opFail, Key: key, ID: key, At: time.Now(), Error: err.Error()})
+	}
+	s.mu.Unlock()
+
+	switch err {
 	case nil:
 		s.met.queued.Add(1)
 		s.met.submitted.Add(1)
-		admitted("queued", id, key)
+		admitted("queued", key)
 		s.jobLogger(j).Info("job admitted", "bench", creq.Bench, "mode", string(creq.Mode),
 			"propagated", propagated)
 	case errTenantFull:
-		unadmitCharged()
+		s.quotas.ReleaseBytes(tenant, body.n)
 		s.met.shedTenantFull.Add(1)
-		// Terminalise the journaled submit so replay does not resurrect a
-		// job the client was told to retry.
-		s.journalAppend(journalRecord{Op: opFail, Key: key, ID: id, At: time.Now(), Error: "tenant queue full"})
 		refused("tenant-queue-full", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
 			"tenant %q queue full (%d jobs waiting)", tenantName(tenant), s.fq.TenantDepth(tenant))
 		return
 	default:
-		unadmitCharged()
+		s.quotas.ReleaseBytes(tenant, body.n)
 		s.met.rejectedFull.Add(1)
-		s.journalAppend(journalRecord{Op: opFail, Key: key, ID: id, At: time.Now(), Error: "queue full"})
 		refused("queue-full", "")
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(), "queue full (%d jobs waiting)", s.cfg.QueueSize)
 		return
 	}
-
-	if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
-		if err := j.wait(r.Context()); err != nil {
-			WriteError(w, CodeTimeout, "waiting for %s: %v", id, err)
-			return
-		}
-		st := s.jobStatus(j)
-		if st.State == StateFailed {
-			j.mu.Lock()
-			code := j.failStatus
-			j.mu.Unlock()
-			writeFailedJob(w, failCodeFor(code), st)
-			return
-		}
-		WriteJSON(w, http.StatusOK, st)
-		return
-	}
-	WriteJSON(w, http.StatusAccepted, s.jobStatus(j))
+	s.replyJob(w, r, j)
 }
 
-// lookup resolves a job id, writing 404 when unknown.
-func (s *Server) lookup(w http.ResponseWriter, id string) *job {
+// coalesce hands a submission to the live job of its key (single flight): it
+// takes no queue slot, byte charge or journal record, and lifts a queued
+// job's deadline to the latest among its submitters.
+func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, j *job, deadline time.Time, admitted func(outcome, key string)) {
+	j.join(deadline)
+	s.met.coalesced.Add(1)
+	admitted("coalesced", j.id)
+	s.jobLogger(j).Info("submission joined live job")
+	s.replyJob(w, r, j)
+}
+
+// replyJob answers a submission with its job's status: at once (202), or
+// with ?wait=1 once the job is terminal, mapping a failure onto its HTTP
+// status.
+func (s *Server) replyJob(w http.ResponseWriter, r *http.Request, j *job) {
+	if wait := r.URL.Query().Get("wait"); wait != "1" && wait != "true" {
+		WriteJSON(w, http.StatusAccepted, s.jobStatus(j))
+		return
+	}
+	if err := j.wait(r.Context()); err != nil {
+		WriteError(w, CodeTimeout, "waiting for %s: %v", j.id, err)
+		return
+	}
+	st := s.jobStatus(j)
+	if st.State == StateFailed {
+		j.mu.Lock()
+		code := j.failStatus
+		j.mu.Unlock()
+		writeFailedJob(w, failCodeFor(code), st)
+		return
+	}
+	WriteJSON(w, http.StatusOK, st)
+}
+
+// statusOf resolves a job ID (a CacheKey) to its record or, for a key the
+// result cache answers without one, a done status. It writes the not_found
+// envelope and reports false for an unknown ID.
+func (s *Server) statusOf(w http.ResponseWriter, id string) (*job, JobStatus, bool) {
 	s.mu.RLock()
 	j := s.jobs[id]
 	s.mu.RUnlock()
-	if j == nil {
-		WriteError(w, CodeNotFound, "unknown job %q", id)
+	if j != nil {
+		return j, s.jobStatus(j), true
 	}
-	return j
+	if data, hit := s.cache.Get(id); hit {
+		st := CachedStatus(id, data, time.Now())
+		st.Node = s.cfg.NodeID
+		return nil, st, true
+	}
+	WriteError(w, CodeNotFound, "unknown job %q", id)
+	return nil, JobStatus{}, false
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
+	if _, st, ok := s.statusOf(w, r.PathValue("id")); ok {
+		WriteJSON(w, http.StatusOK, st)
 	}
-	WriteJSON(w, http.StatusOK, s.jobStatus(j))
 }
 
 // handleStream tails the job as NDJSON: one line per progress event (the
 // full history replays for late subscribers), then the terminal JobStatus.
+// A key answered from the cache streams its done status alone.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
+	j, st, ok := s.statusOf(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
 	// The deepest brownout step (cached-only) sheds long-lived progress
 	// streams of non-terminal jobs — they hold connections open while the
 	// server is fighting for headroom. Terminal jobs still stream: that's a
 	// single bounded read, no cheaper than a status poll.
-	if s.brownoutStep() >= 3 {
-		if st := j.status(); !st.State.terminal() {
-			s.met.shedBrownout.Add(1)
-			WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
-				"brownout (cached-only): progress streaming suspended; poll GET /v1/sims/%s", j.id)
-			return
-		}
+	if s.brownoutStep() >= 3 && !st.State.terminal() {
+		s.met.shedBrownout.Add(1)
+		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
+			"brownout (cached-only): progress streaming suspended; poll GET /v1/sims/%s", st.ID)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for i := 0; ; i++ {
+	for i := 0; j != nil; i++ {
 		ev, ok := j.next(i)
 		if !ok {
+			st = s.jobStatus(j)
 			break
 		}
 		if err := enc.Encode(ev); err != nil {
@@ -939,7 +970,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	_ = enc.Encode(s.jobStatus(j))
+	_ = enc.Encode(st)
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -19,15 +19,6 @@ import (
 // a Chrome trace). The structured logs carry the same trace_id/job/cache_key
 // fields, so `grep <trace_id>` lines a request's logs up with its spans.
 
-// discardHandler drops every record; it backs the logger when Config.Logger
-// is nil, keeping call sites unconditional.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
 // Spans exposes the server's span recorder (the obs-smoke drill and embedding
 // exporters read it directly).
 func (s *Server) Spans() *obsv.SpanRecorder { return s.spans }
@@ -41,9 +32,13 @@ func (s *Server) stageSpan(trace obsv.TraceID, parent obsv.SpanID, name string, 
 }
 
 // jobLogger returns the server logger with the job's correlation fields
-// attached (trace_id first: it is the field operators grep by).
+// attached (trace_id first: it is the field operators grep by). A logger
+// that records nothing is returned as is: With formats its fields eagerly.
 func (s *Server) jobLogger(j *job) *slog.Logger {
-	return s.logger.With("trace_id", j.trace.Trace.String(), "job", j.id, "cache_key", j.key)
+	if !s.logger.Enabled(context.Background(), slog.LevelError) {
+		return s.logger
+	}
+	return s.logger.With("trace_id", j.trace.Trace.String(), "job", j.id, "cache_key", j.id)
 }
 
 // handleTrace exports the buffered spans: NDJSON (one span per line) by
