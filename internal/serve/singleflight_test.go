@@ -213,3 +213,34 @@ func mustKey(t *testing.T, req harness.Request) string {
 	}
 	return key
 }
+
+// TestSingleFlightConcurrentCreators: racing first submissions of one key
+// queue and journal it once; every other submission joins.
+func TestSingleFlightConcurrentCreators(t *testing.T) {
+	dir := t.TempDir()
+	s, c, _ := unstarted(t, Config{JournalDir: dir, Workers: 1})
+	const n = 8
+	var wg sync.WaitGroup
+	ids := make([]string, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := c.Submit(context.Background(), testLoopReq())
+			ids[i], errs[i] = st.ID, err
+		}(i)
+	}
+	wg.Wait()
+	for i := range ids {
+		if errs[i] != nil || ids[i] != ids[0] {
+			t.Fatalf("submission %d: id %q, err %v; want %q", i, ids[i], errs[i], ids[0])
+		}
+	}
+	if d, j := s.met.queued.Load(), s.met.coalesced.Load(); d != 1 || j != n-1 {
+		t.Fatalf("queue depth %d, coalesced %d; want 1 and %d", d, j, n-1)
+	}
+	if ops := journalOps(t, dir); ops[opSubmit] != 1 || ops[opFail] != 0 {
+		t.Fatalf("journal ops %v, want one submit and no fail", ops)
+	}
+}
