@@ -19,9 +19,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# check is the pre-merge gate: formatting, static vetting, the observability
-# smoke, plus the race detector over the packages with concurrency (harness
-# worker pool) and the rewritten LSU hot path.
+# check is the pre-merge gate: formatting, static vetting, the service,
+# fleet and tenant drills, plus the race detector over the packages with
+# concurrency (harness worker pool) and the rewritten LSU hot path.
 check: fmt-check serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/serve ./internal/gateway
@@ -79,19 +79,18 @@ chaos-smoke: build
 	if [ $$code -ne 3 ]; then echo "chaos-smoke: exit $$code, want 3"; exit 1; fi; \
 	echo "chaos-smoke: ok (completed with contained failures)"
 
-# serve-smoke boots the srvd daemon on a loopback port, submits one
-# simulation, and requires the identical resubmission to be a byte-identical
-# cache hit (srvd -smoke runs the whole loop in-process and exits non-zero
-# on any deviation).
+# serve-smoke is the service happy path, run under the race detector: one
+# simulation submitted, polled and streamed to completion, and the identical
+# resubmission answered as a byte-identical cache hit.
 serve-smoke: build
-	$(GO) run ./cmd/srvd -smoke
+	$(GO) test -race -timeout 15m -run '^(TestSubmitPollStreamCache)$$' ./internal/serve
 
-# obs-smoke is the observability acceptance drill: boot the daemon on a
-# loopback port, run one traced job, require every client/server/progress
-# span to share a single TraceID, and require the Prometheus exposition to
-# parse and account for the job.
+# obs-smoke is the observability acceptance drill, run under the race
+# detector: one traced job whose client, admission, queue-wait, execute and
+# progress spans share a single TraceID, served by /v1/trace as NDJSON and
+# Perfetto, and a Prometheus exposition that parses and accounts for the job.
 obs-smoke: build
-	$(GO) run ./cmd/srvd -obs-smoke
+	$(GO) test -race -timeout 15m -run '^(TestTracePropagationEndToEnd|TestTraceEndpointFormats|TestPrometheusEndpoint)$$' ./internal/serve
 
 # resume-smoke is the checkpoint/resume acceptance drill, run under the race
 # detector: a daemon SIGKILLed mid-simulation (machine checkpoints already
@@ -101,23 +100,24 @@ resume-smoke: build
 	$(GO) test -race -timeout 15m -run 'TestSIGKILLMidSimResume|TestPreemptAndResume' ./internal/serve
 
 # fleet-smoke is the gateway acceptance drill, run under the race detector:
-# an in-process 3-node fleet behind srvgw takes a batch of submissions,
-# one node is drained and its listener torn down mid-queue, and the run
-# must finish with zero lost jobs, results byte-identical to local
-# execution, a gateway cache hit on resubmission, and one client-rooted
-# trace spanning gateway and node.
+# an in-process 3-node fleet behind the gateway takes a batch of
+# submissions, one node is drained and its listener torn down mid-queue, and
+# the run must finish with zero lost jobs and results byte-identical to local
+# execution; a resubmission is a gateway cache hit, and one client-rooted
+# trace spans gateway and node.
 fleet-smoke: build
-	$(GO) run -race ./cmd/srvgw -smoke
+	$(GO) test -race -timeout 15m -run '^(TestFleetDrainHandoff|TestGatewayCacheTier|TestGatewayOneTraceEndToEnd)$$' ./internal/gateway
 
 # tenant-smoke is the multi-tenant isolation drill, run under the race
-# detector: an in-process 2-node fleet behind srvgw takes a flooding tenant
-# and an interactive tenant concurrently; the interactive jobs must finish
-# (bit-identical to local execution) while the flood is still backlogged, a
-# bursting tenant must be refused with an honest retry_after_ms, brownout
-# must engage under saturation (visible in /v1/healthz, cache hits still
-# served) and disengage after drain, and zero jobs may be lost.
+# detector. At the node: a weight-4 interactive tenant finishes, byte-identical
+# to local execution, while a 40-job flood queued ahead of it is still
+# backlogged, and every job completes; the rate and in-flight-bytes quotas
+# refuse with an honest retry hint; each brownout step sheds what it should
+# while cache hits are still served. At the gateway: the edge quotas refuse
+# with 429 over_capacity and return their charge once the job is seen
+# terminal, and /v1/healthz reports the least-degraded eligible node's step.
 tenant-smoke: build
-	$(GO) run -race ./cmd/srvgw -tenant-smoke
+	$(GO) test -race -timeout 15m -run '^(TestMultiTenantChaos|TestBrownoutSteps|TestQuotasRate|TestQuotasInflightBytes|TestGatewayTenantQuota|TestGatewayBrownoutAggregate)$$' ./internal/serve ./internal/gateway
 
 # serve-chaos is the service-layer resilience drill, run under the race
 # detector: remote submissions through a seeded fault-injecting transport

@@ -8,8 +8,6 @@
 //	srvd -addr :8077
 //	srvd -addr :8077 -parallel 8 -queue 128 -cache 512 -job-timeout 5m
 //	srvd -addr :8077 -log-format json -pprof
-//	srvd -smoke              # in-process self-test used by `make serve-smoke`
-//	srvd -obs-smoke          # observability self-test used by `make obs-smoke`
 //
 // Submit work with curl (see "Service mode" in the README) or point a CLI at
 // it: `srvbench -remote http://localhost:8077`.
@@ -20,10 +18,7 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -31,14 +26,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"srvsim/internal/harness"
 	"srvsim/internal/obsv"
 	"srvsim/internal/serve"
-	"srvsim/internal/workloads"
 )
 
 func main() {
@@ -72,8 +65,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log line format: text|json")
 	pprofFlag := flag.Bool("pprof", false, "expose Go runtime profiling at /debug/pprof/ (CPU, heap, goroutine, ...)")
-	smoke := flag.Bool("smoke", false, "run the in-process smoke test (submit, wait, assert cache hit) and exit")
-	obsSmoke := flag.Bool("obs-smoke", false, "run the in-process observability smoke test (scrape prometheus, trace one job end to end) and exit")
 	flag.Parse()
 
 	logger, err := obsv.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -112,23 +103,6 @@ func main() {
 		fatal(err)
 	}
 	srv.Start()
-
-	if *smoke {
-		if err := runSmoke(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "serve-smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("serve-smoke: ok")
-		return
-	}
-	if *obsSmoke {
-		if err := runObsSmoke(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "obs-smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("obs-smoke: ok")
-		return
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -181,166 +155,4 @@ func withPprof(api http.Handler, enabled bool) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", api)
 	return mux
-}
-
-// runSmoke exercises the full service loop against a loopback listener: the
-// daemon must come up healthy, execute one small simulation, and answer the
-// identical resubmission byte-identically from cache. CI runs this as
-// `make serve-smoke`.
-func runSmoke(srv *serve.Server) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	c := serve.NewClient("http://" + ln.Addr().String())
-
-	h, err := c.Health(ctx)
-	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-	if h.Status != "ok" {
-		return fmt.Errorf("healthz reports %q", h.Status)
-	}
-
-	b := workloads.All()[0]
-	req := harness.Request{Mode: harness.ModeLoop, Bench: b.Name, Seed: 7}
-	first, err := c.Do(ctx, req)
-	if err != nil {
-		return fmt.Errorf("first submission: %w", err)
-	}
-	if first.Loop == nil {
-		return fmt.Errorf("first submission returned no loop payload")
-	}
-	firstBytes, err := json.Marshal(first)
-	if err != nil {
-		return err
-	}
-
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return fmt.Errorf("resubmission: %w", err)
-	}
-	if !st.Cached {
-		return fmt.Errorf("resubmission was not a cache hit (job %s, state %s)", st.ID, st.State)
-	}
-	var second harness.Result
-	if err := json.Unmarshal(st.Result, &second); err != nil {
-		return err
-	}
-	secondBytes, err := json.Marshal(second)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(firstBytes, secondBytes) {
-		return fmt.Errorf("cached result differs from original")
-	}
-	if m := srv.Registry().Lookup("serve.cache.hits"); m == nil || m.Int() != 1 {
-		return fmt.Errorf("expected exactly one recorded cache hit")
-	}
-	return nil
-}
-
-// runObsSmoke exercises the observability surface end to end against a
-// loopback listener: one benchmark job must produce a single trace whose
-// client, admission, queue-wait, execute and progress spans all share the
-// client's TraceID, and the Prometheus exposition must parse and account for
-// the job. CI runs this as `make obs-smoke`.
-func runObsSmoke(srv *serve.Server) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	base := "http://" + ln.Addr().String()
-	rec := obsv.NewSpanRecorder(0)
-	c := serve.NewClient(base, serve.WithSpanRecorder(rec))
-
-	// One traced benchmark job (benchmark mode streams progress events, which
-	// must surface as child spans on the server side).
-	b := workloads.All()[0]
-	if _, err := c.Do(ctx, harness.Request{Mode: harness.ModeBenchmark, Bench: b.Name, Seed: 7}); err != nil {
-		return fmt.Errorf("traced job: %w", err)
-	}
-	client := rec.Snapshot()
-	if len(client) != 1 {
-		return fmt.Errorf("expected 1 client span, recorder holds %d", len(client))
-	}
-	trace := client[0].Trace.String()
-
-	// The server's half of the trace, through the public endpoint.
-	resp, err := http.Get(base + "/v1/trace")
-	if err != nil {
-		return fmt.Errorf("GET /v1/trace: %w", err)
-	}
-	defer resp.Body.Close()
-	stages := map[string]int{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var span struct {
-			TraceID string `json:"trace_id"`
-			Name    string `json:"name"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &span); err != nil {
-			return fmt.Errorf("/v1/trace line not JSON: %w", err)
-		}
-		if span.TraceID != trace {
-			return fmt.Errorf("span %q carries trace %s, want %s (one job must mean one trace)", span.Name, span.TraceID, trace)
-		}
-		name := span.Name
-		if strings.HasPrefix(name, "progress:") {
-			name = "progress"
-		}
-		stages[name]++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	for _, stage := range []string{"admission", "queue-wait", "execute", "progress"} {
-		if stages[stage] == 0 {
-			return fmt.Errorf("no %q span in /v1/trace (got %v)", stage, stages)
-		}
-	}
-
-	// Prometheus exposition: correct content type, parseable by the strict
-	// scrape parser, and accounting for the finished job.
-	resp, err = http.Get(base + "/v1/metrics?format=prometheus")
-	if err != nil {
-		return fmt.Errorf("GET /v1/metrics?format=prometheus: %w", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != obsv.PromContentType {
-		return fmt.Errorf("prometheus content type %q, want %q", ct, obsv.PromContentType)
-	}
-	samples, err := obsv.ParsePrometheus(resp.Body)
-	if err != nil {
-		return fmt.Errorf("exposition does not parse: %w", err)
-	}
-	byName := map[string]float64{}
-	for _, s := range samples {
-		if len(s.Labels) == 0 {
-			byName[s.Name] = s.Value
-		}
-	}
-	if byName["serve_jobs_done"] < 1 {
-		return fmt.Errorf("serve_jobs_done = %v, want >= 1", byName["serve_jobs_done"])
-	}
-	if byName["serve_e2e_latency_ms_count"] < 1 {
-		return fmt.Errorf("serve_e2e_latency_ms_count = %v, want >= 1", byName["serve_e2e_latency_ms_count"])
-	}
-	if _, ok := byName["serve_trace_spans"]; !ok {
-		return fmt.Errorf("serve_trace_spans missing from exposition")
-	}
-	return nil
 }

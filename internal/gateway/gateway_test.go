@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -102,12 +103,15 @@ func TestFleetDrainHandoff(t *testing.T) {
 		ids[i] = st.ID
 	}
 
-	// Drain node 0 mid-queue; its unstarted jobs must be handed off.
+	// Drain node 0 mid-queue, then tear down its listener: its unstarted
+	// jobs must be handed off, and status polls for its keys must rescue
+	// them with the owner unreachable.
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Minute)
 	defer dcancel()
 	if err := f.nodes[0].Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	f.servers[0].Close()
 
 	results := make([][]byte, len(reqs))
 	for i, id := range ids {
@@ -144,6 +148,9 @@ func TestFleetDrainHandoff(t *testing.T) {
 		if !bytes.Equal(gotBytes, want) {
 			t.Fatalf("request %d diverged through the fleet:\n  %s\n  %s", i, gotBytes, want)
 		}
+	}
+	if n := f.gw.Registry().Lookup("gateway.jobs_submitted"); n == nil || n.Int() == 0 {
+		t.Fatal("gateway.jobs_submitted did not advance")
 	}
 }
 
@@ -395,5 +402,120 @@ func TestGatewayRepeatHitsKeepNoRecords(t *testing.T) {
 	}
 	if got.State != serve.StateDone || !bytes.Equal(got.Result, st.Result) {
 		t.Fatalf("status of a hit key = %s, want done with the original result", got.State)
+	}
+}
+
+// TestGatewayTenantQuota: the edge enforces tenant quotas before a node sees
+// the submission. A rate-limited tenant's burst ends in 429 over_capacity
+// with an honest retry hint, and an in-flight-bytes cap refuses a second
+// live submission until a status poll shows the first terminal.
+func TestGatewayTenantQuota(t *testing.T) {
+	heavy := testLoopReq(61)
+	heavy.Tenant = "heavy"
+	body, err := json.Marshal(heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startFleet(t, 2, Config{TenantQuotas: map[string]serve.TenantLimits{
+		"greedy": {SubmitRate: 0.25, SubmitBurst: 2},
+		"heavy":  {MaxInflightBytes: int64(len(body))}, // room for one live body
+	}})
+	c := serve.NewClient(f.front.URL, serve.WithRetry(serve.RetryPolicy{MaxAttempts: 1}))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// The bucket holds 2 tokens and refills one every 4s.
+	for i := 0; i < 3; i++ {
+		req := testLoopReq(int64(50 + i))
+		req.Tenant = "greedy"
+		st, err := c.Submit(ctx, req)
+		if i < 2 {
+			if err != nil {
+				t.Fatalf("burst submit %d: %v", i, err)
+			}
+			if st.Tenant != "greedy" {
+				t.Fatalf("accepted job carries tenant %q, want greedy", st.Tenant)
+			}
+			continue
+		}
+		var he *serve.HTTPError
+		if !errors.As(err, &he) || he.Status != http.StatusTooManyRequests || he.Code != serve.CodeOverCapacity {
+			t.Fatalf("over-burst submit: %v, want 429 %s", err, serve.CodeOverCapacity)
+		}
+		if he.RetryAfter <= 0 || he.RetryAfter > 4*time.Second {
+			t.Fatalf("retry hint %s, want within (0, 4s]", he.RetryAfter)
+		}
+	}
+	if n := f.gw.Registry().Lookup("gateway.jobs_shed_quota"); n == nil || n.Int() != 1 {
+		t.Fatal("gateway.jobs_shed_quota did not count the rate refusal")
+	}
+
+	st, err := c.Submit(ctx, heavy)
+	if err != nil {
+		t.Fatalf("first heavy submit: %v", err)
+	}
+	second := testLoopReq(62)
+	second.Tenant = "heavy"
+	var he *serve.HTTPError
+	if _, err := c.Submit(ctx, second); !errors.As(err, &he) || he.Code != serve.CodeOverCapacity {
+		t.Fatalf("second live heavy submit: %v, want 429 %s", err, serve.CodeOverCapacity)
+	}
+	if n := f.gw.Registry().Lookup("gateway.jobs_shed_quota"); n.Int() != 2 {
+		t.Fatalf("gateway.jobs_shed_quota = %d, want 2", n.Int())
+	}
+	for st.State != serve.StateDone {
+		if st.State == serve.StateFailed {
+			t.Fatalf("heavy job failed: %s", st.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if st, err = c.Status(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.gw.quotas.InflightBytes("heavy"); got != 0 {
+		t.Fatalf("heavy in-flight bytes = %d after the job finished, want 0", got)
+	}
+}
+
+// TestGatewayBrownoutAggregate: /v1/healthz reports the least-degraded
+// brownout step among eligible nodes, since a submission is routed to the
+// node that will take it; ineligible nodes do not count.
+func TestGatewayBrownoutAggregate(t *testing.T) {
+	// No poll after the first may overwrite the injected snapshots.
+	f := startFleet(t, 3, Config{HealthInterval: time.Hour})
+	c := serve.NewClient(f.front.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	for _, tc := range []struct {
+		name     string
+		steps    [3]string
+		draining [3]bool
+		want     string
+	}{
+		{name: "serving", want: ""},
+		{name: "one-degraded", steps: [3]string{"cached-only", "", ""}, want: ""},
+		{name: "all-degraded", steps: [3]string{"cached-only", "shed-low", "no-new-work"}, want: "shed-low"},
+		{name: "ineligible-ignored", steps: [3]string{"cached-only", "shed-low", "no-new-work"},
+			draining: [3]bool{false, true, false}, want: "no-new-work"},
+		{name: "none-eligible", steps: [3]string{"cached-only", "shed-low", "no-new-work"},
+			draining: [3]bool{true, true, true}, want: ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, name := range f.gw.order {
+				n := f.gw.nodes[name]
+				n.mu.Lock()
+				n.health.Brownout = tc.steps[i]
+				n.draining = tc.draining[i]
+				n.mu.Unlock()
+			}
+			h, err := c.Health(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Brownout != tc.want {
+				t.Fatalf("gateway brownout = %q, want %q", h.Brownout, tc.want)
+			}
+		})
 	}
 }

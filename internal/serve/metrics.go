@@ -70,8 +70,8 @@ func (m *metrics) initHistograms() {
 
 // clientMet holds the resilient client's counters. They are package-level —
 // a Client is not a server and has no registry of its own — and every Server
-// registers them, so an in-process client+daemon pair (srvd -smoke, srvbench
-// -remote against a local daemon, the e2e tests) surfaces retry and breaker
+// registers them, so an in-process client+daemon pair (srvbench -remote
+// against a local daemon, the e2e tests) surfaces retry and breaker
 // activity at /v1/metrics. For a purely remote client they read zero on the
 // daemon, which is also the truth the daemon can see.
 var clientMet struct {

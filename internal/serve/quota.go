@@ -49,7 +49,7 @@ type tenantBucket struct {
 	inflight int64 // admitted-but-unfinished body bytes
 }
 
-// quotaSet holds every tenant's bucket. now is injectable so quota tests are
+// Quotas holds every tenant's bucket. now is injectable so quota tests are
 // deterministic.
 type Quotas struct {
 	mu       sync.Mutex

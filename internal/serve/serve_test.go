@@ -192,7 +192,7 @@ func TestSynchronousWait(t *testing.T) {
 }
 
 func TestInvalidRequestIs400(t *testing.T) {
-	_, c := startServer(t, Config{})
+	s, c := startServer(t, Config{})
 	ctx := context.Background()
 	_, err := c.Submit(ctx, harness.Request{Mode: "nonsense"})
 	if err == nil {
@@ -206,6 +206,31 @@ func TestInvalidRequestIs400(t *testing.T) {
 	_, err = c.Submit(ctx, harness.Request{Mode: harness.ModeBenchmark, Bench: "no-such-bench"})
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+
+	// A valid request followed by trailing data is refused whole, as the
+	// gateway refuses it.
+	body, err := json.Marshal(testLoopReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.base+"/v1/sims", "application/json", bytes.NewReader(append(body, " garbage"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("trailing data: HTTP %d code %q, want 400 %q", resp.StatusCode, env.Error.Code, CodeInvalidRequest)
+	}
+	s.mu.RLock()
+	n := len(s.jobs)
+	s.mu.RUnlock()
+	if n != 0 {
+		t.Fatalf("%d jobs tracked after refused submissions, want 0", n)
 	}
 }
 

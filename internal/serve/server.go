@@ -611,19 +611,6 @@ func (s *Server) jobStatus(j *job) JobStatus {
 	return st
 }
 
-// countingReader tracks how many body bytes the decoder consumed, so the
-// tenant's in-flight-bytes quota charges what was actually read.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // parseDeadlineMS reads the X-Srv-Deadline-Ms header (relative milliseconds
 // remaining). ok=false means absent or unparseable — unparseable values are
 // ignored rather than refused, since a deadline is advisory metadata.
@@ -685,9 +672,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxInflightBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxInflightBytes)
 	}
-	body := &countingReader{r: r.Body}
+	body, err := io.ReadAll(r.Body)
 	var req harness.Request
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.met.shedOversize.Add(1)
@@ -700,6 +690,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, CodeInvalidRequest, "decoding request: %v", err)
 		return
 	}
+	bodyBytes := int64(len(body))
 	// Tenant identity: the header overrides the body's tenant field, and the
 	// resolved identity rides the canonical request into the journal so a
 	// crash-recovered job re-enqueues on the right subqueue.
@@ -803,7 +794,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// In-flight-bytes quota: charged here, released when the job reaches a
 	// terminal state (runJob) or is refused below.
-	if !s.quotas.AdmitBytes(tenant, body.n) {
+	if !s.quotas.AdmitBytes(tenant, bodyBytes) {
 		s.met.shedQuota.Add(1)
 		refused("quota-bytes", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
@@ -816,7 +807,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// itself — when the backlog has cleared, so has the reason to shed.
 	if d := s.cfg.QueueDeadline; d > 0 {
 		if est := s.estimatedWait(); est > d {
-			s.quotas.ReleaseBytes(tenant, body.n)
+			s.quotas.ReleaseBytes(tenant, bodyBytes)
 			s.met.shedDeadline.Add(1)
 			refused("shed-deadline", est.String())
 			WriteErrorRetry(w, CodeOverCapacity, est,
@@ -827,7 +818,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	j = newJob(key, creq, time.Now())
 	j.tenant = tenant
-	j.bodyBytes = body.n
+	j.bodyBytes = bodyBytes
 	j.deadline = deadline
 	// Worker-side stage spans parent to the admission span.
 	j.trace = obsv.SpanContext{Trace: parent.Trace, Span: adm.Span}
@@ -840,7 +831,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if live := s.jobs[key]; live != nil && live.live() {
 		s.mu.Unlock()
-		s.quotas.ReleaseBytes(tenant, body.n)
+		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.coalesce(w, r, live, deadline, admitted)
 		return
 	}
@@ -860,14 +851,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.jobLogger(j).Info("job admitted", "bench", creq.Bench, "mode", string(creq.Mode),
 			"propagated", propagated)
 	case errTenantFull:
-		s.quotas.ReleaseBytes(tenant, body.n)
+		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.met.shedTenantFull.Add(1)
 		refused("tenant-queue-full", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
 			"tenant %q queue full (%d jobs waiting)", tenantName(tenant), s.fq.TenantDepth(tenant))
 		return
 	default:
-		s.quotas.ReleaseBytes(tenant, body.n)
+		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.met.rejectedFull.Add(1)
 		refused("queue-full", "")
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(), "queue full (%d jobs waiting)", s.cfg.QueueSize)

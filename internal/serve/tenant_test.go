@@ -396,7 +396,8 @@ func TestBrownoutSteps(t *testing.T) {
 	vip := testLoopReq()
 	vip.Tenant = "vip"
 	vip.Seed = 302
-	if resp, _, _ := rawSubmit(t, ts.URL, vip, nil); resp.StatusCode != http.StatusAccepted {
+	resp, stVIP, _ := rawSubmit(t, ts.URL, vip, nil)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("shed-low vip submit: HTTP %d, want accepted at step 1", resp.StatusCode)
 	}
 
@@ -458,6 +459,35 @@ func TestBrownoutSteps(t *testing.T) {
 	// Two shed submissions plus the suspended stream.
 	if n := s.met.shedBrownout.Load(); n != 3 {
 		t.Fatalf("jobs_shed_brownout = %d, want 3", n)
+	}
+
+	// Brownout gates admission only: both admitted jobs finish once a
+	// worker runs, and the drained queue reads step 0 again.
+	s.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	c := NewClient(ts.URL)
+	for _, id := range []string{st0.ID, stVIP.ID} {
+		deadline := time.Now().Add(time.Minute)
+		for {
+			st, err := c.Status(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == StateDone {
+				break
+			}
+			if st.State == StateFailed || time.Now().After(deadline) {
+				t.Fatalf("admitted job %s ended %s under brownout", id, st.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if step := s.brownoutStep(); step != 0 {
+		t.Fatalf("step = %d after the queue drained, want 0", step)
 	}
 }
 

@@ -192,6 +192,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	if v := get("serve_e2e_latency_ms_count"); v < 1 {
 		t.Fatalf("serve_e2e_latency_ms_count = %v, want >= 1", v)
 	}
+	get("serve_trace_spans") // exposed, whatever its value
 	// Histogram buckets must be cumulative: the +Inf bucket equals the count.
 	var inf, count float64
 	for _, s := range samples {
