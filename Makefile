@@ -20,9 +20,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # check is the pre-merge gate: formatting, static vetting, the service,
-# fleet and tenant drills, plus the race detector over the packages with
-# concurrency (harness worker pool) and the rewritten LSU hot path.
-check: fmt-check serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+# fleet and tenant drills, the srvperf benchmark's own tests (so a change
+# that stops bench/ building fails here, not only in CI), plus the race
+# detector over the packages with concurrency (harness worker pool) and the
+# rewritten LSU hot path.
+check: fmt-check serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke bench-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/serve ./internal/gateway
 

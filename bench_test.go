@@ -1,6 +1,7 @@
 package srvsim_test
 
 import (
+	"context"
 	"testing"
 
 	"srvsim/internal/compiler"
@@ -26,13 +27,19 @@ func requestConfig() pipeline.Config {
 	return c
 }
 
+// env is the harness environment every benchmark here runs in.
+var (
+	env = &harness.Env{Parallelism: harness.DefaultParallelism()}
+	ctx = context.Background()
+)
+
 // measure caches the expensive full-suite measurement across benchmarks.
 var measured *harness.Results
 
 func measureOnce(b *testing.B) harness.Results {
 	b.Helper()
 	if measured == nil {
-		rs, err := harness.Measure(benchSeed)
+		rs, err := env.Measure(ctx, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +53,7 @@ func measureOnce(b *testing.B) harness.Results {
 func BenchmarkTable1Config(b *testing.B) {
 	bm, _ := workloads.ByName("bzip2")
 	for i := 0; i < b.N; i++ {
-		lr, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		lr, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +70,10 @@ func BenchmarkLimitStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var all, safe, unk []float64
 		for _, bm := range workloads.All() {
-			s := harness.RunLimit(bm, benchSeed)
+			s, err := env.RunLimit(ctx, bm, benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
 			all = append(all, s.PotentialAll)
 			safe = append(safe, s.PotentialSafeOnly)
 			unk = append(unk, s.UnknownFrac)
@@ -205,7 +215,7 @@ func BenchmarkFig13FlexVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ratios []float64
 		for _, bm := range workloads.All() {
-			_, ratio, err := harness.RunFlexVec(bm, benchSeed)
+			_, ratio, err := env.RunFlexVec(ctx, bm, benchSeed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -221,19 +231,19 @@ func BenchmarkFig13FlexVec(b *testing.B) {
 func BenchmarkStructuralSweep(b *testing.B) {
 	bm, _ := workloads.ByName("is")
 	for i := 0; i < b.N; i++ {
-		base, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		base, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		iq16 := requestConfig()
 		iq16.IQSize = 16
-		small, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(iq16))
+		small, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(iq16))
 		if err != nil {
 			b.Fatal(err)
 		}
 		lsq24 := requestConfig()
 		lsq24.LSQSize = 24
-		cliff, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(lsq24))
+		cliff, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(lsq24))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +279,7 @@ func BenchmarkPipelineScalarIPC(b *testing.B) {
 func BenchmarkWholeProgramDirect(b *testing.B) {
 	bm, _ := workloads.ByName("is")
 	for i := 0; i < b.N; i++ {
-		r, err := harness.RunWholeProgram(bm, benchSeed)
+		r, err := env.RunWholeProgram(ctx, bm, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,13 +296,13 @@ func BenchmarkWholeProgramDirect(b *testing.B) {
 func BenchmarkAblationRelaxedBarrier(b *testing.B) {
 	bm, _ := workloads.ByName("is")
 	for i := 0; i < b.N; i++ {
-		strict, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		strict, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := requestConfig()
 		cfg.RelaxedBarrier = true
-		relaxed, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
+		relaxed, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,13 +315,13 @@ func BenchmarkAblationRelaxedBarrier(b *testing.B) {
 func BenchmarkAblationConservativeMem(b *testing.B) {
 	bm, _ := workloads.ByName("bzip2")
 	for i := 0; i < b.N; i++ {
-		agg, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		agg, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := requestConfig()
 		cfg.ConservativeMem = true
-		cons, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
+		cons, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,14 +340,14 @@ func BenchmarkAblationPredicatedTail(b *testing.B) {
 		ReadSelf: true, StoreVia: true,
 	}
 	for i := 0; i < b.N; i++ {
-		epi, err := harness.RunLoop("tail", workloads.LoopSpec{Weight: 1, Shape: shape}, benchSeed)
+		epi, err := env.RunLoop(ctx, "tail", workloads.LoopSpec{Weight: 1, Shape: shape}, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pt := shape
 		spec := workloads.LoopSpec{Weight: 1, Shape: pt}
 		spec.PredTail = true
-		tail, err := harness.RunLoop("tail", spec, benchSeed)
+		tail, err := env.RunLoop(ctx, "tail", spec, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,11 +368,11 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 		cfg := requestConfig()
 		cfg.NoSelectiveReplay = true
 
-		with, err := harness.RunLoop(conflicting.Name, conflicting.Loops[0], benchSeed)
+		with, err := env.RunLoop(ctx, conflicting.Name, conflicting.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := harness.RunLoop(conflicting.Name, conflicting.Loops[0], benchSeed, harness.WithConfig(cfg))
+		without, err := env.RunLoop(ctx, conflicting.Name, conflicting.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +380,7 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 		b.ReportMetric(without.Speedup, "fallback-speedup-x")
 		b.ReportMetric(float64(without.SRVCycles)/float64(with.SRVCycles), "replay-gain-x")
 
-		cleanAbl, err := harness.RunLoop(clean.Name, clean.Loops[0], benchSeed, harness.WithConfig(cfg))
+		cleanAbl, err := env.RunLoop(ctx, clean.Name, clean.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -383,11 +393,11 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 			Name: "hot", Trip: 1024, Contig: 4, Chain: 4,
 			Pattern: workloads.PatPeriodic4, ReadSelf: true, StoreVia: true,
 		}}
-		hotWith, err := harness.RunLoop("hot", hot, benchSeed)
+		hotWith, err := env.RunLoop(ctx, "hot", hot, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hotWithout, err := harness.RunLoop("hot", hot, benchSeed, harness.WithConfig(cfg))
+		hotWithout, err := env.RunLoop(ctx, "hot", hot, benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,13 +413,13 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 func BenchmarkAblationPrefetcher(b *testing.B) {
 	bm, _ := workloads.ByName("milc")
 	for i := 0; i < b.N; i++ {
-		off, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		off, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := requestConfig()
 		cfg.Prefetch = true
-		on, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
+		on, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,7 +437,7 @@ func BenchmarkAblationLSQSweep(b *testing.B) {
 		for _, size := range []int{64, 48, 24} {
 			cfg := requestConfig()
 			cfg.LSQSize = size
-			lr, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
+			lr, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,11 +461,11 @@ func BenchmarkAblationInOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := requestConfig()
 		cfg.InOrder = true
-		io, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
+		io, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed, harness.WithConfig(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
-		ooo, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		ooo, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,7 +481,7 @@ func BenchmarkAblationInOrder(b *testing.B) {
 func BenchmarkAblationSerialisationCost(b *testing.B) {
 	bm, _ := workloads.ByName("gcc")
 	for i := 0; i < b.N; i++ {
-		lr, err := harness.RunLoop(bm.Name, bm.Loops[0], benchSeed)
+		lr, err := env.RunLoop(ctx, bm.Name, bm.Loops[0], benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -60,15 +61,18 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	obs = obsv.RegisterObsFlags(flag.CommandLine, "trace-out", "metrics-out")
 	flag.Parse()
-	harness.SetParallelism(*par)
-	harness.SetFailFast(*failfast)
-	harness.SetCrashDir(*crashdir)
-	harness.SetSimTimeout(*simTimeout)
-	harness.SetRefTickCore(*tickCore)
-	harness.SetChaos(*chaos, *chaosSeed)
+	env = &harness.Env{
+		Parallelism: *par,
+		FailFast:    *failfast,
+		CrashDir:    *crashdir,
+		SimTimeout:  *simTimeout,
+		RefTickCore: *tickCore,
+		ChaosProb:   *chaos,
+		ChaosSeed:   *chaosSeed,
+	}
 	if *remote != "" {
-		// Every harness.Run in this process — and therefore every figure —
-		// now executes on the daemon; the local pool only fans out requests.
+		// Every request of env — and therefore every figure — now executes
+		// on the daemon; the local pool only fans out requests.
 		// The client retries transient failures by default, so -net-chaos can
 		// sabotage the wire and the run must still come back bit-identical.
 		var opts []serve.ClientOption
@@ -78,7 +82,7 @@ func main() {
 				P:    *netChaos,
 			}))
 		}
-		harness.SetExecutor(serve.NewClient(*remote, opts...).Executor())
+		env.Executor = serve.NewClient(*remote, opts...).Executor()
 	} else if *netChaos > 0 {
 		exit(fmt.Errorf("-net-chaos requires -remote (it faults the HTTP transport)"))
 	}
@@ -94,12 +98,12 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	harness.ResetFleet()
 	if obs.TraceOut != "" {
 		fleetSpans = obsv.NewSpanRecorder(0)
-		fleetRoot = harness.SetSpanRecorder(fleetSpans)
+		fleetRoot = env.TraceTo(fleetSpans)
 		fleetStart = time.Now()
 	}
+	ctx := context.Background()
 	var err error
 	switch {
 	case *timing != "":
@@ -107,11 +111,11 @@ func main() {
 		if *benches != "" {
 			subset = strings.Split(*benches, ",")
 		}
-		err = harness.WriteTimings(*timing, *seed, subset)
+		err = env.WriteTimings(ctx, *timing, *seed, subset)
 	case *jsonOut:
-		err = harness.WriteJSON(*seed, os.Stdout)
+		err = env.WriteJSON(ctx, *seed, os.Stdout)
 	default:
-		err = run(*exp, *seed)
+		err = run(ctx, *exp, *seed)
 	}
 	if *memprofile != "" {
 		if perr := writeHeapProfile(*memprofile); perr != nil && err == nil {
@@ -124,9 +128,11 @@ func main() {
 	exit(err)
 }
 
-// Fleet observability state, written by exit() so every termination path —
-// clean, contained failures (exit 3), fatal (exit 1) — emits it.
+// The run's harness environment and fleet observability state, read by
+// exit() so every termination path — clean, contained failures (exit 3),
+// fatal (exit 1) — emits the fleet summary and artifacts.
 var (
+	env        *harness.Env
 	obs        *obsv.ObsFlags
 	fleetSpans *obsv.SpanRecorder
 	fleetRoot  obsv.SpanContext
@@ -166,7 +172,7 @@ func writeObsArtifacts() error {
 		}
 	}
 	if obs.MetricsOut != "" {
-		if err := emit(obs.MetricsOut, func(f *os.File) error { return harness.FleetRegistry().WriteJSON(f) }); err != nil {
+		if err := emit(obs.MetricsOut, func(f *os.File) error { return env.FleetRegistry().WriteJSON(f) }); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
 	}
@@ -194,7 +200,7 @@ func writeHeapProfile(path string) error {
 // are emitted here, on every path — a fatal run's partial fleet throughput
 // and trace are exactly what the post-mortem needs.
 func exit(err error) {
-	if fs := harness.SnapshotFleet(); fs.Simulations > 0 {
+	if fs := env.SnapshotFleet(); fs.Simulations > 0 {
 		fmt.Fprint(os.Stderr, fs)
 	}
 	if oerr := writeObsArtifacts(); oerr != nil {
@@ -214,32 +220,36 @@ func exit(err error) {
 	os.Exit(1)
 }
 
-func run(exp string, seed int64) error {
+func run(ctx context.Context, exp string, seed int64) error {
 	switch exp {
 	case "all":
-		return harness.RunAll(seed, os.Stdout)
+		return env.RunAll(ctx, seed, os.Stdout)
 	case "tab1":
 		fmt.Print(harness.Table1())
 		return nil
 	case "limit":
-		fmt.Print(harness.LimitStudy(seed))
+		rep, err := env.LimitStudy(ctx, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Print(rep)
 		return nil
 	case "fig13":
-		rep, err := harness.Fig13(seed)
+		rep, err := env.Fig13(ctx, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep)
 		return nil
 	case "sweep":
-		rep, err := harness.Sweep(seed)
+		rep, err := env.Sweep(ctx, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep)
 		return nil
 	case "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "costmodel", "regions":
-		rs, err := harness.Measure(seed)
+		rs, err := env.Measure(ctx, seed)
 		if err != nil {
 			return err
 		}

@@ -77,8 +77,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	harness.SetParallelism(*par)
 	srv, err := serve.New(serve.Config{
+		Harness:          &harness.Env{Parallelism: *par},
 		NodeID:           *nodeID,
 		Workers:          *jobWorkers,
 		QueueSize:        *queueSize,

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -37,10 +38,11 @@ func main() {
 	crashdir := flag.String("crashdir", "crashes", "directory for -keep-going crash artifacts")
 	flag.Parse()
 
+	env, ctx := &harness.Env{}, context.Background()
 	replays, regions := int64(0), int64(0)
 	var fails []*harness.SimError
 	for trial := 0; trial < *trials; trial++ {
-		res, err := harness.RunFuzzTrial(*seed, trial, *affine, *interrupts)
+		res, err := env.RunFuzzTrial(ctx, *seed, trial, *affine, *interrupts)
 		if err != nil {
 			se := harness.AsSimError(err)
 			fmt.Fprintf(os.Stderr, "srvfuzz: %v\n", se)

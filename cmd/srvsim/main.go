@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -49,10 +50,11 @@ func main() {
 	pipeview = *pv
 	showRegions = *regions
 	pipeline.DebugTrace = *trace
-	harness.SetParallelism(*par)
+	env := &harness.Env{Parallelism: *par}
+	ctx := context.Background()
 
 	if *repro != "" {
-		if err := harness.ReplayArtifact(*repro, os.Stdout); err != nil {
+		if err := env.ReplayArtifact(ctx, *repro, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "srvsim:", err)
 			os.Exit(1)
 		}
@@ -92,7 +94,7 @@ func main() {
 			if *loopIdx >= 0 && i != *loopIdx {
 				continue
 			}
-			lr, err := harness.RunLoop(b.Name, ls, *seed+int64(i))
+			lr, err := env.RunLoop(ctx, b.Name, ls, *seed+int64(i))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "srvsim:", err)
 				os.Exit(1)

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"sync/atomic"
 	"time"
 
 	"srvsim/internal/isa"
@@ -14,35 +12,14 @@ import (
 	"srvsim/internal/pipeline"
 )
 
-// Chaos mode: with probability p, a simulation is replaced by an injected
-// fault — a panic, a genuine pipeline livelock, or a stuck-slow run — so the
-// fleet's containment, watchdog and reporting machinery can be exercised on
-// demand (srvbench -chaos). The decision is a pure function of the
-// simulation's identity and the chaos seed, never of scheduling: the same
+// Chaos mode: with probability Env.ChaosProb, a simulation is replaced by an
+// injected fault — a panic, a genuine pipeline livelock, or a stuck-slow run
+// — so the fleet's containment, watchdog and reporting machinery can be
+// exercised on demand (srvbench -chaos). The decision is a pure function of
+// the simulation's identity and the chaos seed, never of scheduling: the same
 // (bench, loop, variant) always draws the same fate, injected faults are
 // reproducible, and non-faulted simulations run exactly the code they would
 // run with chaos off, so their results stay bit-identical.
-
-var (
-	chaosProbBits atomic.Uint64 // math.Float64bits of the injection probability
-	chaosSeedVal  atomic.Int64
-)
-
-// SetChaos arms fault injection with probability p (clamped to [0, 1]) and
-// the given decision seed. p = 0 disarms.
-func SetChaos(p float64, seed int64) {
-	if p < 0 || math.IsNaN(p) {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	chaosSeedVal.Store(seed)
-	chaosProbBits.Store(math.Float64bits(p))
-}
-
-// ChaosProbability returns the current injection probability (0 = off).
-func ChaosProbability() float64 { return math.Float64frombits(chaosProbBits.Load()) }
 
 const (
 	chaosNone = iota
@@ -55,17 +32,18 @@ var chaosFaultNames = [...]string{"none", "panic", "livelock", "slow"}
 
 // chaosFaultFor deterministically decides whether the named simulation gets
 // an injected fault, and which kind: an FNV-1a hash of the identity and the
-// chaos seed supplies both the probability draw and the kind.
-func chaosFaultFor(bench, loop, variant string) int {
-	p := ChaosProbability()
-	if p <= 0 {
+// chaos seed supplies both the probability draw and the kind. A probability
+// that is not above 0 (NaN included) injects nothing; one above 1 injects
+// every time.
+func (e *Env) chaosFaultFor(bench, loop, variant string) int {
+	if !(e.ChaosProb > 0) {
 		return chaosNone
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%s/%s#%d", bench, loop, variant, chaosSeedVal.Load())
+	fmt.Fprintf(h, "%s/%s/%s#%d", bench, loop, variant, e.ChaosSeed)
 	s := h.Sum64()
 	// Top 53 bits → uniform draw in [0, 1); low bits pick the fault kind.
-	if float64(s>>11)/float64(1<<53) >= p {
+	if float64(s>>11)/float64(1<<53) >= e.ChaosProb {
 		return chaosNone
 	}
 	return chaosPanicFault + int(s%3)
@@ -74,16 +52,17 @@ func chaosFaultFor(bench, loop, variant string) int {
 // chaosInject runs the injected fault chosen for the attributed simulation,
 // if any. Called inside the recover boundary, so an injected panic takes the
 // same containment path a real one would.
-func chaosInject(a attribution) error {
-	switch chaosFaultFor(a.bench, a.loop, a.variant) {
+func (e *Env) chaosInject(a attribution) error {
+	fault := e.chaosFaultFor(a.bench, a.loop, a.variant)
+	if fault != chaosNone {
+		e.fleet.chaosInjected.Add(1)
+	}
+	switch fault {
 	case chaosPanicFault:
-		fleetChaos()
 		panic(fmt.Errorf("chaos: injected panic in %s/%s/%s", a.bench, a.loop, a.variant))
 	case chaosLivelockFault:
-		fleetChaos()
 		return chaosLivelock()
 	case chaosSlowFault:
-		fleetChaos()
 		return chaosSlow()
 	}
 	return nil

@@ -29,10 +29,10 @@ func ckptLoopReq(trip int, seed int64) Request {
 	}
 }
 
-// collectRun executes req with periodic checkpointing armed and returns the
-// marshalled Result plus every emission (the sink is called concurrently
-// from the scalar and SRV variant goroutines).
-func collectRun(t *testing.T, req Request, every int64) ([]byte, []RunCheckpoint) {
+// collectRun executes req on env with periodic checkpointing armed and
+// returns the marshalled Result plus every emission (the sink is called
+// concurrently from the scalar and SRV variant goroutines).
+func collectRun(t *testing.T, env *Env, req Request, every int64) ([]byte, []RunCheckpoint) {
 	t.Helper()
 	var mu sync.Mutex
 	var cps []RunCheckpoint
@@ -41,7 +41,7 @@ func collectRun(t *testing.T, req Request, every int64) ([]byte, []RunCheckpoint
 		cps = append(cps, rc)
 		mu.Unlock()
 	})
-	res, err := Run(ctx, req)
+	res, err := env.Run(ctx, req)
 	if err != nil {
 		t.Fatalf("checkpointed run failed: %v", err)
 	}
@@ -69,7 +69,7 @@ func byVariant(cps []RunCheckpoint) map[string][]RunCheckpoint {
 // reproduces the exact same marshalled Result.
 func TestResumeByteIdentical(t *testing.T) {
 	req := ckptLoopReq(8192, 7)
-	plain, err := Run(context.Background(), req)
+	plain, err := testEnv().Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	got, cps := collectRun(t, req, 1000)
+	got, cps := collectRun(t, testEnv(), req, 1000)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("checkpointing perturbed the result:\n  %s\n  %s", want, got)
 	}
@@ -125,7 +125,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			if err := json.Unmarshal(wire, &back); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(WithResume(context.Background(), back), req)
+			res, err := testEnv().Run(WithResume(context.Background(), back), req)
 			if err != nil {
 				t.Fatalf("resumed run failed: %v", err)
 			}
@@ -151,7 +151,7 @@ func TestBenchmarkModeResume(t *testing.T) {
 		t.Fatal("benchmark is not defined")
 	}
 	req := Request{Mode: ModeBenchmark, Bench: b.Name, Seed: 7}
-	want, cps := collectRun(t, req, 1000)
+	want, cps := collectRun(t, testEnv(), req, 1000)
 	if len(cps) == 0 {
 		t.Fatal("no checkpoints emitted")
 	}
@@ -176,7 +176,7 @@ func TestBenchmarkModeResume(t *testing.T) {
 	for _, id := range order {
 		set = append(set, latest[id])
 	}
-	res, err := Run(WithResume(context.Background(), set), req)
+	res, err := testEnv().Run(WithResume(context.Background(), set), req)
 	if err != nil {
 		t.Fatalf("resumed benchmark run failed: %v", err)
 	}
@@ -194,14 +194,14 @@ func TestBenchmarkModeResume(t *testing.T) {
 // simulation runs from scratch — rather than failing the run or, worse,
 // silently restoring the wrong machine.
 func TestResumeIgnoresForeignCheckpoint(t *testing.T) {
-	_, cps := collectRun(t, ckptLoopReq(8192, 7), 1000)
+	_, cps := collectRun(t, testEnv(), ckptLoopReq(8192, 7), 1000)
 	other := ckptLoopReq(8192, 11) // same shape, different seed: never a match
-	plain, err := Run(context.Background(), other)
+	plain, err := testEnv().Run(context.Background(), other)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(plain)
-	res, err := Run(WithResume(context.Background(), cps), other)
+	res, err := testEnv().Run(WithResume(context.Background(), cps), other)
 	if err != nil {
 		t.Fatalf("run with foreign checkpoints failed: %v", err)
 	}
@@ -215,10 +215,10 @@ func TestResumeIgnoresForeignCheckpoint(t *testing.T) {
 // must fail the run loudly — continuing it would mix two machines.
 func TestResumeRejectsForeignBuild(t *testing.T) {
 	req := ckptLoopReq(8192, 7)
-	_, cps := collectRun(t, req, 1000)
+	_, cps := collectRun(t, testEnv(), req, 1000)
 	cp := cps[0]
 	cp.CodeVersion = "srvsim-0.0.0"
-	_, err := Run(WithResume(context.Background(), []RunCheckpoint{cp}), req)
+	_, err := testEnv().Run(WithResume(context.Background(), []RunCheckpoint{cp}), req)
 	if err == nil {
 		t.Fatal("foreign-build checkpoint restored without error")
 	}
@@ -234,23 +234,21 @@ func TestResumeRejectsForeignBuild(t *testing.T) {
 // chaos-off run; and with every simulation faulted, checkpointing does not
 // interfere with containment.
 func TestCheckpointsUnderChaos(t *testing.T) {
-	resetKnobs(t)
 	req := ckptLoopReq(8192, 7)
-	want, cps := collectRun(t, req, 1000)
+	want, cps := collectRun(t, testEnv(), req, 1000)
 
-	seed := int64(0)
+	env := &Env{Parallelism: DefaultParallelism(), ChaosProb: 0.5}
 	for s := int64(1); s <= 200; s++ {
-		SetChaos(0.5, s)
-		if chaosFaultFor("ckpt", "ckpt", "scalar") == chaosNone &&
-			chaosFaultFor("ckpt", "ckpt", "srv") == chaosNone {
-			seed = s
+		env.ChaosSeed = s
+		if env.chaosFaultFor("ckpt", "ckpt", "scalar") == chaosNone &&
+			env.chaosFaultFor("ckpt", "ckpt", "srv") == chaosNone {
 			break
 		}
+		if s == 200 {
+			t.Fatal("no chaos seed leaves ckpt/ckpt unfaulted at p=0.5")
+		}
 	}
-	if seed == 0 {
-		t.Fatal("no chaos seed leaves ckpt/ckpt unfaulted at p=0.5")
-	}
-	got, chaosCps := collectRun(t, req, 1000)
+	got, chaosCps := collectRun(t, env, req, 1000)
 	if !bytes.Equal(want, got) {
 		t.Fatal("armed-but-unfaulted chaos perturbed a checkpointed run")
 	}
@@ -259,7 +257,7 @@ func TestCheckpointsUnderChaos(t *testing.T) {
 	}
 	vs := byVariant(chaosCps)
 	resume := []RunCheckpoint{vs["scalar"][len(vs["scalar"])/2], vs["srv"][len(vs["srv"])/2]}
-	res, err := Run(WithResume(context.Background(), resume), req)
+	res, err := env.Run(WithResume(context.Background(), resume), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +268,9 @@ func TestCheckpointsUnderChaos(t *testing.T) {
 
 	// p=1: every simulation is chaos-replaced; the failure must be contained
 	// exactly as without checkpointing, not corrupted by the armed sink.
-	SetChaos(1, 1)
+	all := &Env{Parallelism: DefaultParallelism(), ChaosProb: 1, ChaosSeed: 1}
 	ctx := WithCheckpoints(context.Background(), 1000, func(RunCheckpoint) {})
-	if _, err := Run(ctx, req); err == nil {
+	if _, err := all.Run(ctx, req); err == nil {
 		t.Fatal("fully-chaotic checkpointed run returned nil error")
 	}
 }
@@ -319,7 +317,7 @@ func TestReplayArtifactStepsWedgeCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ReplayArtifact(path, &buf); err != nil {
+	if err := testEnv().ReplayArtifact(context.Background(), path, &buf); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	out := buf.String()
@@ -371,7 +369,7 @@ func TestArtifactValidation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			path := write(t, tc.art)
 			var buf bytes.Buffer
-			err := ReplayArtifact(path, &buf)
+			err := testEnv().ReplayArtifact(context.Background(), path, &buf)
 			if err == nil {
 				t.Fatal("invalid artifact replayed without error")
 			}
@@ -396,7 +394,7 @@ func TestArtifactValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	rerr := ReplayArtifact(path, &buf)
+	rerr := testEnv().ReplayArtifact(context.Background(), path, &buf)
 	if rerr == nil || !strings.Contains(rerr.Error(), "newer build") {
 		t.Fatalf("future artifact: %v", rerr)
 	}

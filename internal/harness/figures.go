@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -43,12 +44,12 @@ func (rs Results) Failures() []*SimError {
 // Measure runs every benchmark's scalar and SRV variants once. Benchmarks
 // fan out across the worker pool; the result order is the workload order
 // regardless of completion order.
-func Measure(seed int64) (Results, error) {
+func (e *Env) Measure(ctx context.Context, seed int64) (Results, error) {
 	var rs Results
 	all := workloads.All()
 	rs.Bench = make([]BenchResult, len(all))
-	err := parMap(len(all), func(i int) error {
-		br, err := RunBenchmark(all[i], seed)
+	err := e.parMap(len(all), func(i int) error {
+		br, err := e.RunBenchmark(ctx, all[i], seed)
 		if err != nil {
 			return err
 		}
@@ -229,11 +230,11 @@ func Fig12(rs Results) Report {
 }
 
 // Fig13 reports SRV dynamic instruction counts relative to FlexVec.
-func Fig13(seed int64) (Report, error) {
+func (e *Env) Fig13(ctx context.Context, seed int64) (Report, error) {
 	t := stats.NewTable("benchmark", "SRV insts", "FlexVec insts", "SRV/FlexVec", "FlexVec subgroups/group")
 	var ratios []float64
 	for _, b := range workloads.All() {
-		agg, ratio, err := RunFlexVec(b, seed)
+		agg, ratio, err := e.RunFlexVec(ctx, b, seed)
 		if err != nil {
 			return Report{}, err
 		}
@@ -250,11 +251,14 @@ func Fig13(seed int64) (Report, error) {
 }
 
 // LimitStudy reports the §II motivation numbers.
-func LimitStudy(seed int64) Report {
+func (e *Env) LimitStudy(ctx context.Context, seed int64) (Report, error) {
 	t := stats.NewTable("benchmark", "potential (all inner loops)", "potential (safe only)", "unknown-dep frac of unvectorised")
 	var all, safe, unk []float64
 	for _, b := range workloads.All() {
-		s := RunLimit(b, seed)
+		s, err := e.RunLimit(ctx, b, seed)
+		if err != nil {
+			return Report{}, err
+		}
 		t.Row(b.Name, s.PotentialAll, s.PotentialSafeOnly, s.UnknownFrac)
 		all = append(all, s.PotentialAll)
 		safe = append(safe, s.PotentialSafeOnly)
@@ -262,7 +266,7 @@ func LimitStudy(seed int64) Report {
 	}
 	t.Row("average", stats.Mean(all), stats.Mean(safe), stats.Mean(unk))
 	body := t.String() + "\n(paper: 2.1x potential, 1.02x without unknown-dependence loops,\n>70% of unvectorised inner loops blocked by unknown dependences.)\n"
-	return Report{ID: "§II", Title: "Vectorisation limit study", Body: body}
+	return Report{ID: "§II", Title: "Vectorisation limit study", Body: body}, nil
 }
 
 // CostModelReport compares the compiler's static profitability estimate
@@ -326,7 +330,7 @@ func RegionProfile(rs Results) Report {
 // Table I configuration on a representative loop. The IQ column explains
 // the paper's speedup source (scalar code starves in a small window; the
 // vector code does not), the LSQ column the §III-D7 fallback cliff.
-func Sweep(seed int64) (Report, error) {
+func (e *Env) Sweep(ctx context.Context, seed int64) (Report, error) {
 	bm, ok := workloads.ByName("is")
 	if !ok {
 		return Report{}, fmt.Errorf("harness: benchmark is not defined")
@@ -336,7 +340,7 @@ func Sweep(seed int64) (Report, error) {
 	row := func(param string, value int, mutate func(*pipeline.Config)) error {
 		cfg := cfg()
 		mutate(&cfg)
-		lr, err := RunLoop(bm.Name, ls, seed, WithConfig(cfg))
+		lr, err := e.RunLoop(ctx, bm.Name, ls, seed, WithConfig(cfg))
 		if err != nil {
 			return fmt.Errorf("%s=%d: %w", param, value, err)
 		}
@@ -394,22 +398,26 @@ func barsFor(rs Results, f func(BenchResult) float64, unit string) string {
 }
 
 // RunAll regenerates every table and figure, writing them to w.
-func RunAll(seed int64, w io.Writer) error {
+func (e *Env) RunAll(ctx context.Context, seed int64, w io.Writer) error {
 	fmt.Fprint(w, Table1())
-	fmt.Fprint(w, LimitStudy(seed))
-	rs, err := Measure(seed)
+	limit, err := e.LimitStudy(ctx, seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, limit)
+	rs, err := e.Measure(ctx, seed)
 	if err != nil {
 		return err
 	}
 	for _, rep := range []Report{Fig6(rs), Fig7(rs), Fig8(rs), Fig9(rs), Fig10(rs), Fig11(rs), Fig12(rs), CostModelReport(rs), RegionProfile(rs)} {
 		fmt.Fprint(w, rep)
 	}
-	f13, err := Fig13(seed)
+	f13, err := e.Fig13(ctx, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, f13)
-	sweep, err := Sweep(seed)
+	sweep, err := e.Sweep(ctx, seed)
 	if err != nil {
 		return err
 	}

@@ -9,11 +9,17 @@ import (
 	"srvsim/internal/obsv"
 )
 
-// Fleet metrics: process-wide atomic counters over the leaf simulations (one
-// scalar or SRV variant run each). They are recorded at the variant level —
-// not in parMap — so nested fan-outs (benchmarks over loops over variants)
-// never double-count busy time. Everything is monotonic and lock-free; a
-// snapshot is a consistent-enough view for throughput reporting.
+// Fleet metrics: each Env's atomic counters over the leaf simulations it ran
+// (one scalar or SRV variant run each). They are recorded at the variant
+// level — not in parMap — so nested fan-outs (benchmarks over loops over
+// variants) never double-count busy time. Everything is monotonic and
+// lock-free; a snapshot is a consistent-enough view for throughput
+// reporting.
+//
+// Fleet tracing: when an Env has a span recorder (TraceTo), every leaf
+// simulation also records one span under the Env's fleet root, and Run
+// carries that root through the context, so a remote executor's client
+// submissions carry the fleet's TraceID to the daemon.
 
 type fleetCounters struct {
 	simulations   atomic.Int64 // leaf variant simulations finished (ok or failed)
@@ -26,26 +32,25 @@ type fleetCounters struct {
 	lastEnd       atomic.Int64 // unix nanos of the latest leaf end
 }
 
-var fleet fleetCounters
-
-// ResetFleet zeroes the fleet counters (start of an srvbench invocation or a
-// test).
-func ResetFleet() {
-	fleet.simulations.Store(0)
-	fleet.failures.Store(0)
-	fleet.chaosInjected.Store(0)
-	fleet.busyNS.Store(0)
-	fleet.scalarNS.Store(0)
-	fleet.srvNS.Store(0)
-	fleet.firstStart.Store(0)
-	fleet.lastEnd.Store(0)
+// ResetFleet zeroes the Env's fleet counters.
+func (e *Env) ResetFleet() {
+	f := &e.fleet
+	f.simulations.Store(0)
+	f.failures.Store(0)
+	f.chaosInjected.Store(0)
+	f.busyNS.Store(0)
+	f.scalarNS.Store(0)
+	f.srvNS.Store(0)
+	f.firstStart.Store(0)
+	f.lastEnd.Store(0)
 }
 
-// fleetRecord accounts one finished leaf simulation, and — when a fleet span
-// recorder is installed — records it as one leaf span under the fleet root.
-func fleetRecord(a attribution, start time.Time, err error) {
+// fleetRecord accounts one finished leaf simulation, and — when the Env has
+// a span recorder — records it as one leaf span under the fleet root.
+func (e *Env) fleetRecord(a attribution, start time.Time, err error) {
 	end := time.Now()
 	d := end.Sub(start).Nanoseconds()
+	fleet := &e.fleet
 	fleet.simulations.Add(1)
 	if err != nil {
 		fleet.failures.Add(1)
@@ -57,10 +62,10 @@ func fleetRecord(a attribution, start time.Time, err error) {
 	case "srv":
 		fleet.srvNS.Add(d)
 	}
-	if rec, root := currentSpanRecorder(); rec != nil {
-		sc := root.Child()
+	if e.spans != nil {
+		sc := e.root.Child()
 		sp := obsv.Span{
-			Trace: sc.Trace, ID: sc.Span, Parent: root.Span,
+			Trace: sc.Trace, ID: sc.Span, Parent: e.root.Span,
 			Name: a.variant, Start: start, End: end,
 			Attrs: map[string]string{
 				"bench": a.bench, "loop": a.loop,
@@ -70,7 +75,7 @@ func fleetRecord(a attribution, start time.Time, err error) {
 		if err != nil {
 			sp.Attrs["error"] = err.Error()
 		}
-		rec.Record(sp)
+		e.spans.Record(sp)
 	}
 	fleet.firstStart.CompareAndSwap(0, start.UnixNano())
 	for {
@@ -80,9 +85,6 @@ func fleetRecord(a attribution, start time.Time, err error) {
 		}
 	}
 }
-
-// fleetChaos counts one chaos-injected fault.
-func fleetChaos() { fleet.chaosInjected.Add(1) }
 
 // FleetSnapshot is a point-in-time view of the fleet counters plus derived
 // throughput figures. Utilization compares summed busy time against the
@@ -101,13 +103,14 @@ type FleetSnapshot struct {
 	SimsPerSec    float64 `json:"sims_per_sec"`
 }
 
-// SnapshotFleet derives the current fleet metrics.
-func SnapshotFleet() FleetSnapshot {
+// SnapshotFleet derives the Env's current fleet metrics.
+func (e *Env) SnapshotFleet() FleetSnapshot {
+	fleet := &e.fleet
 	s := FleetSnapshot{
 		Simulations:   fleet.simulations.Load(),
 		Failures:      fleet.failures.Load(),
 		ChaosInjected: fleet.chaosInjected.Load(),
-		Workers:       Parallelism(),
+		Workers:       e.workers(),
 		BusyMS:        float64(fleet.busyNS.Load()) / 1e6,
 		ScalarMS:      float64(fleet.scalarNS.Load()) / 1e6,
 		SRVMS:         float64(fleet.srvNS.Load()) / 1e6,
@@ -134,4 +137,28 @@ func (s FleetSnapshot) String() string {
 		out += fmt.Sprintf(", %d failed (%d chaos-injected)", s.Failures, s.ChaosInjected)
 	}
 	return out + "\n"
+}
+
+// FleetRegistry builds an obsv view over the Env's fleet counters, so
+// srvbench can export them with -metrics-out in the same registry JSON
+// format srvsim and srvd use. Derived figures (utilization, throughput) come
+// from the same snapshot logic as the text summary.
+func (e *Env) FleetRegistry() *obsv.Registry {
+	fleet := &e.fleet
+	r := obsv.NewRegistry()
+	s := r.Section("fleet")
+	s.CounterFn("fleet.simulations", "leaf variant simulations finished (ok or failed)", fleet.simulations.Load)
+	s.CounterFn("fleet.failures", "leaf simulations that returned an error", fleet.failures.Load)
+	s.CounterFn("fleet.chaos_injected", "failures that were chaos-injected", fleet.chaosInjected.Load)
+	s.Gauge("fleet.busy_ms", "summed wall-clock of leaf simulations, milliseconds", "%.1f",
+		func() float64 { return float64(fleet.busyNS.Load()) / 1e6 })
+	s.Gauge("fleet.scalar_ms", "busy time attributed to scalar variants, milliseconds", "%.1f",
+		func() float64 { return float64(fleet.scalarNS.Load()) / 1e6 })
+	s.Gauge("fleet.srv_ms", "busy time attributed to SRV variants, milliseconds", "%.1f",
+		func() float64 { return float64(fleet.srvNS.Load()) / 1e6 })
+	s.Gauge("fleet.utilization", "busy time over elapsed wall-clock times the worker bound", "%.3f",
+		func() float64 { return e.SnapshotFleet().Utilization })
+	s.Gauge("fleet.sims_per_sec", "leaf simulations per second of wall-clock", "%.2f",
+		func() float64 { return e.SnapshotFleet().SimsPerSec })
+	return r
 }

@@ -39,13 +39,8 @@ func fuzzTrialSeed(seed int64, trial int) int64 {
 // divergences, deadlocks and panics come back as typed *SimErrors naming
 // the stage ("srvfuzz"/"trial-N"/stage) instead of killing the process.
 // Like every Run* helper it is a thin wrapper over Run.
-func RunFuzzTrial(seed int64, trial int, affine, interrupts bool) (FuzzTrialResult, error) {
-	return RunFuzzTrialContext(context.Background(), seed, trial, affine, interrupts)
-}
-
-// RunFuzzTrialContext is RunFuzzTrial under a caller-supplied context.
-func RunFuzzTrialContext(ctx context.Context, seed int64, trial int, affine, interrupts bool) (FuzzTrialResult, error) {
-	res, err := Run(ctx, Request{Mode: ModeFuzz, Seed: seed, Trial: trial, Affine: affine, Interrupts: interrupts})
+func (e *Env) RunFuzzTrial(ctx context.Context, seed int64, trial int, affine, interrupts bool) (FuzzTrialResult, error) {
+	res, err := e.Run(ctx, Request{Mode: ModeFuzz, Seed: seed, Trial: trial, Affine: affine, Interrupts: interrupts})
 	if err != nil {
 		return FuzzTrialResult{}, err
 	}

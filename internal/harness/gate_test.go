@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,7 +90,7 @@ func TestGateNoCommonBenchmarksFails(t *testing.T) {
 
 func TestTimingRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
-	if err := WriteTimings(path, 7, []string{"is"}); err != nil {
+	if err := testEnv().WriteTimings(context.Background(), path, 7, []string{"is"}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := LoadTimings(path)
@@ -116,7 +117,7 @@ func TestTimingRoundTrip(t *testing.T) {
 func TestLoadTimingsTruncatedBaseline(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.json")
-	if err := WriteTimings(full, 7, []string{"is"}); err != nil {
+	if err := testEnv().WriteTimings(context.Background(), full, 7, []string{"is"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(full)
@@ -150,25 +151,25 @@ func TestLoadTimingsTruncatedBaseline(t *testing.T) {
 
 func TestWriteTimingsUnknownBenchmark(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
-	err := WriteTimings(path, 7, []string{"is", "nosuch"})
+	err := testEnv().WriteTimings(context.Background(), path, 7, []string{"is", "nosuch"})
 	if err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Fatalf("err = %v, want unknown-benchmark error", err)
 	}
 }
 
 func TestFleetAccounting(t *testing.T) {
-	ResetFleet()
-	if s := SnapshotFleet(); s.Simulations != 0 {
-		t.Fatalf("reset fleet still reports %d sims", s.Simulations)
+	env := testEnv()
+	if s := env.SnapshotFleet(); s.Simulations != 0 {
+		t.Fatalf("fresh Env reports %d sims", s.Simulations)
 	}
 	b, ok := workloads.ByName("is")
 	if !ok {
 		t.Fatal("benchmark 'is' missing")
 	}
-	if _, err := RunLoop(b.Name, b.Loops[0], 7); err != nil {
+	if _, err := env.RunLoop(context.Background(), b.Name, b.Loops[0], 7); err != nil {
 		t.Fatal(err)
 	}
-	s := SnapshotFleet()
+	s := env.SnapshotFleet()
 	if s.Simulations != 2 { // one scalar + one SRV variant
 		t.Errorf("simulations = %d, want 2", s.Simulations)
 	}
@@ -180,5 +181,9 @@ func TestFleetAccounting(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "2 simulations") {
 		t.Errorf("summary: %s", s)
+	}
+	env.ResetFleet()
+	if s := env.SnapshotFleet(); s.Simulations != 0 || s.BusyMS != 0 {
+		t.Errorf("reset fleet still reports %+v", s)
 	}
 }

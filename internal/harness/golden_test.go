@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"strings"
@@ -22,7 +23,7 @@ const resultsReferencePath = "../../results_reference.txt"
 
 func TestResultsReference(t *testing.T) {
 	var out bytes.Buffer
-	if err := RunAll(7, &out); err != nil {
+	if err := testEnv().RunAll(context.Background(), 7, &out); err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,13 +10,17 @@ import (
 	"srvsim/internal/workloads"
 )
 
+// testEnv returns a fresh Env with one worker per CPU. Each test builds its
+// own, so no test inherits another's settings or fleet counters.
+func testEnv() *Env { return &Env{Parallelism: DefaultParallelism()} }
+
 // TestEveryBenchmarkCorrectAndMeasured is the top-level integration test:
 // every workload loop runs in scalar and SRV form, both must match the
 // reference evaluator (checked inside RunLoop), and the aggregate shapes
 // must reproduce the paper's evaluation (see EXPERIMENTS.md for the
 // per-figure comparison).
 func TestEveryBenchmarkCorrectAndMeasured(t *testing.T) {
-	rs, err := Measure(7)
+	rs, err := testEnv().Measure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestEveryBenchmarkCorrectAndMeasured(t *testing.T) {
 }
 
 func TestFig9ReplayOverheadTiny(t *testing.T) {
-	rs, err := Measure(7)
+	rs, err := testEnv().Measure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestFig9ReplayOverheadTiny(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	rs, err := Measure(7)
+	rs, err := testEnv().Measure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func TestFig10Shape(t *testing.T) {
 func TestFig13SRVBeatsFlexVec(t *testing.T) {
 	for _, name := range []string{"bzip2", "is", "omnetpp"} {
 		b, _ := workloads.ByName(name)
-		_, ratio, err := RunFlexVec(b, 7)
+		_, ratio, err := testEnv().RunFlexVec(context.Background(), b, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -125,9 +130,13 @@ func TestFig13SRVBeatsFlexVec(t *testing.T) {
 }
 
 func TestLimitStudyShape(t *testing.T) {
+	env := testEnv()
 	var all, safe []float64
 	for _, b := range workloads.All() {
-		s := RunLimit(b, 7)
+		s, err := env.RunLimit(context.Background(), b, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
 		all = append(all, s.PotentialAll)
 		safe = append(safe, s.PotentialSafeOnly)
 		if s.UnknownFrac < 0.7 {
@@ -147,7 +156,7 @@ func TestReportsRender(t *testing.T) {
 	if !strings.Contains(rep.Body, "400-entry") || !strings.Contains(rep.Body, "32KiB") {
 		t.Errorf("Table I missing config values:\n%s", rep.Body)
 	}
-	rs, err := Measure(7)
+	rs, err := testEnv().Measure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +169,7 @@ func TestReportsRender(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	var buf strings.Builder
-	if err := WriteJSON(7, &buf); err != nil {
+	if err := testEnv().WriteJSON(context.Background(), 7, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var rep JSONReport
@@ -198,12 +207,12 @@ func TestWriteJSON(t *testing.T) {
 // identical seeds must produce identical cycle counts.
 func TestDeterministicCycles(t *testing.T) {
 	b, _ := workloads.ByName("gcc")
-	first, err := RunLoop(b.Name, b.Loops[0], 7)
+	first, err := testEnv().RunLoop(context.Background(), b.Name, b.Loops[0], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		again, err := RunLoop(b.Name, b.Loops[0], 7)
+		again, err := testEnv().RunLoop(context.Background(), b.Name, b.Loops[0], 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +230,7 @@ func TestSweepShape(t *testing.T) {
 	bm, _ := workloads.ByName("is")
 	small := cfg()
 	small.LSQSize = 24
-	cliff, err := RunLoop(bm.Name, bm.Loops[0], 7, WithConfig(small))
+	cliff, err := testEnv().RunLoop(context.Background(), bm.Name, bm.Loops[0], 7, WithConfig(small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestSweepShape(t *testing.T) {
 	if cliff.Speedup >= 1 {
 		t.Errorf("fallback-dominated speedup = %.2f, want < 1", cliff.Speedup)
 	}
-	ok, err := RunLoop(bm.Name, bm.Loops[0], 7)
+	ok, err := testEnv().RunLoop(context.Background(), bm.Name, bm.Loops[0], 7)
 	if err != nil {
 		t.Fatal(err)
 	}

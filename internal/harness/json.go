@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 
@@ -85,8 +86,8 @@ type JSONLimitEntry struct {
 }
 
 // WriteJSON runs the full evaluation and writes the structured report.
-func WriteJSON(seed int64, w io.Writer) error {
-	rs, err := Measure(seed)
+func (e *Env) WriteJSON(ctx context.Context, seed int64, w io.Writer) error {
+	rs, err := e.Measure(ctx, seed)
 	if err != nil {
 		return err
 	}
@@ -134,12 +135,15 @@ func WriteJSON(seed int64, w io.Writer) error {
 
 	var ratios []float64
 	for _, b := range workloads.All() {
-		_, ratio, err := RunFlexVec(b, seed)
+		_, ratio, err := e.RunFlexVec(ctx, b, seed)
 		if err != nil {
 			return err
 		}
 		ratios = append(ratios, ratio)
-		s := RunLimit(b, seed)
+		s, err := e.RunLimit(ctx, b, seed)
+		if err != nil {
+			return err
+		}
 		rep.LimitStudy = append(rep.LimitStudy, JSONLimitEntry{
 			Name: b.Name, PotentialAll: s.PotentialAll,
 			PotentialSafe: s.PotentialSafeOnly, UnknownFrac: s.UnknownFrac,

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -12,27 +11,6 @@ import (
 // compiler output and pipeline state, so they are embarrassingly parallel.
 // Results are collected positionally, which keeps aggregation order — and
 // therefore every figure and JSON report — bit-identical to a serial run.
-
-var workers atomic.Int64
-
-func init() { workers.Store(int64(DefaultParallelism())) }
-
-// DefaultParallelism is the worker-pool size every entrypoint (srvsim,
-// srvbench, srvd) starts from: one worker per CPU. CLIs use it as the
-// -parallel flag default instead of each calling runtime.NumCPU themselves.
-func DefaultParallelism() int { return runtime.NumCPU() }
-
-// SetParallelism bounds the number of simulations run concurrently. n < 1
-// selects serial execution. The default is NumCPU.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	workers.Store(int64(n))
-}
-
-// Parallelism returns the current worker bound.
-func Parallelism() int { return int(workers.Load()) }
 
 // contain is parMap's recover boundary: a panic escaping one simulation is
 // converted into a typed SimError instead of tearing down the worker
@@ -48,20 +26,17 @@ func contain(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// parMap runs fn(0..n-1) across at most Parallelism() goroutines and
+// parMap runs fn(0..n-1) across at most e.Parallelism goroutines and
 // returns the first error in index order (not completion order), so error
 // reporting is deterministic. Panics in fn are contained and surface as
 // *SimError return values. Each call sizes its own goroutine set; nested
 // calls therefore cannot deadlock, and the scheduler bounds real
 // parallelism at GOMAXPROCS.
-func parMap(n int, fn func(i int) error) error {
+func (e *Env) parMap(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := Parallelism()
-	if w > n {
-		w = n
-	}
+	w := min(e.workers(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := contain(fn, i); err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,19 +16,17 @@ import (
 // order-dependent aggregate.
 func TestParallelMatchesSerial(t *testing.T) {
 	const seed = 7
-	prev := Parallelism()
-	defer SetParallelism(prev)
+	ctx := context.Background()
+	serialEnv, parallelEnv := &Env{Parallelism: 1}, &Env{Parallelism: 8}
 
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			SetParallelism(1)
-			serial, err := RunBenchmark(b, seed)
+			serial, err := serialEnv.RunBenchmark(ctx, b, seed)
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
-			SetParallelism(8)
-			parallel, err := RunBenchmark(b, seed)
+			parallel, err := parallelEnv.RunBenchmark(ctx, b, seed)
 			if err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
@@ -56,13 +55,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 // land at their own index and the reported error is the first in index
 // order, independent of scheduling.
 func TestParMapOrderAndErrors(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-
 	for _, workers := range []int{1, 4} {
-		SetParallelism(workers)
+		env := &Env{Parallelism: workers}
 		out := make([]int, 64)
-		if err := parMap(len(out), func(i int) error {
+		if err := env.parMap(len(out), func(i int) error {
 			out[i] = i * i
 			return nil
 		}); err != nil {
@@ -75,7 +71,7 @@ func TestParMapOrderAndErrors(t *testing.T) {
 		}
 
 		errs := []int{5, 2, 9}
-		err := parMap(12, func(i int) error {
+		err := env.parMap(12, func(i int) error {
 			for _, bad := range errs {
 				if i == bad {
 					return errAt(i)

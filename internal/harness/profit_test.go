@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"srvsim/internal/compiler"
@@ -15,7 +16,7 @@ func TestCostModelTracksMeasurement(t *testing.T) {
 	cm := compiler.DefaultCostModel()
 	checked := 0
 	for _, b := range workloads.All() {
-		lr, err := RunLoop(b.Name, b.Loops[0], 7)
+		lr, err := testEnv().RunLoop(context.Background(), b.Name, b.Loops[0], 7)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

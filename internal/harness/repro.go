@@ -97,19 +97,19 @@ func writeArtifact(dir, name string, art CrashArtifact) (string, error) {
 	return path, nil
 }
 
-// diagnose re-runs a failed loop once with invariant checking and the
-// pipeview timeline enabled, records whether the failure reproduces, and
-// writes the crash artifact. Both steps are gated on a configured crash
-// directory (SetCrashDir); library users and most tests leave it off.
-func diagnose(se *SimError, bench string, ls workloads.LoopSpec, seed int64) {
-	dir := CrashDir()
-	if dir == "" {
+// diagnose re-runs a failed loop once, under the pipeline configuration it
+// failed with, with invariant checking and the pipeview timeline enabled;
+// records whether the failure reproduces; and writes the crash artifact.
+// Both steps are gated on the Env's CrashDir; library users and most tests
+// leave it empty.
+func (e *Env) diagnose(se *SimError, pcfg pipeline.Config, bench string, ls workloads.LoopSpec, seed int64) {
+	if e.CrashDir == "" {
 		return
 	}
 	a := attribution{bench: bench, loop: ls.Shape.Name, variant: "diag", seed: seed}
 	diagnosis := "not reproduced under diagnostic re-run (transient or injected fault)"
 	if derr := a.guard(func() error {
-		_, err := runLoop(context.Background(), cfg(), bench, ls, seed, true)
+		_, err := e.runLoop(context.Background(), pcfg, bench, ls, seed, true)
 		return err
 	}); derr != nil {
 		diagnosis = "reproduced under invariants+timeline: " + derr.Error()
@@ -117,14 +117,13 @@ func diagnose(se *SimError, bench string, ls workloads.LoopSpec, seed int64) {
 			se.Snapshot = dse.Snapshot
 		}
 	}
-	pcfg := cfg()
 	art := CrashArtifact{
 		Tool: "harness", Bench: bench, Loop: ls.Shape.Name, Variant: se.Variant,
 		Seed: seed, Shape: &ls.Shape, Weight: ls.Weight, PredTail: ls.PredTail,
 		Config: &pcfg, Failure: artifactFailure(se), Diagnosis: diagnosis,
 	}
 	name := fmt.Sprintf("%s_%s_%s_%s", bench, ls.Shape.Name, se.Variant, se.Kind)
-	if path, err := writeArtifact(dir, name, art); err == nil {
+	if path, err := writeArtifact(e.CrashDir, name, art); err == nil {
 		se.Artifact = path
 	} else {
 		fmt.Fprintln(os.Stderr, err)
@@ -188,8 +187,9 @@ func (art *CrashArtifact) Validate() error {
 // original failure reproduced; the returned error is non-nil only when the
 // replay machinery itself fails (unreadable or invalid artifact, unknown
 // tool). Deadlock artifacts carrying a machine checkpoint are additionally
-// restored and single-stepped from the wedge.
-func ReplayArtifact(path string, w io.Writer) error {
+// restored and single-stepped from the wedge. The replay runs on this Env's
+// workers and core, without its chaos and fleet accounting.
+func (e *Env) ReplayArtifact(ctx context.Context, path string, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -210,7 +210,7 @@ func ReplayArtifact(path string, w io.Writer) error {
 	case "srvfuzz":
 		a := attribution{bench: "srvfuzz", loop: fmt.Sprintf("trial-%d", art.Trial), variant: "repro", seed: art.Seed}
 		rerr = a.guard(func() error {
-			_, err := RunFuzzTrial(art.Seed, art.Trial, art.Affine, art.Interrupts)
+			_, err := runFuzzTrial(ctx, art.Seed, art.Trial, art.Affine, art.Interrupts)
 			return err
 		})
 	case "harness", "":
@@ -221,7 +221,7 @@ func ReplayArtifact(path string, w io.Writer) error {
 		}
 		a := attribution{bench: art.Bench, loop: ls.Shape.Name, variant: "repro", seed: art.Seed}
 		rerr = a.guard(func() error {
-			_, err := runLoop(context.Background(), pcfg, art.Bench, ls, art.Seed, true)
+			_, err := e.runLoop(ctx, pcfg, art.Bench, ls, art.Seed, true)
 			return err
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"srvsim/internal/flexvec"
 	"srvsim/internal/obsv"
@@ -16,8 +15,8 @@ import (
 	"srvsim/internal/workloads"
 )
 
-// The harness exposes one narrow execution contract — Run(ctx, Request) —
-// over its whole family of experiment kinds, the same way the paper's SRV
+// The harness exposes one narrow execution contract — Env.Run(ctx, Request)
+// — over its whole family of experiment kinds, the same way the paper's SRV
 // design exposes srv_start/srv_end over a complex speculative core. Every
 // public Run* helper and every CLI routes through it, which is what lets a
 // network daemon (internal/serve) queue, deduplicate and cache simulations
@@ -27,15 +26,15 @@ import (
 type Mode string
 
 const (
-	// ModeLoop measures one loop's scalar and SRV variants (RunLoop).
+	// ModeLoop measures one loop's scalar and SRV variants (Env.RunLoop).
 	ModeLoop Mode = "loop"
-	// ModeBenchmark measures every loop of a benchmark (RunBenchmark).
+	// ModeBenchmark measures every loop of a benchmark (Env.RunBenchmark).
 	ModeBenchmark Mode = "benchmark"
-	// ModeFlexVec runs the Fig 13 FlexVec comparison (RunFlexVec).
+	// ModeFlexVec runs the Fig 13 FlexVec comparison (Env.RunFlexVec).
 	ModeFlexVec Mode = "flexvec"
-	// ModeLimit runs the §II limit study (RunLimit).
+	// ModeLimit runs the §II limit study (Env.RunLimit).
 	ModeLimit Mode = "limit"
-	// ModeFuzz runs one differential-fuzzer trial (RunFuzzTrial).
+	// ModeFuzz runs one differential-fuzzer trial (Env.RunFuzzTrial).
 	ModeFuzz Mode = "fuzz"
 )
 
@@ -89,7 +88,8 @@ type Request struct {
 	Interrupts bool `json:"interrupts,omitempty"`
 }
 
-// Option mutates a Request under construction (RunLoop's variadic options).
+// Option mutates a Request under construction (Env.RunLoop's variadic
+// options).
 type Option func(*Request)
 
 // WithConfig runs the request under a custom pipeline configuration instead
@@ -248,7 +248,7 @@ type BenchSummary struct {
 	Barrier float64      `json:"barrier_fraction"`
 }
 
-// FlexVecSummary is the wire form of a RunFlexVec measurement.
+// FlexVecSummary is the wire form of an Env.RunFlexVec measurement.
 type FlexVecSummary struct {
 	Aggregate     flexvec.Result `json:"aggregate"`
 	WeightedRatio float64        `json:"weighted_ratio"`
@@ -342,31 +342,10 @@ func (r Result) benchResult(b workloads.Benchmark) (BenchResult, error) {
 	return out, nil
 }
 
-// Executor is a pluggable execution backend for canonical Requests. The
-// default (nil) runs in-process; serve.Client provides a remote one so a CLI
-// can farm its whole fleet out to a srvd daemon.
+// Executor is a pluggable execution backend for canonical Requests
+// (Env.Executor). nil runs in-process; serve.Client provides a remote one so
+// a CLI can farm its whole fleet out to a srvd daemon.
 type Executor func(ctx context.Context, req Request) (Result, error)
-
-var (
-	executorMu sync.RWMutex
-	executorFn Executor
-)
-
-// SetExecutor installs a process-wide execution backend for Run (nil
-// restores in-process execution). Like the other fleet knobs it is set once
-// by the CLI before fanning out. An Executor must not call Run itself on the
-// same process, or requests would loop forever.
-func SetExecutor(fn Executor) {
-	executorMu.Lock()
-	executorFn = fn
-	executorMu.Unlock()
-}
-
-func currentExecutor() Executor {
-	executorMu.RLock()
-	defer executorMu.RUnlock()
-	return executorFn
-}
 
 // ProgressEvent reports coarse progress of a running request (per-loop
 // completion for benchmark mode). Done counts monotonically; arrival order
@@ -393,41 +372,39 @@ func notifyProgress(ctx context.Context, stage string, done, total int) {
 }
 
 // Run is the single execution path of the harness: it canonicalises and
-// validates the request, dispatches to the installed Executor (remote
-// fleets) or runs in-process, and returns the versioned Result. Context
+// validates the request, dispatches to the Env's Executor (remote fleets)
+// or runs in-process, and returns the versioned Result. Context
 // cancellation aborts the underlying simulations cooperatively (the
 // pipeline polls every few thousand cycles).
-func Run(ctx context.Context, req Request) (Result, error) {
+func (e *Env) Run(ctx context.Context, req Request) (Result, error) {
 	creq, err := req.Canonical()
 	if err != nil {
 		return Result{}, err
 	}
-	if ex := currentExecutor(); ex != nil {
-		// When a fleet span recorder is installed, remote submissions ride
-		// under the fleet-root trace: the serve.Client reads the span from
-		// the context and stamps the matching traceparent.
-		if _, ok := obsv.SpanFromContext(ctx); !ok {
-			if rec, root := currentSpanRecorder(); rec != nil {
-				ctx = obsv.ContextWithSpan(ctx, root)
-			}
+	if e.Executor != nil {
+		// When the Env traces, remote submissions ride under its fleet-root
+		// trace: the serve.Client reads the span from the context and stamps
+		// the matching traceparent.
+		if _, ok := obsv.SpanFromContext(ctx); !ok && e.spans != nil {
+			ctx = obsv.ContextWithSpan(ctx, e.root)
 		}
-		return ex(ctx, creq)
+		return e.Executor(ctx, creq)
 	}
-	return runLocal(ctx, creq)
+	return e.runLocal(ctx, creq)
 }
 
 // runLocal executes a canonical request in-process.
-func runLocal(ctx context.Context, req Request) (Result, error) {
+func (e *Env) runLocal(ctx context.Context, req Request) (Result, error) {
 	res := Result{SchemaVersion: SchemaVersion, CodeVersion: CodeVersion, Mode: req.Mode}
 	switch req.Mode {
 	case ModeLoop:
-		lr, err := runLoop(ctx, req.effectiveConfig(), req.Bench, *req.Loop, req.Seed, false)
+		lr, err := e.runLoop(ctx, req.effectiveConfig(), req.Bench, *req.Loop, req.Seed, false)
 		if err != nil {
 			return res, err
 		}
 		res.Loop = &lr
 	case ModeBenchmark:
-		br, err := runBenchmark(ctx, *req.BenchSpec, req.effectiveConfig(), req.Seed)
+		br, err := e.runBenchmark(ctx, *req.BenchSpec, req.effectiveConfig(), req.Seed)
 		if err != nil {
 			return res, err
 		}
@@ -440,13 +417,13 @@ func runLocal(ctx context.Context, req Request) (Result, error) {
 		}
 		res.native = &br
 	case ModeFlexVec:
-		agg, ratio, err := runFlexVec(ctx, *req.BenchSpec, req.Seed)
+		agg, ratio, err := e.runFlexVec(ctx, *req.BenchSpec, req.Seed)
 		if err != nil {
 			return res, err
 		}
 		res.FlexVec = &FlexVecSummary{Aggregate: agg, WeightedRatio: ratio}
 	case ModeLimit:
-		st := runLimit(*req.BenchSpec, req.Seed)
+		st := e.runLimit(*req.BenchSpec, req.Seed)
 		res.Limit = &st
 	case ModeFuzz:
 		fr, err := runFuzzTrial(ctx, req.Seed, req.Trial, req.Affine, req.Interrupts)

@@ -80,7 +80,7 @@ func TestRequestRoundTripLossless(t *testing.T) {
 
 func TestResultRoundTripLossless(t *testing.T) {
 	ls := testLoopSpec()
-	res, err := Run(context.Background(), Request{Mode: ModeLoop, Bench: "api", Loop: &ls, Seed: 7})
+	res, err := testEnv().Run(context.Background(), Request{Mode: ModeLoop, Bench: "api", Loop: &ls, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,12 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 // wrapper must add and lose nothing.
 func TestRunLoopWrapperEquivalence(t *testing.T) {
 	ls := testLoopSpec()
-	direct, err := RunLoop("api", ls, 7)
+	env := testEnv()
+	direct, err := env.RunLoop(context.Background(), "api", ls, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Request{Mode: ModeLoop, Bench: "api", Loop: &ls, Seed: 7})
+	res, err := env.Run(context.Background(), Request{Mode: ModeLoop, Bench: "api", Loop: &ls, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestRunLoopWrapperEquivalence(t *testing.T) {
 
 	pcfg := cfg()
 	pcfg.ScalarLat += 3
-	withOpt, err := RunLoop("api", ls, 7, WithConfig(pcfg))
+	withOpt, err := env.RunLoop(context.Background(), "api", ls, 7, WithConfig(pcfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"reflect"
@@ -13,24 +15,10 @@ import (
 	"srvsim/internal/workloads"
 )
 
-// resetKnobs restores every fleet-policy knob after a test that sets them.
-func resetKnobs(t *testing.T) {
-	t.Helper()
-	prev := Parallelism()
-	t.Cleanup(func() {
-		SetParallelism(prev)
-		SetChaos(0, 0)
-		SetCrashDir("")
-		SetFailFast(false)
-		SetSimTimeout(0)
-	})
-}
-
 func TestParMapContainsPanics(t *testing.T) {
-	resetKnobs(t)
-	SetParallelism(4)
+	env := &Env{Parallelism: 4}
 	done := make([]bool, 8)
-	err := parMap(8, func(i int) error {
+	err := env.parMap(8, func(i int) error {
 		if i == 3 {
 			panic("boom")
 		}
@@ -65,12 +53,11 @@ func TestParMapContainsPanics(t *testing.T) {
 // table iterates the pipeline's own registry, so a new invariant cannot be
 // added without being containment-checked.
 func TestInvariantPanicsSurfaceTyped(t *testing.T) {
-	resetKnobs(t)
-	SetParallelism(4)
+	env := &Env{Parallelism: 4}
 	for _, check := range pipeline.InvariantChecks {
 		check := check
 		t.Run(check, func(t *testing.T) {
-			err := parMap(3, func(i int) error {
+			err := env.parMap(3, func(i int) error {
 				a := attribution{bench: "somebench", loop: "someloop", variant: "srv", seed: 7}
 				return a.guard(func() error {
 					if i == 1 {
@@ -116,14 +103,14 @@ func chaosExpectedKind(fault int) FailKind {
 }
 
 func TestChaosIsolationAndDeterminism(t *testing.T) {
-	resetKnobs(t)
 	b, ok := workloads.ByName("is")
 	if !ok {
 		t.Fatal("benchmark is not defined")
 	}
 	const seed = 7
+	ctx := context.Background()
 
-	baseline, err := RunBenchmark(b, seed)
+	baseline, err := testEnv().RunBenchmark(ctx, b, seed)
 	if err != nil || len(baseline.Failures) != 0 {
 		t.Fatalf("fault-free run failed: err=%v failures=%d", err, len(baseline.Failures))
 	}
@@ -132,15 +119,15 @@ func TestChaosIsolationAndDeterminism(t *testing.T) {
 	// containment and the isolation halves of the test have subjects.
 	type fate struct{ scalar, srv int }
 	fates := map[string]fate{}
-	chaosSeed := int64(0)
+	env := &Env{Parallelism: DefaultParallelism(), ChaosProb: 0.5, CrashDir: t.TempDir()}
 	for s := int64(1); s <= 200; s++ {
-		SetChaos(0.5, s)
+		env.ChaosSeed = s
 		faulted, clean := 0, 0
 		fates = map[string]fate{}
 		for _, ls := range b.Loops {
 			f := fate{
-				scalar: chaosFaultFor(b.Name, ls.Shape.Name, "scalar"),
-				srv:    chaosFaultFor(b.Name, ls.Shape.Name, "srv"),
+				scalar: env.chaosFaultFor(b.Name, ls.Shape.Name, "scalar"),
+				srv:    env.chaosFaultFor(b.Name, ls.Shape.Name, "srv"),
 			}
 			fates[ls.Shape.Name] = f
 			if f.scalar != chaosNone || f.srv != chaosNone {
@@ -150,17 +137,14 @@ func TestChaosIsolationAndDeterminism(t *testing.T) {
 			}
 		}
 		if faulted > 0 && clean > 0 {
-			chaosSeed = s
 			break
 		}
+		if s == 200 {
+			t.Fatal("no chaos seed yields a mixed fault/clean split at p=0.5")
+		}
 	}
-	if chaosSeed == 0 {
-		t.Fatal("no chaos seed yields a mixed fault/clean split at p=0.5")
-	}
-	dir := t.TempDir()
-	SetCrashDir(dir)
 
-	chaotic, err := RunBenchmark(b, seed)
+	chaotic, err := env.RunBenchmark(ctx, b, seed)
 	if err != nil {
 		t.Fatalf("chaos run returned a fatal error instead of containing faults: %v", err)
 	}
@@ -208,7 +192,7 @@ func TestChaosIsolationAndDeterminism(t *testing.T) {
 			t.Errorf("%s: artifact missing: %v", se.Loop, err)
 		}
 		var buf bytes.Buffer
-		if err := ReplayArtifact(se.Artifact, &buf); err != nil {
+		if err := testEnv().ReplayArtifact(ctx, se.Artifact, &buf); err != nil {
 			t.Errorf("%s: replay machinery failed: %v", se.Loop, err)
 		} else if !strings.Contains(buf.String(), "did not reproduce") {
 			t.Errorf("%s: injected fault reproduced on replay:\n%s", se.Loop, buf.String())
@@ -244,20 +228,19 @@ func TestChaosIsolationAndDeterminism(t *testing.T) {
 	}
 
 	// 5. -failfast restores abort-on-first-error.
-	SetFailFast(true)
-	if _, err := RunBenchmark(b, seed); err == nil {
+	env.FailFast = true
+	if _, err := env.RunBenchmark(ctx, b, seed); err == nil {
 		t.Error("fail-fast chaos run returned nil error")
 	}
 }
 
 func TestSimTimeoutCancelsRun(t *testing.T) {
-	resetKnobs(t)
-	SetSimTimeout(time.Nanosecond)
+	env := &Env{SimTimeout: time.Nanosecond}
 	b, ok := workloads.ByName("is")
 	if !ok {
 		t.Fatal("benchmark is not defined")
 	}
-	_, err := RunLoop(b.Name, b.Loops[0], 7)
+	_, err := env.RunLoop(context.Background(), b.Name, b.Loops[0], 7)
 	if !errors.Is(err, pipeline.ErrCancelled) {
 		t.Fatalf("timed-out run returned %v, want ErrCancelled", err)
 	}
@@ -268,8 +251,9 @@ func TestSimTimeoutCancelsRun(t *testing.T) {
 }
 
 func TestRunFuzzTrialDeterministic(t *testing.T) {
-	r1, err1 := RunFuzzTrial(3, 5, false, false)
-	r2, err2 := RunFuzzTrial(3, 5, false, false)
+	env, ctx := testEnv(), context.Background()
+	r1, err1 := env.RunFuzzTrial(ctx, 3, 5, false, false)
+	r2, err2 := env.RunFuzzTrial(ctx, 3, 5, false, false)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("fuzz trial failed: %v / %v", err1, err2)
 	}
@@ -277,7 +261,7 @@ func TestRunFuzzTrialDeterministic(t *testing.T) {
 		t.Errorf("trial (3,5) not deterministic:\n%+v\n%+v", r1, r2)
 	}
 	for trial := 0; trial < 4; trial++ {
-		if _, err := RunFuzzTrial(1, trial, true, true); err != nil {
+		if _, err := env.RunFuzzTrial(ctx, 1, trial, true, true); err != nil {
 			t.Errorf("affine+interrupt trial %d: %v", trial, err)
 		}
 	}
@@ -294,12 +278,52 @@ func TestFuzzArtifactRoundTrip(t *testing.T) {
 		t.Errorf("artifact path not recorded on the SimError")
 	}
 	var buf bytes.Buffer
-	if err := ReplayArtifact(path, &buf); err != nil {
+	if err := testEnv().ReplayArtifact(context.Background(), path, &buf); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	// Trial (3,5) actually passes, so the replay must report non-reproduction.
 	if !strings.Contains(buf.String(), "did not reproduce") {
 		t.Errorf("unexpected replay outcome:\n%s", buf.String())
+	}
+}
+
+// TestDiagnosisUsesRequestConfig: a loop that fails under its request's own
+// pipeline configuration must be re-run and recorded under that
+// configuration, or the diagnosis and `srvsim -repro` examine a different
+// simulation from the one that failed.
+func TestDiagnosisUsesRequestConfig(t *testing.T) {
+	b, ok := workloads.ByName("is")
+	if !ok {
+		t.Fatal("benchmark is not defined")
+	}
+	pcfg := cfg()
+	pcfg.MaxCycles = 1000
+	env := &Env{Parallelism: DefaultParallelism(), CrashDir: t.TempDir()}
+	br, err := env.RunBenchmark(context.Background(), b, 7, WithConfig(pcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Failures) == 0 {
+		t.Fatal("no loop failed under a 1000-cycle budget")
+	}
+	for _, se := range br.Failures {
+		if se.Kind != KindCycleBudget {
+			t.Errorf("%s: kind = %v, want CycleBudget", se.Loop, se.Kind)
+		}
+		data, err := os.ReadFile(se.Artifact)
+		if err != nil {
+			t.Fatalf("%s: %v", se.Loop, err)
+		}
+		var art CrashArtifact
+		if err := json.Unmarshal(data, &art); err != nil {
+			t.Fatalf("%s: %v", se.Loop, err)
+		}
+		if art.Config == nil || !reflect.DeepEqual(*art.Config, pcfg) {
+			t.Errorf("%s: artifact config is not the request's: %+v", se.Loop, art.Config)
+		}
+		if !strings.HasPrefix(art.Diagnosis, "reproduced") {
+			t.Errorf("%s: diagnosis %q, want a reproduction", se.Loop, art.Diagnosis)
+		}
 	}
 }
 
@@ -325,7 +349,7 @@ func TestReplayArtifactReproduces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ReplayArtifact(path, &buf); err != nil {
+	if err := testEnv().ReplayArtifact(context.Background(), path, &buf); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if !strings.Contains(buf.String(), "REPRODUCED") {

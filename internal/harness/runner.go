@@ -82,11 +82,11 @@ func warm(p *pipeline.Pipeline, l *compiler.Loop) {
 // prepare arms a freshly-built pipeline for measurement: cache warm-up and —
 // on diagnostic re-runs — per-cycle invariant checking plus the pipeview
 // timeline, so a reproduced failure comes back with forensics attached.
-// (The per-simulation wall-clock bound is now a context deadline; see
+// (The per-simulation wall-clock bound is a context deadline; see
 // simContext.)
-func prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
+func (e *Env) prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
 	warm(p, l)
-	if RefTickCore() {
+	if e.RefTickCore {
 		p.UseReferenceTickCore()
 	}
 	if diag {
@@ -96,32 +96,27 @@ func prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
 }
 
 // simContext derives the context one simulation variant runs under: the
-// caller's context, bounded by the per-simulation wall-clock budget
-// (SetSimTimeout) when one is configured. The deadline starts when the
-// variant starts.
-func simContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if d := SimTimeout(); d > 0 {
-		return context.WithTimeout(ctx, d)
+// caller's context, bounded by the Env's per-simulation wall-clock budget
+// (SimTimeout) when one is set. The deadline starts when the variant
+// starts.
+func (e *Env) simContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if e.SimTimeout > 0 {
+		return context.WithTimeout(ctx, e.SimTimeout)
 	}
 	return ctx, func() {}
 }
 
 // RunLoop measures one workload loop. Both variants run on identical input
 // data; their final memory is verified against the reference evaluator.
-// Options customise the run (e.g. WithConfig for ablations).
-func RunLoop(bench string, ls workloads.LoopSpec, seed int64, opts ...Option) (LoopResult, error) {
-	return RunLoopContext(context.Background(), bench, ls, seed, opts...)
-}
-
-// RunLoopContext is RunLoop under a caller-supplied context: cancellation
-// aborts both variants cooperatively. Like every public Run* helper it is a
-// thin wrapper over Run, the harness's single execution path.
-func RunLoopContext(ctx context.Context, bench string, ls workloads.LoopSpec, seed int64, opts ...Option) (LoopResult, error) {
+// Options customise the run (e.g. WithConfig for ablations), and
+// cancelling ctx aborts both variants cooperatively. Like every public Run*
+// helper it is a thin wrapper over Run, the harness's single execution path.
+func (e *Env) RunLoop(ctx context.Context, bench string, ls workloads.LoopSpec, seed int64, opts ...Option) (LoopResult, error) {
 	req := Request{Mode: ModeLoop, Bench: bench, Loop: &ls, Seed: seed}
 	for _, o := range opts {
 		o(&req)
 	}
-	res, err := Run(ctx, req)
+	res, err := e.Run(ctx, req)
 	if err != nil {
 		return LoopResult{Bench: bench, Loop: ls.Shape.Name}, err
 	}
@@ -143,7 +138,7 @@ func ratio(a, b float64) float64 {
 // or divergence in one simulation surfaces as a *SimError naming the exact
 // (benchmark, loop, variant, seed) that produced it. diag re-runs a failed
 // simulation with invariant checking and the pipeview timeline enabled.
-func runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloads.LoopSpec, seed int64, diag bool) (LoopResult, error) {
+func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloads.LoopSpec, seed int64, diag bool) (LoopResult, error) {
 	res := LoopResult{Bench: bench, Loop: ls.Shape.Name}
 
 	// Reference result, computed once up front; both variants only read it.
@@ -162,11 +157,11 @@ func runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloa
 				return a.simErr(KindCompileError, "%v", err)
 			}
 			sp := pipeline.New(pcfg, sc.Prog, sim)
-			prepare(sp, sl, diag)
+			e.prepare(sp, sl, diag)
 			if err := armCheckpoints(ctx, sp, a); err != nil {
 				return err
 			}
-			sctx, cancel := simContext(ctx)
+			sctx, cancel := e.simContext(ctx)
 			defer cancel()
 			if err := sp.RunContext(sctx); err != nil {
 				return err
@@ -186,11 +181,11 @@ func runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloa
 				return a.simErr(KindCompileError, "%v", err)
 			}
 			vp := pipeline.New(pcfg, vc.Prog, vim)
-			prepare(vp, vl, diag)
+			e.prepare(vp, vl, diag)
 			if err := armCheckpoints(ctx, vp, a); err != nil {
 				return err
 			}
-			vctx, cancel := simContext(ctx)
+			vctx, cancel := e.simContext(ctx)
 			defer cancel()
 			if err := vp.RunContext(vctx); err != nil {
 				return err
@@ -236,12 +231,12 @@ func runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloa
 	// inside the guard so injected faults exercise the same containment path
 	// as real ones; diagnostic re-runs are exempt, so an injected fault is
 	// correctly diagnosed as not-reproducible.
-	err := parMap(len(variants), func(i int) error {
+	err := e.parMap(len(variants), func(i int) error {
 		a := attribution{bench: bench, loop: ls.Shape.Name, variant: variants[i].name, seed: seed}
 		t0 := time.Now()
 		verr := a.guard(func() error {
 			if !diag {
-				if err := chaosInject(a); err != nil {
+				if err := e.chaosInject(a); err != nil {
 					return err
 				}
 			}
@@ -250,7 +245,7 @@ func runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloa
 		if !diag {
 			// Leaf-level fleet accounting: diagnostic re-runs are forensics,
 			// not fleet throughput.
-			fleetRecord(a, t0, verr)
+			e.fleetRecord(a, t0, verr)
 		}
 		return verr
 	})
@@ -298,21 +293,16 @@ type BenchResult struct {
 // across the worker pool; aggregation happens in loop order afterwards, so
 // the result is identical to a serial run. A failing loop is contained: it
 // lands in BenchResult.Failures (after an automatic diagnostic re-run when
-// a crash directory is configured) and the remaining loops still aggregate.
-// SetFailFast(true) restores abort-on-first-error.
-func RunBenchmark(b workloads.Benchmark, seed int64) (BenchResult, error) {
-	return RunBenchmarkContext(context.Background(), b, seed)
-}
-
-// RunBenchmarkContext is RunBenchmark under a caller-supplied context; it
-// routes through Run (and therefore through any installed Executor), with
-// the benchmark spec inlined so custom benchmarks work unregistered.
-func RunBenchmarkContext(ctx context.Context, b workloads.Benchmark, seed int64, opts ...Option) (BenchResult, error) {
+// the Env has a CrashDir) and the remaining loops still aggregate.
+// Env.FailFast restores abort-on-first-error. The request routes through
+// Run (and therefore through the Env's Executor), with the benchmark spec
+// inlined so custom benchmarks work unregistered.
+func (e *Env) RunBenchmark(ctx context.Context, b workloads.Benchmark, seed int64, opts ...Option) (BenchResult, error) {
 	req := Request{Mode: ModeBenchmark, Bench: b.Name, BenchSpec: &b, Seed: seed}
 	for _, o := range opts {
 		o(&req)
 	}
-	res, err := Run(ctx, req)
+	res, err := e.Run(ctx, req)
 	if err != nil {
 		return BenchResult{Bench: b}, err
 	}
@@ -320,20 +310,20 @@ func RunBenchmarkContext(ctx context.Context, b workloads.Benchmark, seed int64,
 }
 
 // runBenchmark is the local benchmark fan-out behind Run's ModeBenchmark.
-func runBenchmark(ctx context.Context, b workloads.Benchmark, pcfg pipeline.Config, seed int64) (BenchResult, error) {
+func (e *Env) runBenchmark(ctx context.Context, b workloads.Benchmark, pcfg pipeline.Config, seed int64) (BenchResult, error) {
 	out := BenchResult{Bench: b}
 	loops := make([]LoopResult, len(b.Loops))
 	fails := make([]*SimError, len(b.Loops))
 	total := len(b.Loops)
 	var done atomic.Int64
-	err := parMap(len(b.Loops), func(i int) error {
-		lr, err := runLoop(ctx, pcfg, b.Name, b.Loops[i], seed+int64(i), false)
+	err := e.parMap(len(b.Loops), func(i int) error {
+		lr, err := e.runLoop(ctx, pcfg, b.Name, b.Loops[i], seed+int64(i), false)
 		notifyProgress(ctx, "loop", int(done.Add(1)), total)
 		if err != nil {
 			// A cancelled parent context is fatal, never a containable
 			// per-loop failure: a timed-out job must not masquerade as a
 			// (cacheable) partial result.
-			if FailFast() || ctx.Err() != nil {
+			if e.FailFast || ctx.Err() != nil {
 				return err
 			}
 			fails[i] = AsSimError(err)
@@ -350,7 +340,7 @@ func runBenchmark(ctx context.Context, b workloads.Benchmark, pcfg pipeline.Conf
 	// deterministic regardless of worker scheduling.
 	for i, se := range fails {
 		if se != nil {
-			diagnose(se, b.Name, b.Loops[i], seed+int64(i))
+			e.diagnose(se, pcfg, b.Name, b.Loops[i], seed+int64(i))
 			out.Failures = append(out.Failures, se)
 		}
 	}
@@ -381,15 +371,9 @@ func runBenchmark(ctx context.Context, b workloads.Benchmark, pcfg pipeline.Conf
 }
 
 // RunFlexVec runs the Fig 13 comparison for a benchmark (weighted over its
-// loops, which fan out across the worker pool).
-func RunFlexVec(b workloads.Benchmark, seed int64) (flexvec.Result, float64, error) {
-	return RunFlexVecContext(context.Background(), b, seed)
-}
-
-// RunFlexVecContext is RunFlexVec routed through Run (single execution path,
-// remote-executor aware).
-func RunFlexVecContext(ctx context.Context, b workloads.Benchmark, seed int64) (flexvec.Result, float64, error) {
-	res, err := Run(ctx, Request{Mode: ModeFlexVec, Bench: b.Name, BenchSpec: &b, Seed: seed})
+// loops, which fan out across the worker pool), routed through Run.
+func (e *Env) RunFlexVec(ctx context.Context, b workloads.Benchmark, seed int64) (flexvec.Result, float64, error) {
+	res, err := e.Run(ctx, Request{Mode: ModeFlexVec, Bench: b.Name, BenchSpec: &b, Seed: seed})
 	if err != nil {
 		return flexvec.Result{}, 0, err
 	}
@@ -400,10 +384,10 @@ func RunFlexVecContext(ctx context.Context, b workloads.Benchmark, seed int64) (
 }
 
 // runFlexVec is the local FlexVec comparison behind Run's ModeFlexVec.
-func runFlexVec(ctx context.Context, b workloads.Benchmark, seed int64) (flexvec.Result, float64, error) {
+func (e *Env) runFlexVec(ctx context.Context, b workloads.Benchmark, seed int64) (flexvec.Result, float64, error) {
 	var agg flexvec.Result
 	results := make([]flexvec.Result, len(b.Loops))
-	err := parMap(len(b.Loops), func(i int) error {
+	err := e.parMap(len(b.Loops), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -442,17 +426,11 @@ func errNoPayload(mode Mode, want string) error {
 }
 
 // RunLimit executes the §II limit study for a benchmark, profiling the
-// inner loops concurrently and summarising them in order.
-func RunLimit(b workloads.Benchmark, seed int64) trace.Study {
-	s, _ := RunLimitContext(context.Background(), b, seed)
-	return s
-}
-
-// RunLimitContext is RunLimit routed through Run. The error return is nil
-// for local runs (profiling cannot fail) and surfaces transport failures
-// when an Executor is installed.
-func RunLimitContext(ctx context.Context, b workloads.Benchmark, seed int64) (trace.Study, error) {
-	res, err := Run(ctx, Request{Mode: ModeLimit, Bench: b.Name, BenchSpec: &b, Seed: seed})
+// inner loops concurrently and summarising them in order. It routes through
+// Run; the error is nil for local runs (profiling cannot fail) and surfaces
+// transport failures when the Env has an Executor.
+func (e *Env) RunLimit(ctx context.Context, b workloads.Benchmark, seed int64) (trace.Study, error) {
+	res, err := e.Run(ctx, Request{Mode: ModeLimit, Bench: b.Name, BenchSpec: &b, Seed: seed})
 	if err != nil {
 		return trace.Study{}, err
 	}
@@ -463,9 +441,9 @@ func RunLimitContext(ctx context.Context, b workloads.Benchmark, seed int64) (tr
 }
 
 // runLimit is the local limit study behind Run's ModeLimit.
-func runLimit(b workloads.Benchmark, seed int64) trace.Study {
+func (e *Env) runLimit(b workloads.Benchmark, seed int64) trace.Study {
 	wls := make([]trace.WeightedLoop, len(b.Limit))
-	_ = parMap(len(b.Limit), func(i int) error {
+	_ = e.parMap(len(b.Limit), func(i int) error {
 		ll := b.Limit[i]
 		l, im := workloads.LoopSpec{Shape: ll.Shape}.Instantiate(seed + int64(i))
 		p := trace.ProfileLoop(l, im)

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"srvsim/internal/pipeline"
 )
@@ -190,59 +187,6 @@ func (a attribution) simErr(kind FailKind, format string, args ...any) *SimError
 // when needed), for callers that hold errors from mixed sources.
 func AsSimError(err error) *SimError {
 	return attribution{}.classify(err)
-}
-
-// ---- Fleet-level failure policy knobs ----
-// All knobs are safe for concurrent use; like SetParallelism they are
-// process-wide, set once by the CLI before the fleet fans out.
-
-var (
-	failFast    atomic.Bool
-	simTimeout  atomic.Int64 // nanoseconds; 0 = no wall-clock bound
-	refTick     atomic.Bool
-	crashDirMu  sync.Mutex
-	crashDirVal string
-)
-
-// SetFailFast restores the pre-resilience behaviour: the first failing
-// (benchmark, loop, variant) aborts the evaluation instead of being
-// collected into the report.
-func SetFailFast(on bool) { failFast.Store(on) }
-
-// FailFast reports whether fail-fast mode is on.
-func FailFast() bool { return failFast.Load() }
-
-// SetRefTickCore runs every loop simulation on the per-cycle reference tick
-// core instead of the default event-driven scheduler. The two are held
-// bit-identical by the equivalence suite, but wall-clock throughput differs
-// wildly, so timing reports record the setting (TimingReport.RefTickCore)
-// and benchgate warns when a baseline and a fresh run disagree on it.
-func SetRefTickCore(on bool) { refTick.Store(on) }
-
-// RefTickCore reports whether simulations run on the reference tick core.
-func RefTickCore() bool { return refTick.Load() }
-
-// SetSimTimeout bounds each simulation's wall-clock time via the pipeline's
-// cooperative cancellation hook. 0 disables the bound (the default).
-func SetSimTimeout(d time.Duration) { simTimeout.Store(int64(d)) }
-
-// SimTimeout returns the per-simulation wall-clock bound.
-func SimTimeout() time.Duration { return time.Duration(simTimeout.Load()) }
-
-// SetCrashDir selects where crash artifacts are written and enables the
-// automatic diagnostic re-run of failed variants. Empty (the default)
-// disables both — tests and library users opt in explicitly.
-func SetCrashDir(dir string) {
-	crashDirMu.Lock()
-	crashDirVal = dir
-	crashDirMu.Unlock()
-}
-
-// CrashDir returns the crash-artifact directory ("" = disabled).
-func CrashDir() string {
-	crashDirMu.Lock()
-	defer crashDirMu.Unlock()
-	return crashDirVal
 }
 
 // FleetError reports that an evaluation completed with contained failures:

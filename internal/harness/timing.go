@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +52,7 @@ type TimingReport struct {
 	GoMaxProcs    int    `json:"gomaxprocs"`
 	GoVersion     string `json:"go_version"`
 	// RefTickCore records whether the run used the per-cycle reference tick
-	// core (SetRefTickCore) instead of the event-driven scheduler. Simulated
+	// core (Env.RefTickCore) instead of the event-driven scheduler. Simulated
 	// cycles are identical either way, but wall-clock throughput is not, so
 	// benchgate warns when a baseline and a fresh report disagree on it.
 	RefTickCore bool          `json:"ref_tick_core,omitempty"`
@@ -61,10 +62,10 @@ type TimingReport struct {
 }
 
 // WriteTimings wall-clocks RunBenchmark for every workload (or the named
-// subset; nil = all) and writes the report to path. Contained per-loop
-// failures are summarised on stderr and surface as a *FleetError after the
-// report is written.
-func WriteTimings(path string, seed int64, benches []string) error {
+// subset; nil = all) and writes the report to path, with the Env's fleet
+// counters reset at the start. Contained per-loop failures are summarised
+// on stderr and surface as a *FleetError after the report is written.
+func (e *Env) WriteTimings(ctx context.Context, path string, seed int64, benches []string) error {
 	want := map[string]bool{}
 	for _, b := range benches {
 		want[b] = true
@@ -83,11 +84,11 @@ func WriteTimings(path string, seed int64, benches []string) error {
 		SchemaVersion: SchemaVersion,
 		CodeVersion:   CodeVersion,
 		Seed:          seed,
-		Workers:       Parallelism(),
+		Workers:       e.workers(),
 		NumCPU:        runtime.NumCPU(),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		GoVersion:     runtime.Version(),
-		RefTickCore:   RefTickCore(),
+		RefTickCore:   e.RefTickCore,
 	}
 	// The previous report at the same path (if readable) supplies the
 	// informational cycles_per_sec deltas. Errors are deliberately ignored:
@@ -99,7 +100,7 @@ func WriteTimings(path string, seed int64, benches []string) error {
 		}
 	}
 	var fails []*SimError
-	ResetFleet()
+	e.ResetFleet()
 	start := time.Now()
 	var ms runtime.MemStats
 	for _, b := range workloads.All() {
@@ -109,7 +110,7 @@ func WriteTimings(path string, seed int64, benches []string) error {
 		runtime.ReadMemStats(&ms)
 		mallocs0 := ms.Mallocs
 		t0 := time.Now()
-		br, err := RunBenchmark(b, seed)
+		br, err := e.RunBenchmark(ctx, b, seed)
 		if err != nil {
 			return err
 		}
@@ -139,7 +140,7 @@ func WriteTimings(path string, seed int64, benches []string) error {
 		rep.Benchmarks = append(rep.Benchmarks, bt)
 	}
 	rep.TotalWallMS = float64(time.Since(start).Microseconds()) / 1e3
-	rep.Fleet = SnapshotFleet()
+	rep.Fleet = e.SnapshotFleet()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

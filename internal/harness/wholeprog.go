@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -62,7 +63,7 @@ func scalarIterLen(l *compiler.Loop) (int, error) {
 
 // RunWholeProgram builds and measures the synthetic application for one
 // benchmark, using its first (heaviest) SRV loop.
-func RunWholeProgram(b workloads.Benchmark, seed int64) (WholeProgramResult, error) {
+func (e *Env) RunWholeProgram(ctx context.Context, b workloads.Benchmark, seed int64) (WholeProgramResult, error) {
 	res := WholeProgramResult{Bench: b.Name, Coverage: b.Coverage}
 	ls := b.Loops[0]
 	// A reduced trip count keeps the synthetic application tractable; the
@@ -115,7 +116,7 @@ func RunWholeProgram(b workloads.Benchmark, seed int64) (WholeProgramResult, err
 		p := pipeline.New(cfg(), prog, im)
 		warm(p, loop)
 		warm(p, f1)
-		if err := p.Run(); err != nil {
+		if err := p.RunContext(ctx); err != nil {
 			return nil, err
 		}
 		return p, nil
@@ -132,7 +133,7 @@ func RunWholeProgram(b workloads.Benchmark, seed int64) (WholeProgramResult, err
 	res.Direct = float64(sp.Stats.Cycles) / float64(vp.Stats.Cycles)
 
 	// Estimates from the isolated loop measurement.
-	lr, err := RunLoop(b.Name, ls, seed)
+	lr, err := e.RunLoop(ctx, b.Name, ls, seed)
 	if err != nil {
 		return res, err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func TestWholeProgramAmdahlAgreesWithDirectSimulation(t *testing.T) {
 	for _, name := range []string{"is", "xalancbmk", "bzip2"} {
 		b, _ := workloads.ByName(name)
-		r, err := RunWholeProgram(b, 7)
+		r, err := testEnv().RunWholeProgram(context.Background(), b, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -31,10 +31,10 @@ const DefaultPollTimeout = 30 * time.Second
 var ErrResponseTooLarge = errors.New("serve: response too large")
 
 // Client talks to a srvd daemon. Its Executor method plugs into
-// harness.SetExecutor, turning every harness.Run in the process — and
-// therefore every RunLoop/RunBenchmark/... wrapper and every figure — into a
-// remote call, which is how `srvbench -remote` farms a whole experiment
-// fleet out to one daemon (deduplicated by its result cache).
+// harness.Env.Executor, turning every Run of that Env — and therefore every
+// RunLoop/RunBenchmark/... wrapper and every figure — into a remote call,
+// which is how `srvbench -remote` farms a whole experiment fleet out to one
+// daemon (deduplicated by its result cache).
 //
 // The client is resilient by default: idempotent-safe failures (connection
 // errors, 429/503/504 — never typed simulation failures) are retried with
@@ -352,8 +352,9 @@ func (c *Client) Do(ctx context.Context, req harness.Request) (harness.Result, e
 	return res, nil
 }
 
-// Executor adapts the client to harness.SetExecutor. The daemon itself must
-// never install one (harness.Run would recurse over the network).
+// Executor adapts the client to harness.Env.Executor. A daemon's own Env
+// (Config.Harness) must never have one: its jobs would recurse over the
+// network.
 func (c *Client) Executor() harness.Executor {
 	return func(ctx context.Context, req harness.Request) (harness.Result, error) {
 		return c.Do(ctx, req)

@@ -191,6 +191,27 @@ func TestSynchronousWait(t *testing.T) {
 	}
 }
 
+// TestNodeHarnessEnv: a node given its own harness Env runs its jobs there,
+// so its simulations add to that Env's fleet counters and leave the package
+// default Env's untouched.
+func TestNodeHarnessEnv(t *testing.T) {
+	harness.ResetFleet()
+	env := &harness.Env{Parallelism: 2}
+	_, c := startServer(t, Config{Harness: env})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	if _, err := c.Do(ctx, testLoopReq()); err != nil {
+		t.Fatal(err)
+	}
+	if s := env.SnapshotFleet(); s.Simulations != 2 {
+		t.Errorf("node Env counted %d simulations, want 2 (scalar and SRV)", s.Simulations)
+	}
+	if s := harness.SnapshotFleet(); s.Simulations != 0 || s.BusyMS != 0 {
+		t.Errorf("the default Env counted the node's work: %+v", s)
+	}
+}
+
 func TestInvalidRequestIs400(t *testing.T) {
 	s, c := startServer(t, Config{})
 	ctx := context.Background()

@@ -58,13 +58,18 @@ const DefaultMaxInflightBytes = 32 << 20
 
 // Config sizes the service.
 type Config struct {
+	// Harness is the environment jobs run in: worker bound, reference
+	// core, timeouts and the fleet counters the node's simulations add to.
+	// nil runs them in the harness package's default Env. It must not have
+	// an Executor (a node's jobs would recurse over the network).
+	Harness *harness.Env
 	// NodeID names this node in a fleet: reported by /v1/healthz and stamped
 	// on every JobStatus, so a gateway (cmd/srvgw) and its users can see
 	// where a job ran. Empty is fine for a standalone daemon.
 	NodeID string
 	// Workers is the number of jobs executed concurrently. Each job already
 	// fans its simulations out across the harness worker pool
-	// (harness.Parallelism), so a small number of job workers saturates the
+	// (Harness.Parallelism), so a small number of job workers saturates the
 	// machine; the default is 2 (one draining while one fills the pool).
 	Workers int
 	// QueueSize bounds the number of jobs waiting to run; submissions beyond
@@ -534,7 +539,11 @@ func (s *Server) runJob(j *job) {
 			map[string]string{"op": string(rec.Op)})
 	}
 
-	res, err := harness.Run(ctx, j.req)
+	run := harness.Run
+	if s.cfg.Harness != nil {
+		run = s.cfg.Harness.Run
+	}
+	res, err := run(ctx, j.req)
 	if err != nil {
 		se := harness.AsSimError(err)
 		fr := se.Record()
