@@ -106,18 +106,22 @@ resume-smoke: build
 # submissions, one node is drained and its listener torn down mid-queue, and
 # the run must finish with zero lost jobs and results byte-identical to local
 # execution; a resubmission is a gateway cache hit, and one client-rooted
-# trace spans gateway and node.
+# trace spans gateway and node. An async job nobody polls through the gateway
+# still settles its rescue record, and the gateway's replies to submissions,
+# status polls and streams are the owning node's, byte for byte.
 fleet-smoke: build
-	$(GO) test -race -timeout 15m -run '^(TestFleetDrainHandoff|TestGatewayCacheTier|TestGatewayOneTraceEndToEnd)$$' ./internal/gateway
+	$(GO) test -race -timeout 15m -run '^(TestFleetDrainHandoff|TestGatewayCacheTier|TestGatewayOneTraceEndToEnd|TestGatewaySweepSettlesUnpolledJobs|TestGatewayPassesNodeRepliesVerbatim)$$' ./internal/gateway
 
 # tenant-smoke is the multi-tenant isolation drill, run under the race
 # detector. At the node: a weight-4 interactive tenant finishes, byte-identical
 # to local execution, while a 40-job flood queued ahead of it is still
 # backlogged, and every job completes; the rate and in-flight-bytes quotas
 # refuse with an honest retry hint; each brownout step sheds what it should
-# while cache hits are still served. At the gateway: the edge quotas refuse
-# with 429 over_capacity and return their charge once the job is seen
-# terminal, and /v1/healthz reports the least-degraded eligible node's step.
+# while cache hits are still served. Through the gateway, which enforces no
+# quotas of its own: each node's quota refusal hands off to the next node and
+# the last one reaches the client untouched, a finished job returns its node
+# byte charge with nobody polling the gateway, and /v1/healthz reports the
+# least-degraded eligible node's step.
 tenant-smoke: build
 	$(GO) test -race -timeout 15m -run '^(TestMultiTenantChaos|TestBrownoutSteps|TestQuotasRate|TestQuotasInflightBytes|TestGatewayTenantQuota|TestGatewayBrownoutAggregate)$$' ./internal/serve ./internal/gateway
 

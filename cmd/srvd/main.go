@@ -36,7 +36,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	nodeID := flag.String("node-id", "", "fleet node name stamped on health and job statuses (empty = standalone)")
+	nodeID := flag.String("node-id", "", "fleet node name stamped on health and job statuses; set it on every fleet node, since a gateway passes statuses through unchanged (empty = standalone)")
 	par := flag.Int("parallel", harness.DefaultParallelism(), "max concurrent simulations per job (1 = serial)")
 	jobWorkers := flag.Int("job-workers", 2, "jobs executed concurrently (each fans out over -parallel workers)")
 	queueSize := flag.Int("queue", 64, "max queued jobs before submissions get 429")

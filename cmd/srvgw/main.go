@@ -4,7 +4,10 @@
 // and readmit nodes (riding the serve client's circuit breaker), a
 // gateway-tier LRU answers repeats without a hop, work-stealing reroutes
 // around overloaded shards, and jobs on a draining node are handed off to
-// the next ring owner instead of failing.
+// the next ring owner instead of failing. Node replies pass through byte for
+// byte, so a job status names the node that ran it by that node's own
+// -node-id. The gateway enforces no tenant quotas: each node enforces its
+// own, so give every node its -node-id and its share of each quota.
 //
 // Usage:
 //
@@ -46,18 +49,6 @@ func main() {
 		"bound the gateway-tier cache by total payload bytes (0 = default 256MiB, negative = entry count only)")
 	handoffBudget := flag.Int("handoff-budget", 0,
 		"max extra ring owners tried per submission beyond the shard owner (0 = default 3, negative = owner only)")
-	tenantRate := flag.Float64("tenant-rate", 0, "uniform per-tenant submissions/sec quota enforced at the edge (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 0, "uniform per-tenant submission burst absorbed on top of -tenant-rate")
-	tenantBytes := flag.Int64("tenant-inflight-bytes", 0, "uniform per-tenant cap on admitted-but-unfinished body bytes (0 = unlimited)")
-	tenantOverrides := map[string]serve.TenantLimits{}
-	flag.Func("tenant", "per-tenant quota override, repeatable: name:weight=4,rate=2,burst=8,bytes=1048576 (name \"default\" = requests without "+serve.HeaderTenant+")", func(spec string) error {
-		name, l, err := serve.ParseTenantOverride(spec)
-		if err != nil {
-			return err
-		}
-		tenantOverrides[name] = l
-		return nil
-	})
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log line format: text|json")
 	flag.Parse()
@@ -81,13 +72,7 @@ func main() {
 		HealthInterval:   *healthInterval,
 		MaxInflightBytes: *maxInflight,
 		HandoffBudget:    *handoffBudget,
-		TenantQuota: serve.TenantLimits{
-			SubmitRate:       *tenantRate,
-			SubmitBurst:      *tenantBurst,
-			MaxInflightBytes: *tenantBytes,
-		},
-		TenantQuotas: tenantOverrides,
-		Logger:       logger,
+		Logger:           logger,
 	})
 	if err != nil {
 		logger.Error("fatal", "err", err)

@@ -58,13 +58,6 @@ type Config struct {
 	// HandoffBudget caps hand-off attempts beyond the shard owner. 0 selects
 	// DefaultHandoffBudget; negative disables hand-off entirely (owner only).
 	HandoffBudget int
-	// TenantQuota is the edge-enforced per-tenant quota applied to tenants
-	// without an override: submission rate and in-flight body bytes. Nodes
-	// enforce their own quotas again behind the gateway (the gateway guards
-	// the edge window; nodes guard queue residency). Zero = unlimited.
-	TenantQuota serve.TenantLimits
-	// TenantQuotas overrides TenantQuota for named tenants.
-	TenantQuotas map[string]serve.TenantLimits
 	// StealThreshold: when the owning node's predicted queue wait exceeds
 	// this, the submission is routed to the least-loaded eligible node
 	// instead. 0 selects DefaultStealThreshold; negative disables stealing.
@@ -115,15 +108,15 @@ func (c Config) withDefaults() Config {
 // drains or dies. The canonical body is that fault-recovery state — the
 // request is content-addressed and the simulator deterministic, so any node
 // turns it into the byte-identical result. The record is deleted once the
-// gateway sees the key terminal.
+// gateway sees the key terminal, through a reply it passes on or its own
+// health-poll sweep.
 type rescueRecord struct {
-	key       string
-	body      []byte // canonical request JSON, the resubmission payload
-	tenant    string // submitting principal, forwarded as X-Srv-Tenant
-	bodyBytes int64  // charged against the tenant's in-flight-bytes quota
-	deadline  time.Time
-	budget    int              // remaining hand-off attempts beyond the first forward
-	trace     obsv.SpanContext // trace + the gateway's route span (forwarded parent)
+	key      string
+	body     []byte // canonical request JSON, the resubmission payload
+	tenant   string // the caller's X-Srv-Tenant header, forwarded as is
+	deadline time.Time
+	budget   int              // remaining hand-off attempts beyond the first forward
+	trace    obsv.SpanContext // trace + the gateway's route span (forwarded parent)
 
 	mu   sync.Mutex
 	node string // owning node's ring name
@@ -149,7 +142,6 @@ type Gateway struct {
 	nodes  map[string]*node
 	order  []string // configured node order, for stable iteration
 	cache  *serve.ResultCache
-	quotas *serve.Quotas
 	met    gwMetrics
 	reg    *obsv.Registry
 	spans  *obsv.SpanRecorder
@@ -178,7 +170,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:   NewRing(cfg.VirtualNodes),
 		nodes:  make(map[string]*node, len(cfg.Nodes)),
 		cache:  serve.NewResultCacheBytes(cfg.CacheSize, cfg.CacheMaxBytes),
-		quotas: serve.NewQuotas(cfg.TenantQuota, cfg.TenantQuotas),
 		jobs:   make(map[string]*rescueRecord),
 		spans:  obsv.NewSpanRecorder(cfg.SpanCap),
 		logger: cfg.Logger,
@@ -205,7 +196,7 @@ func (g *Gateway) Registry() *obsv.Registry { return g.reg }
 // Spans exposes the gateway's span recorder.
 func (g *Gateway) Spans() *obsv.SpanRecorder { return g.spans }
 
-// Start launches the health-poll loop (which also drives drain rescue).
+// Start launches the health-poll loop (which also sweeps rescue records).
 func (g *Gateway) Start() {
 	g.started = time.Now()
 	g.pollOnce() // seed eligibility before the first request arrives
@@ -245,8 +236,8 @@ func (g *Gateway) pollLoop() {
 }
 
 // pollOnce refreshes every node's health snapshot concurrently (a dead node
-// must not stall the loop past its own timeout), then rescues jobs stranded
-// on ineligible nodes.
+// must not stall the loop past its own timeout), then sweeps the rescue
+// records.
 func (g *Gateway) pollOnce() {
 	g.met.healthPolls.Add(1)
 	var wg sync.WaitGroup
@@ -259,7 +250,7 @@ func (g *Gateway) pollOnce() {
 		}()
 	}
 	wg.Wait()
-	g.rescueOrphans()
+	g.sweep()
 }
 
 // route returns the eligible nodes for key in hand-off order: ring
@@ -315,10 +306,11 @@ func (g *Gateway) Handler() http.Handler {
 // handleSubmit admits one harness.Request at the edge: mirror the node-side
 // guards (size, validity), answer repeats from the gateway-tier cache, then
 // route by CacheKey and forward — handing off along the ring when the owner
-// is draining, over capacity, or unreachable. ?wait=1 stays synchronous end
-// to end. The whole exchange lives under one TraceID: the caller's
-// traceparent (or a fresh trace) parents the gateway's route span, which in
-// turn parents the owning node's admission span.
+// is draining, over capacity (its tenant quotas included), or unreachable —
+// and pass the accepting node's reply through byte for byte. ?wait=1 stays
+// synchronous end to end. The whole exchange lives under one TraceID: the
+// caller's traceparent (or a fresh trace) parents the gateway's route span,
+// which in turn parents the owning node's admission span.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
 	parent, propagated := obsv.ParseTraceparent(r.Header.Get("traceparent"))
@@ -359,22 +351,6 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		g.met.invalid.Add(1)
 		routed("invalid", nil)
 		serve.WriteError(w, serve.CodeInvalidRequest, "decoding request: %v", err)
-		return
-	}
-
-	// Tenant identity: the header overrides the body, and the resolved value
-	// is stamped back into the request so the owning node sees the same
-	// principal the gateway accounted for.
-	tenant := req.Tenant
-	if h := r.Header.Get(serve.HeaderTenant); h != "" {
-		tenant = h
-	}
-	req.Tenant = tenant
-	if ok, wait := g.quotas.AdmitRate(tenant); !ok {
-		g.met.shedQuota.Add(1)
-		routed("quota-rate", map[string]string{"tenant": tenant})
-		serve.WriteErrorRetry(w, serve.CodeOverCapacity, wait,
-			"tenant %q over submission rate quota", tenantLabel(tenant))
 		return
 	}
 
@@ -438,34 +414,18 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			budget = b
 		}
 	}
+	// The tenant is the node's to resolve and enforce: the header rides along
+	// as is, and the body's tenant field rides the canonical body.
 	rec := &rescueRecord{
-		key: key, body: canonical, tenant: tenant, bodyBytes: int64(len(body)),
+		key: key, body: canonical, tenant: r.Header.Get(serve.HeaderTenant),
 		deadline: deadline, budget: budget,
 		trace: obsv.SpanContext{Trace: parent.Trace, Span: route.Span},
-	}
-
-	// In-flight-bytes quota, charged only for work that will start on a node:
-	// a key with a rescue record is already charged, and its owner coalesces
-	// the repeat onto the live job. The charge is returned when the gateway
-	// sees the key terminal, or on refusal below.
-	g.mu.RLock()
-	_, joined := g.jobs[key]
-	g.mu.RUnlock()
-	if joined {
-		rec.bodyBytes = 0
-	} else if !g.quotas.AdmitBytes(tenant, rec.bodyBytes) {
-		g.met.shedQuota.Add(1)
-		routed("quota-bytes", map[string]string{"tenant": tenant})
-		serve.WriteErrorRetry(w, serve.CodeOverCapacity, g.cfg.HealthInterval,
-			"tenant %q over in-flight bytes quota", tenantLabel(tenant))
-		return
 	}
 
 	wait := r.URL.Query().Get("wait")
 	syncWait := wait == "1" || wait == "true"
 	resp, owner := g.forwardSubmit(r.Context(), rec, syncWait)
 	if owner == nil {
-		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			g.met.shedDeadline.Add(1)
 			routed("deadline-expired", map[string]string{"cache_key": key})
@@ -487,72 +447,33 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	g.met.submitted.Add(1)
-	if resp.Status/100 != 2 {
-		// A terminal failure envelope (failed ?wait=1 job) forwards untouched
-		// and settles the key.
-		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
-		var env struct {
-			Error serve.APIError `json:"error"`
-		}
-		if json.Unmarshal(resp.Body, &env) == nil && env.Error.Job != nil {
-			g.settle(key)
-		}
-		routed("forwarded-error", map[string]string{
-			"node": owner.name, "cache_key": key, "status": fmt.Sprint(resp.Status)})
-		g.forwardRaw(w, resp)
-		return
-	}
-
-	var st serve.JobStatus
-	if err := json.Unmarshal(resp.Body, &st); err != nil {
-		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
-		routed("decode-error", map[string]string{"node": owner.name})
-		serve.WriteError(w, serve.CodeInternal, "decoding node response: %v", err)
-		return
-	}
-	st.Node = owner.name
 	rec.node = owner.name
-	if g.observe(key, st) {
-		g.quotas.ReleaseBytes(tenant, rec.bodyBytes)
-	} else {
+	if !g.observeReply(key, resp) && resp.Status/100 == 2 {
 		g.track(rec)
 	}
-	routed("forwarded", map[string]string{"node": owner.name, "job": key, "cache_key": key})
+	routed("forwarded", map[string]string{
+		"node": owner.name, "job": key, "cache_key": key, "status": fmt.Sprint(resp.Status)})
 	g.logger.Info("job routed", "trace_id", parent.Trace.String(), "job", key,
-		"node", owner.name, "cache_key", key, "sync", syncWait)
-	serve.WriteJSON(w, resp.Status, st)
+		"node", owner.name, "cache_key", key, "sync", syncWait, "status", resp.Status)
+	g.forwardRaw(w, resp)
 }
 
-// track keeps rec as its key's rescue record. When one is kept already, or
-// the key finished meanwhile (its result reached the gateway cache), rec's
-// byte charge is returned instead.
+// track keeps rec as its key's rescue record, unless one is kept already or
+// the key finished meanwhile (its result reached the gateway cache).
 func (g *Gateway) track(rec *rescueRecord) {
 	g.mu.Lock()
-	_, dup := g.jobs[rec.key]
-	if !dup {
-		if _, dup = g.cache.Get(rec.key); !dup {
-			g.jobs[rec.key] = rec
-		}
+	defer g.mu.Unlock()
+	if _, dup := g.jobs[rec.key]; dup {
+		return
 	}
-	g.mu.Unlock()
-	if dup {
-		g.quotas.ReleaseBytes(rec.tenant, rec.bodyBytes)
+	if _, done := g.cache.Get(rec.key); !done {
+		g.jobs[rec.key] = rec
 	}
 }
 
-// settle drops key's rescue record, if any, and returns its byte charge.
-func (g *Gateway) settle(key string) {
-	g.mu.Lock()
-	rec := g.jobs[key]
-	delete(g.jobs, key)
-	g.mu.Unlock()
-	if rec != nil {
-		g.quotas.ReleaseBytes(rec.tenant, rec.bodyBytes)
-	}
-}
-
-// observe settles key when a node reports it terminal, caching a done result
-// at the gateway tier. It reports whether the key is terminal.
+// observe settles key when a node reports it terminal: a done result is
+// cached at the gateway tier and the key's rescue record is dropped. It
+// reports whether the key is terminal.
 func (g *Gateway) observe(key string, st serve.JobStatus) bool {
 	if st.State != serve.StateDone && st.State != serve.StateFailed {
 		return false
@@ -560,8 +481,31 @@ func (g *Gateway) observe(key string, st serve.JobStatus) bool {
 	if st.State == serve.StateDone && len(st.Result) > 0 {
 		g.cache.Put(key, st.Result)
 	}
-	g.settle(key)
+	g.mu.Lock()
+	delete(g.jobs, key)
+	g.mu.Unlock()
 	return true
+}
+
+// observeReply observes the JobStatus in a node's reply about key: the body
+// of a 2xx, or the job a failed ?wait=1 submission's error envelope carries.
+// The reply itself is left untouched for the caller to pass on.
+func (g *Gateway) observeReply(key string, resp *serve.APIResponse) bool {
+	var st serve.JobStatus
+	if resp.Status/100 == 2 {
+		if json.Unmarshal(resp.Body, &st) != nil {
+			return false
+		}
+	} else {
+		var env struct {
+			Error serve.APIError `json:"error"`
+		}
+		if json.Unmarshal(resp.Body, &env) != nil || env.Error.Job == nil {
+			return false
+		}
+		st = *env.Error.Job
+	}
+	return g.observe(key, st)
 }
 
 // record returns key's rescue record, or nil.
@@ -670,10 +614,7 @@ func (g *Gateway) forwardRaw(w http.ResponseWriter, resp *serve.APIResponse) {
 }
 
 // handleStatus answers a job ID (its CacheKey) from the gateway cache, else
-// from its rescue record's owner, else from the key's ring owner, passing a
-// node's reply through (a 404 included) with the owner stamped. An
-// unreachable or forgetful owner of a live record triggers an immediate
-// rescue.
+// passes through the reply of the node refresh asks (a 404 included).
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("id")
 	if data, ok := g.cache.Get(key); ok {
@@ -682,42 +623,40 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	rec := g.record(key)
+	resp, err := g.refresh(r.Context(), key, g.record(key))
+	if err != nil {
+		serve.WriteErrorRetry(w, serve.CodeDraining, g.cfg.HealthInterval, "%v", err)
+		return
+	}
+	g.forwardRaw(w, resp)
+}
+
+// refresh asks key's owner — its rescue record's owner, else its ring owner —
+// for the key's status, observes the reply and returns it. An unreachable or
+// forgetful (404) owner of a live record triggers an immediate rescue, and
+// the new owner's reply stands in, with the 200 a status poll answers.
+func (g *Gateway) refresh(ctx context.Context, key string, rec *rescueRecord) (*serve.APIResponse, error) {
 	owner := g.ownerOf(key, rec)
-	resp, err := owner.client.RoundTrip(r.Context(), http.MethodGet, "/v1/sims/"+key, nil, nil, serve.DefaultPollTimeout)
+	resp, err := owner.client.RoundTrip(ctx, http.MethodGet, "/v1/sims/"+key, nil, nil, serve.DefaultPollTimeout)
 	if rec != nil && (err != nil || resp.Status == http.StatusNotFound) {
 		// The owner is gone (or restarted without its journal): resubmit to
 		// the next ring owner and report the job there.
-		if st, ok := g.rescue(rec, owner.name); ok {
-			serve.WriteJSON(w, http.StatusOK, st)
-			return
+		if resp = g.rescue(rec, owner.name); resp == nil {
+			return nil, fmt.Errorf("owner of job %s unreachable and no eligible node to rescue to", key)
 		}
-		serve.WriteErrorRetry(w, serve.CodeDraining, g.cfg.HealthInterval,
-			"owner of job %s unreachable and no eligible node to rescue to", key)
-		return
+		resp.Status = http.StatusOK
+		return resp, nil
 	}
 	if err != nil {
-		serve.WriteErrorRetry(w, serve.CodeDraining, g.cfg.HealthInterval,
-			"owner of job %s unreachable: %v", key, err)
-		return
+		return nil, fmt.Errorf("owner of job %s unreachable: %v", key, err)
 	}
-	if resp.Status/100 != 2 {
-		g.forwardRaw(w, resp)
-		return
-	}
-	var st serve.JobStatus
-	if err := json.Unmarshal(resp.Body, &st); err != nil {
-		serve.WriteError(w, serve.CodeInternal, "decoding node response: %v", err)
-		return
-	}
-	st.Node = owner.name
-	g.observe(key, st)
-	serve.WriteJSON(w, http.StatusOK, st)
+	g.observeReply(key, resp)
+	return resp, nil
 }
 
 // handleStream proxies the NDJSON stream of the node handleStatus would ask,
-// line by line, stamping the owner on the terminal JobStatus. A key the
-// gateway cache holds answers at once with its done status.
+// line by line and byte for byte, observing the terminal JobStatus. A key
+// the gateway cache holds answers at once with its own done status.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("id")
 	if data, ok := g.cache.Get(key); ok {
@@ -749,29 +688,28 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var st serve.JobStatus
-		if err := json.Unmarshal(line, &st); err == nil && st.ID == key && st.State != "" {
-			st.Node = owner.name
+		if json.Unmarshal(line, &st) == nil && st.ID == key && st.State != "" {
 			g.observe(key, st)
-			_ = enc.Encode(st)
-		} else {
-			_, _ = w.Write(append(line, '\n'))
 		}
+		_, _ = w.Write(append(line, '\n'))
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 }
 
-// rescueOrphans resubmits every live key whose owner has become ineligible
-// (draining, ejected, or failing health polls) to the next ring owner — the
+// sweep refreshes every rescue record, without holding g.mu across the
+// calls. A key whose owner has become ineligible (draining, ejected, or
+// failing health polls) is resubmitted to the next ring owner — the
 // drain-aware hand-off for asynchronous jobs whose submitter is long gone.
-func (g *Gateway) rescueOrphans() {
+// Any other key is refreshed as a status poll would be, so a job that
+// finished with nobody polling through the gateway still settles its record.
+func (g *Gateway) sweep() {
 	g.mu.RLock()
 	recs := make([]*rescueRecord, 0, len(g.jobs))
 	for _, rec := range g.jobs {
@@ -781,6 +719,8 @@ func (g *Gateway) rescueOrphans() {
 	for _, rec := range recs {
 		owner := rec.owner()
 		if n := g.nodes[owner]; n != nil && n.eligible() {
+			// A failed refresh leaves the record for the next round.
+			_, _ = g.refresh(g.ctx, rec.key, rec)
 			continue
 		}
 		g.rescue(rec, owner)
@@ -788,11 +728,11 @@ func (g *Gateway) rescueOrphans() {
 }
 
 // rescue resubmits one live key to the next eligible ring owner after
-// exclude and returns that node's status for it. The duplicate submission is
-// safe: the request is content-addressed and the simulator deterministic, so
-// whichever node finishes first populates the caches with the byte-identical
-// Result.
-func (g *Gateway) rescue(rec *rescueRecord, exclude string) (serve.JobStatus, bool) {
+// exclude and returns that node's observed reply, or nil when none took it.
+// The duplicate submission is safe: the request is content-addressed and the
+// simulator deterministic, so whichever node finishes first populates the
+// caches with the byte-identical Result.
+func (g *Gateway) rescue(rec *rescueRecord, exclude string) *serve.APIResponse {
 	header := rec.header()
 	cands := g.route(rec.key, exclude)
 	if max := 1 + g.cfg.HandoffBudget; len(cands) > max {
@@ -811,20 +751,15 @@ func (g *Gateway) rescue(rec *rescueRecord, exclude string) (serve.JobStatus, bo
 		if resp.Status/100 != 2 {
 			continue
 		}
-		var st serve.JobStatus
-		if err := json.Unmarshal(resp.Body, &st); err != nil {
-			continue
-		}
 		g.met.rescued.Add(1)
 		rec.setOwner(n.name)
-		st.Node = n.name
-		g.observe(rec.key, st)
+		g.observeReply(rec.key, resp)
 		g.logger.Info("job rescued", "job", rec.key, "from", exclude, "to", n.name,
 			"trace_id", rec.trace.Trace.String())
-		return st, true
+		return resp
 	}
 	g.logger.Warn("job stranded: no eligible node to rescue to", "job", rec.key, "from", exclude)
-	return serve.JobStatus{}, false
+	return nil
 }
 
 // Health is the gateway's /v1/healthz payload: the node-compatible summary
@@ -921,13 +856,4 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = g.spans.WriteNDJSON(w)
-}
-
-// tenantLabel renders a tenant identity for humans: the default tenant's
-// empty string reads as "default".
-func tenantLabel(t string) string {
-	if t == "" {
-		return "default"
-	}
-	return t
 }

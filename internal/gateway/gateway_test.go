@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,24 +30,37 @@ func testLoopReq(seed int64) harness.Request {
 	}
 }
 
-// fleet is an in-process gateway over n in-process srvd nodes.
+// fleet is an in-process gateway over n in-process srvd nodes, with every
+// /v1/sims reply the nodes write recorded in replies.
 type fleet struct {
 	nodes   []*serve.Server
 	servers []*httptest.Server
 	gw      *Gateway
 	front   *httptest.Server
+	replies replyLog
 }
 
 func startFleet(t *testing.T, n int, cfg Config) *fleet {
+	return startFleetWith(t, n, cfg, serve.Config{})
+}
+
+// startFleetWith is startFleet with node as every node's config, except that
+// node i is named "node-i" and runs one worker unless node sets Workers.
+func startFleetWith(t *testing.T, n int, cfg Config, node serve.Config) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		srv, err := serve.New(serve.Config{NodeID: fmt.Sprintf("node-%d", i), Workers: 1})
+		nc := node
+		nc.NodeID = fmt.Sprintf("node-%d", i)
+		if nc.Workers == 0 {
+			nc.Workers = 1
+		}
+		srv, err := serve.New(nc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.Start()
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(f.replies.wrap(nc.NodeID, srv.Handler()))
 		f.nodes = append(f.nodes, srv)
 		f.servers = append(f.servers, ts)
 		cfg.Nodes = append(cfg.Nodes, ts.URL)
@@ -71,6 +86,104 @@ func startFleet(t *testing.T, n int, cfg Config) *fleet {
 		}
 	})
 	return f
+}
+
+// reply is one /v1/sims response exactly as a node wrote it.
+type reply struct {
+	node, method, path string
+	status             int
+	body               []byte
+}
+
+// replyLog records node replies in the order the node handlers return.
+type replyLog struct {
+	mu  sync.Mutex
+	all []reply
+}
+
+// wrap records every /v1/sims reply h writes as node.
+func (l *replyLog) wrap(node string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/sims") {
+			h.ServeHTTP(w, r)
+			return
+		}
+		tw := &teeWriter{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(tw, r)
+		l.mu.Lock()
+		l.all = append(l.all, reply{node, r.Method, r.URL.Path, tw.status, tw.body.Bytes()})
+		l.mu.Unlock()
+	})
+}
+
+func (l *replyLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.all)
+}
+
+// since returns the replies to method and path recorded after the first
+// mark. A node handler returns before the gateway can read the reply's end,
+// so a reply the gateway passed on is always here by the time it arrives.
+func (l *replyLog) since(mark int, method, path string) []reply {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []reply
+	for _, r := range l.all[mark:] {
+		if r.method == method && r.path == path {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// teeWriter copies a handler's response body as it is written.
+type teeWriter struct {
+	http.ResponseWriter
+	status int
+	body   bytes.Buffer
+}
+
+func (w *teeWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *teeWriter) Write(p []byte) (int, error) {
+	w.body.Write(p)
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *teeWriter) Flush() {
+	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
+// do sends one raw request to url and returns the response and its body.
+func do(t *testing.T, method, url string, body []byte, header map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range header {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, b
 }
 
 // TestFleetDrainHandoff is the fleet acceptance drill as a -race test: a
@@ -269,7 +382,8 @@ func TestGatewayOneTraceEndToEnd(t *testing.T) {
 // TestGatewayWorkStealing: with the owner's predicted wait pushed over the
 // threshold, a new submission is routed to the least-loaded node instead.
 func TestGatewayWorkStealing(t *testing.T) {
-	f := startFleet(t, 2, Config{StealThreshold: 100 * time.Millisecond})
+	// No poll after the first may overwrite the injected backlog.
+	f := startFleet(t, 2, Config{StealThreshold: 100 * time.Millisecond, HealthInterval: time.Hour})
 	c := serve.NewClient(f.front.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -288,14 +402,18 @@ func TestGatewayWorkStealing(t *testing.T) {
 	n := f.gw.nodes[owner]
 	n.mu.Lock()
 	n.health.PredictedWaitMS = 10_000 // well past the 100ms threshold
+	ownerID := n.health.Node
 	n.mu.Unlock()
+	if ownerID == "" {
+		t.Fatalf("owner %s reported no node ID", owner)
+	}
 
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Node == owner {
-		t.Fatalf("submission stayed on overloaded owner %s", owner)
+	if st.Node == ownerID {
+		t.Fatalf("submission stayed on overloaded owner %s (%s)", ownerID, owner)
 	}
 	if steals := f.gw.Registry().Lookup("gateway.jobs_stolen"); steals == nil || steals.Int() == 0 {
 		t.Fatal("gateway.jobs_stolen did not advance")
@@ -405,76 +523,172 @@ func TestGatewayRepeatHitsKeepNoRecords(t *testing.T) {
 	}
 }
 
-// TestGatewayTenantQuota: the edge enforces tenant quotas before a node sees
-// the submission. A rate-limited tenant's burst ends in 429 over_capacity
-// with an honest retry hint, and an in-flight-bytes cap refuses a second
-// live submission until a status poll shows the first terminal.
+// TestGatewayTenantQuota: tenant quotas live on the nodes alone. With
+// greedy given a burst of 2 at a slow rate on each of 2 nodes, the fleet
+// admits 4 of its submissions (a refusing node's 429 hands off to the other)
+// and answers the 5th with the last node's 429 over_capacity byte for byte,
+// retry hint included. On a 1-node fleet a fire-and-forget job returns its
+// node byte charge when it finishes, with nobody polling the gateway.
 func TestGatewayTenantQuota(t *testing.T) {
-	heavy := testLoopReq(61)
-	heavy.Tenant = "heavy"
-	body, err := json.Marshal(heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := startFleet(t, 2, Config{TenantQuotas: map[string]serve.TenantLimits{
+	f := startFleetWith(t, 2, Config{}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
 		"greedy": {SubmitRate: 0.25, SubmitBurst: 2},
-		"heavy":  {MaxInflightBytes: int64(len(body))}, // room for one live body
 	}})
-	c := serve.NewClient(f.front.URL, serve.WithRetry(serve.RetryPolicy{MaxAttempts: 1}))
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	// The bucket holds 2 tokens and refills one every 4s.
-	for i := 0; i < 3; i++ {
-		req := testLoopReq(int64(50 + i))
-		req.Tenant = "greedy"
-		st, err := c.Submit(ctx, req)
-		if i < 2 {
-			if err != nil {
-				t.Fatalf("burst submit %d: %v", i, err)
-			}
-			if st.Tenant != "greedy" {
-				t.Fatalf("accepted job carries tenant %q, want greedy", st.Tenant)
+	greedy := map[string]string{serve.HeaderTenant: "greedy"}
+	for i := 0; i < 5; i++ {
+		body, _ := json.Marshal(testLoopReq(int64(50 + i)))
+		mark := f.replies.len()
+		resp, got := do(t, http.MethodPost, f.front.URL+"/v1/sims", body, greedy)
+		if i < 4 {
+			var st serve.JobStatus
+			if resp.StatusCode != http.StatusAccepted || json.Unmarshal(got, &st) != nil || st.Tenant != "greedy" {
+				t.Fatalf("submit %d: HTTP %d %s, want 202 for tenant greedy", i, resp.StatusCode, got)
 			}
 			continue
 		}
-		var he *serve.HTTPError
-		if !errors.As(err, &he) || he.Status != http.StatusTooManyRequests || he.Code != serve.CodeOverCapacity {
-			t.Fatalf("over-burst submit: %v, want 429 %s", err, serve.CodeOverCapacity)
+		var env struct {
+			Error serve.APIError `json:"error"`
 		}
-		if he.RetryAfter <= 0 || he.RetryAfter > 4*time.Second {
-			t.Fatalf("retry hint %s, want within (0, 4s]", he.RetryAfter)
+		if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(got, &env) != nil ||
+			env.Error.Code != serve.CodeOverCapacity {
+			t.Fatalf("submit 5: HTTP %d %s, want 429 %s", resp.StatusCode, got, serve.CodeOverCapacity)
 		}
-	}
-	if n := f.gw.Registry().Lookup("gateway.jobs_shed_quota"); n == nil || n.Int() != 1 {
-		t.Fatal("gateway.jobs_shed_quota did not count the rate refusal")
+		if hint := time.Duration(env.Error.RetryAfterMS) * time.Millisecond; hint <= 0 || hint > 4*time.Second {
+			t.Fatalf("retry hint %s, want within (0, 4s]", hint)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("the node's Retry-After header did not pass through")
+		}
+		refusals := f.replies.since(mark, http.MethodPost, "/v1/sims")
+		if len(refusals) != 2 {
+			t.Fatalf("submit 5 reached %d nodes, want both", len(refusals))
+		}
+		if last := refusals[1]; last.status != http.StatusTooManyRequests || !bytes.Equal(last.body, got) {
+			t.Fatalf("gateway refusal differs from %s's:\n  %s\n  %s", last.node, got, last.body)
+		}
 	}
 
+	heavy := testLoopReq(61)
+	heavy.Tenant = "heavy"
+	canonical, _ := heavy.Canonical()
+	body, _ := json.Marshal(canonical)
+	one := startFleetWith(t, 1, Config{}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
+		"heavy": {MaxInflightBytes: int64(len(body))}, // room for one live body
+	}})
+	c := serve.NewClient(one.front.URL, serve.WithRetry(serve.RetryPolicy{MaxAttempts: 1}))
+	node := serve.NewClient(one.servers[0].URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	st, err := c.Submit(ctx, heavy)
 	if err != nil {
 		t.Fatalf("first heavy submit: %v", err)
 	}
-	second := testLoopReq(62)
-	second.Tenant = "heavy"
-	var he *serve.HTTPError
-	if _, err := c.Submit(ctx, second); !errors.As(err, &he) || he.Code != serve.CodeOverCapacity {
-		t.Fatalf("second live heavy submit: %v, want 429 %s", err, serve.CodeOverCapacity)
-	}
-	if n := f.gw.Registry().Lookup("gateway.jobs_shed_quota"); n.Int() != 2 {
-		t.Fatalf("gateway.jobs_shed_quota = %d, want 2", n.Int())
-	}
-	for st.State != serve.StateDone {
-		if st.State == serve.StateFailed {
-			t.Fatalf("heavy job failed: %s", st.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if st, err = c.Status(ctx, st.ID); err != nil {
+	deadline := time.Now().Add(time.Minute)
+	for {
+		h, err := node.Health(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
+		charged := false
+		for _, ts := range h.Tenants {
+			charged = charged || ts.Tenant == "heavy" && ts.InflightBytes != 0
+		}
+		if cur, err := node.Status(ctx, st.ID); err == nil && cur.State == serve.StateDone && !charged {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the node kept heavy's byte charge after its job finished")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if got := f.gw.quotas.InflightBytes("heavy"); got != 0 {
-		t.Fatalf("heavy in-flight bytes = %d after the job finished, want 0", got)
+	second := testLoopReq(62)
+	second.Tenant = "heavy"
+	if _, err := c.Submit(ctx, second); err != nil {
+		t.Fatalf("heavy submit after the first job finished: %v", err)
 	}
+}
+
+// TestGatewaySweepSettlesUnpolledJobs: an async job that finishes with
+// nobody polling through the gateway still leaves no rescue record, and its
+// result reaches the gateway cache, within a few health-poll intervals.
+func TestGatewaySweepSettlesUnpolledJobs(t *testing.T) {
+	f := startFleet(t, 2, Config{})
+	c := serve.NewClient(f.front.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	st, err := c.Submit(ctx, testLoopReq(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Watch the job finish on whichever node runs it, not through the gateway.
+	deadline := time.Now().Add(time.Minute)
+	for done := false; !done; {
+		for _, ts := range f.servers {
+			cur, err := serve.NewClient(ts.URL).Status(ctx, st.ID)
+			done = done || err == nil && cur.State == serve.StateDone
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished on a node", st.ID)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	tracked := f.gw.Registry().Lookup("gateway.jobs_tracked")
+	for settle := time.Now().Add(40 * f.gw.cfg.HealthInterval); tracked.Int() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(settle) {
+			t.Fatalf("gateway.jobs_tracked = %d after the job finished, want 0", tracked.Int())
+		}
+	}
+	got, err := c.Status(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != serve.StateDone || !got.Cached || got.Node != f.gw.cfg.NodeID {
+		t.Fatalf("status = %s cached=%v node=%q, want done from the gateway cache (%q)",
+			got.State, got.Cached, got.Node, f.gw.cfg.NodeID)
+	}
+}
+
+// TestGatewayPassesNodeRepliesVerbatim: for a ?wait=1 miss, an async
+// submission, a status poll and a stream, the gateway's reply is the owning
+// node's, byte for byte.
+func TestGatewayPassesNodeRepliesVerbatim(t *testing.T) {
+	// No gateway cache and no sweep: every request below reaches exactly one
+	// node exactly once.
+	f := startFleet(t, 2, Config{CacheSize: -1, HealthInterval: time.Hour})
+	same := func(what, method, path string, mark int, resp *http.Response, got []byte) {
+		t.Helper()
+		replies := f.replies.since(mark, method, path)
+		if len(replies) != 1 {
+			t.Fatalf("%s reached %d node replies, want 1", what, len(replies))
+		}
+		if r := replies[0]; r.status != resp.StatusCode || !bytes.Equal(r.body, got) {
+			t.Fatalf("%s: gateway HTTP %d differs from %s's HTTP %d:\n  %s\n  %s",
+				what, resp.StatusCode, r.node, r.status, got, r.body)
+		}
+	}
+
+	body, _ := json.Marshal(testLoopReq(91))
+	mark := f.replies.len()
+	resp, got := do(t, http.MethodPost, f.front.URL+"/v1/sims?wait=1", body, nil)
+	same("?wait=1 miss", http.MethodPost, "/v1/sims", mark, resp, got)
+	var st serve.JobStatus
+	if err := json.Unmarshal(got, &st); err != nil || st.State != serve.StateDone || !strings.HasPrefix(st.Node, "node-") {
+		t.Fatalf("?wait=1 miss: %s, want a done status naming its node", got)
+	}
+
+	body, _ = json.Marshal(testLoopReq(92))
+	mark = f.replies.len()
+	resp, got = do(t, http.MethodPost, f.front.URL+"/v1/sims", body, nil)
+	same("async submission", http.MethodPost, "/v1/sims", mark, resp, got)
+
+	path := "/v1/sims/" + st.ID
+	mark = f.replies.len()
+	resp, got = do(t, http.MethodGet, f.front.URL+path, nil, nil)
+	same("status poll", http.MethodGet, path, mark, resp, got)
+
+	mark = f.replies.len()
+	resp, got = do(t, http.MethodGet, f.front.URL+path+"/stream", nil, nil)
+	same("stream", http.MethodGet, path+"/stream", mark, resp, got)
 }
 
 // TestGatewayBrownoutAggregate: /v1/healthz reports the least-degraded

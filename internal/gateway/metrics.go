@@ -17,7 +17,6 @@ type gwMetrics struct {
 	shedOversize atomic.Int64 // submissions shed with 413 at the edge
 	cacheHits    atomic.Int64 // submissions answered from the gateway-tier cache
 	cacheMisses  atomic.Int64 // submissions that went to a node
-	shedQuota    atomic.Int64 // submissions refused at the edge: tenant over rate or in-flight-bytes quota
 	shedDeadline atomic.Int64 // submissions refused at the edge: caller deadline expired
 	handoffs     atomic.Int64 // forwards moved to the next ring owner (drain/unreachable/429)
 	steals       atomic.Int64 // submissions stolen from an overloaded owner
@@ -36,7 +35,6 @@ func (m *gwMetrics) registry(g *Gateway) *obsv.Registry {
 	s.CounterFn("gateway.jobs_submitted", "submissions accepted by a fleet node", m.submitted.Load)
 	s.CounterFn("gateway.jobs_rejected_invalid", "submissions refused as invalid at the edge", m.invalid.Load)
 	s.CounterFn("gateway.jobs_shed_oversize", "submissions shed for body size at the edge", m.shedOversize.Load)
-	s.CounterFn("gateway.jobs_shed_quota", "submissions refused at the edge because the tenant was over a quota", m.shedQuota.Load)
 	s.CounterFn("gateway.jobs_expired_deadline", "submissions refused at the edge because the caller deadline expired", m.shedDeadline.Load)
 	s.Gauge("gateway.brownout_step", "lowest brownout step among eligible nodes (0 serving)", "%.0f", func() float64 {
 		return float64(g.minBrownoutStep())

@@ -1,7 +1,8 @@
 // Package gateway is the fleet coordinator behind cmd/srvgw: it shards
 // harness.Requests across N srvd nodes by their content-addressed CacheKey
 // using a consistent-hash ring, forwards the full /v1 API surface (submit,
-// status, stream, trace) with W3C traceparent propagated end to end, and
+// status, stream, trace) with W3C traceparent propagated end to end,
+// passing node replies through byte for byte, and
 // keeps the fleet honest — per-node health tracking piggybacked on the
 // serve.Client circuit breaker ejects and readmits nodes, a two-tier result
 // cache (gateway LRU in front of the owning node's cache) answers repeats

@@ -40,9 +40,10 @@ type JobStatus struct {
 	// TraceID correlates the job with its spans (GET /v1/trace) and with the
 	// daemon's structured log lines.
 	TraceID string `json:"trace_id,omitempty"`
-	// Node names the fleet node that owns the job (serve.Config.NodeID; the
-	// srvgw gateway rewrites it to the owning node's ring name), so users can
-	// see where a job ran. Additive: empty on standalone daemons.
+	// Node names the fleet node that owns the job (serve.Config.NodeID), so
+	// users can see where a job ran. The srvgw gateway passes it through
+	// unchanged, and names itself (its own NodeID) only on its cache hits.
+	// Additive: empty on standalone daemons.
 	Node string `json:"node,omitempty"`
 	// Tenant is the principal the job was submitted on behalf of (the
 	// X-Srv-Tenant header, or harness.Request.Tenant). Additive: empty for

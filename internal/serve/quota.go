@@ -11,7 +11,7 @@ import (
 // Per-tenant quotas bound what any one principal can ask of the service:
 // a token-bucket rate on submissions per second (absorbing a configurable
 // burst) and a cap on admitted-but-unfinished request-body bytes. Both are
-// enforced at admission — at the gateway edge and again at each node — and
+// enforced at each node's admission (a gateway enforces none), and
 // a refusal carries an honest retry_after_ms: the exact time until the
 // bucket next holds a whole token, not a made-up constant. Zero-valued
 // limits mean unlimited, so a deployment that configures no quotas behaves
@@ -172,17 +172,39 @@ func (q *Quotas) ReleaseBytes(tenant string, n int64) {
 	}
 }
 
+// maxTenantLen bounds a tenant name.
+const maxTenantLen = 64
+
+// validTenant reports whether t may name a tenant: empty (the default
+// tenant), or 1 to maxTenantLen characters from [A-Za-z0-9._-].
+func validTenant(t string) bool {
+	if len(t) > maxTenantLen {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
 // ParseTenantOverride decodes one `-tenant` flag value of the form
 //
 //	name:weight=4,rate=2.5,burst=8,bytes=1048576
 //
 // into the tenant name and its TenantLimits. Every key is optional; omitted
-// keys stay at their unlimited zero value. The name "default" selects the
-// empty tenant (requests without an X-Srv-Tenant header).
+// keys stay at their unlimited zero value. The name must be one a
+// submission may carry (1 to 64 characters from [A-Za-z0-9._-]); "default"
+// selects the empty tenant (requests without an X-Srv-Tenant header).
 func ParseTenantOverride(spec string) (string, TenantLimits, error) {
 	name, opts, ok := strings.Cut(spec, ":")
 	if !ok || name == "" {
 		return "", TenantLimits{}, fmt.Errorf("tenant spec %q: want name:key=value,...", spec)
+	}
+	if !validTenant(name) {
+		return "", TenantLimits{}, fmt.Errorf("tenant spec %q: name must be 1 to %d characters from [A-Za-z0-9._-]", spec, maxTenantLen)
 	}
 	if name == "default" {
 		name = ""

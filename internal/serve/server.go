@@ -516,7 +516,8 @@ func (s *Server) runJob(j *job) {
 	}
 
 	// endExecute closes the execute span and the end-to-end latency metric
-	// for every terminal path.
+	// for every terminal path, before j.finish wakes the job's waiters: a
+	// caller that saw the job terminal finds its execute span recorded.
 	endExecute := func(outcome string) time.Time {
 		now := time.Now()
 		s.spans.Record(obsv.Span{
@@ -547,20 +548,23 @@ func (s *Server) runJob(j *job) {
 	if err != nil {
 		se := harness.AsSimError(err)
 		fr := se.Record()
-		j.finish(nil, &fr, se.Error(), failStatusFor(err, ctx), time.Now())
-		s.met.jobsFailed.Add(1)
 		// A job cancelled because the server itself is going down (drain
 		// budget exhausted, Shutdown) was preempted, not failed: journal it
 		// as such so it stays pending — with its checkpoints — and the next
 		// process resumes it instead of marking the key terminally failed.
+		outcome := "failed"
 		if s.ctx.Err() != nil {
-			now := endExecute("preempted")
+			outcome = "preempted"
+		}
+		now := endExecute(outcome)
+		j.finish(nil, &fr, se.Error(), failStatusFor(err, ctx), now)
+		s.met.jobsFailed.Add(1)
+		if outcome == "preempted" {
 			lg.Info("job preempted", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
 			s.met.jobsPreempted.Add(1)
 			journalSpan(journalRecord{Op: opPreempt, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
 			return
 		}
-		now := endExecute("failed")
 		lg.Warn("job failed", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
 		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
 		return
@@ -568,18 +572,17 @@ func (s *Server) runJob(j *job) {
 	data, err := json.Marshal(res)
 	if err != nil {
 		msg := fmt.Sprintf("marshalling result: %v", err)
-		j.finish(nil, nil, msg, http.StatusInternalServerError, time.Now())
+		j.finish(nil, nil, msg, http.StatusInternalServerError, endExecute("failed"))
 		s.met.jobsFailed.Add(1)
-		endExecute("failed")
 		lg.Warn("job failed", "err", msg)
 		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: msg})
 		return
 	}
 	s.cache.Put(j.id, data)
-	j.finish(data, nil, "", 0, time.Now())
+	now := endExecute("done")
+	j.finish(data, nil, "", 0, now)
 	s.met.jobsDone.Add(1)
 	s.observeService(time.Since(start))
-	now := endExecute("done")
 	lg.Info("job done", "duration_ms", now.Sub(start).Milliseconds(), "result_bytes", len(data))
 	journalSpan(journalRecord{Op: opDone, Key: j.id, ID: j.id, At: time.Now(), Result: data})
 }
@@ -708,6 +711,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = h
 	}
 	req.Tenant = tenant
+	if !validTenant(tenant) {
+		s.met.invalid.Add(1)
+		refused("invalid", "tenant")
+		WriteError(w, CodeInvalidRequest, "invalid tenant %q: want 1 to %d characters from [A-Za-z0-9._-]",
+			tenant, maxTenantLen)
+		return
+	}
 
 	// Submission-rate quota, before any hashing work: a tenant over its rate
 	// is refused with the honest time until its bucket next holds a token.

@@ -97,6 +97,38 @@ func TestTenantStamping(t *testing.T) {
 	if bytes.Contains(raw, []byte(`"tenant"`)) {
 		t.Fatalf("default-tenant status leaks a tenant field: %s", raw)
 	}
+
+	// Tenant names: 1 to 64 characters from [A-Za-z0-9._-], checked after
+	// the header-over-body resolution.
+	for i, tc := range []struct {
+		name, body, header string
+		ok                 bool
+	}{
+		{name: "empty", ok: true},
+		{name: "64 chars", body: strings.Repeat("a", 64), ok: true},
+		{name: "charset", body: "Team-1.batch_x", ok: true},
+		{name: "65 chars", body: strings.Repeat("a", 65)},
+		{name: "space", body: "a b"},
+		{name: "slash", body: "a/b"},
+		{name: "non-ASCII", body: "équipe"},
+		{name: "header space", header: "a b"},
+		{name: "header overrides a bad body", body: "a/b", header: "ok", ok: true},
+	} {
+		req := testLoopReq()
+		req.Seed = int64(20 + i)
+		req.Tenant = tc.body
+		var headers map[string]string
+		if tc.header != "" {
+			headers = map[string]string{HeaderTenant: tc.header}
+		}
+		resp, _, apiErr := rawSubmit(t, ts.URL, req, headers)
+		if tc.ok && resp.StatusCode/100 != 2 {
+			t.Errorf("%s: HTTP %d %s, want it admitted", tc.name, resp.StatusCode, apiErr.Message)
+		}
+		if !tc.ok && (resp.StatusCode != http.StatusBadRequest || apiErr.Code != CodeInvalidRequest) {
+			t.Errorf("%s: HTTP %d %q, want 400 %s", tc.name, resp.StatusCode, apiErr.Code, CodeInvalidRequest)
+		}
+	}
 }
 
 // TestQuotasRate: deterministic token-bucket behaviour under an injected
@@ -190,6 +222,11 @@ func TestParseTenantOverride(t *testing.T) {
 		{spec: "acme:weight", wantErr: true},
 		{spec: "acme:shares=3", wantErr: true},
 		{spec: "acme:weight=x", wantErr: true},
+		{spec: strings.Repeat("a", 64) + ":", tenant: strings.Repeat("a", 64), want: TenantLimits{}},
+		{spec: strings.Repeat("a", 65) + ":", wantErr: true},
+		{spec: "a b:weight=2", wantErr: true},
+		{spec: "a/b:weight=2", wantErr: true},
+		{spec: "équipe:weight=2", wantErr: true},
 	} {
 		tenant, got, err := ParseTenantOverride(tc.spec)
 		if tc.wantErr {
