@@ -108,9 +108,10 @@ resume-smoke: build
 # execution; a resubmission is a gateway cache hit, and one client-rooted
 # trace spans gateway and node. An async job nobody polls through the gateway
 # still settles its rescue record, and the gateway's replies to submissions,
-# status polls and streams are the owning node's, byte for byte.
+# status polls and streams are the owning node's, byte for byte. A queued job
+# whose deadline passed before its owner died is dropped, not rescued.
 fleet-smoke: build
-	$(GO) test -race -timeout 15m -run '^(TestFleetDrainHandoff|TestGatewayCacheTier|TestGatewayOneTraceEndToEnd|TestGatewaySweepSettlesUnpolledJobs|TestGatewayPassesNodeRepliesVerbatim)$$' ./internal/gateway
+	$(GO) test -race -timeout 15m -run '^(TestFleetDrainHandoff|TestGatewayCacheTier|TestGatewayOneTraceEndToEnd|TestGatewaySweepSettlesUnpolledJobs|TestGatewayPassesNodeRepliesVerbatim|TestGatewayDropsExpiredRecords)$$' ./internal/gateway
 
 # tenant-smoke is the multi-tenant isolation drill, run under the race
 # detector. At the node: a weight-4 interactive tenant finishes, byte-identical
@@ -129,6 +130,9 @@ tenant-smoke: build
 # detector: remote submissions through a seeded fault-injecting transport
 # must come back bit-identical, a SIGKILLed daemon must recover its journal
 # on restart (completed results byte-identical from cache, interrupted jobs
-# re-run), and SIGTERM must drain gracefully with exit 0.
+# re-run), and SIGTERM must drain gracefully with exit 0. The client's two
+# retry rules are pinned too: RoundTrip retries transport failures only and
+# hands back any reply verbatim, the typed calls back off on 429/503/504 and
+# an open circuit, never sooner than the server's retry hint.
 serve-chaos: build
-	$(GO) test -race -timeout 15m -run 'TestChaos|TestKillRestartRecovery|TestGracefulDrain|TestJournal' ./internal/serve
+	$(GO) test -race -timeout 15m -run 'TestChaos|TestKillRestartRecovery|TestGracefulDrain|TestJournal|TestClientRetryDisciplines' ./internal/serve

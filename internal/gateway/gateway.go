@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -169,7 +170,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:    cfg,
 		ring:   NewRing(cfg.VirtualNodes),
 		nodes:  make(map[string]*node, len(cfg.Nodes)),
-		cache:  serve.NewResultCacheBytes(cfg.CacheSize, cfg.CacheMaxBytes),
+		cache:  serve.NewResultCache(cfg.CacheSize, cfg.CacheMaxBytes),
 		jobs:   make(map[string]*rescueRecord),
 		spans:  obsv.NewSpanRecorder(cfg.SpanCap),
 		logger: cfg.Logger,
@@ -295,8 +296,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sims/{id}", g.handleStatus)
 	mux.HandleFunc("GET /v1/sims/{id}/stream", g.handleStream)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
-	mux.HandleFunc("GET /v1/trace", g.handleTrace)
+	mux.HandleFunc("GET /v1/metrics", serve.MetricsHandler(g.reg))
+	mux.HandleFunc("GET /v1/trace", serve.TraceHandler(g.spans))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		g.met.requests.Add(1)
 		mux.ServeHTTP(w, r)
@@ -358,16 +359,14 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// attempt re-derives the remaining time, so a slow hand-off walk shrinks
 	// what the node is promised, never stretches it.
 	var deadline time.Time
-	if h := r.Header.Get(serve.HeaderDeadlineMS); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
-			if ms <= 0 {
-				g.met.shedDeadline.Add(1)
-				routed("deadline-expired", nil)
-				serve.WriteError(w, serve.CodeTimeout, "deadline already expired on arrival")
-				return
-			}
-			deadline = arrived.Add(time.Duration(ms) * time.Millisecond)
+	if in, ok := serve.ParseDeadlineMS(r.Header.Get(serve.HeaderDeadlineMS)); ok {
+		if in <= 0 {
+			g.met.shedDeadline.Add(1)
+			routed("deadline-expired", nil)
+			serve.WriteError(w, serve.CodeTimeout, "deadline already expired on arrival")
+			return
 		}
+		deadline = arrived.Add(in)
 	}
 
 	creq, err := req.Canonical()
@@ -424,7 +423,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	wait := r.URL.Query().Get("wait")
 	syncWait := wait == "1" || wait == "true"
-	resp, owner := g.forwardSubmit(r.Context(), rec, syncWait)
+	resp, owner := g.handOff(r.Context(), rec, "", syncWait)
 	if owner == nil {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			g.met.shedDeadline.Add(1)
@@ -481,10 +480,15 @@ func (g *Gateway) observe(key string, st serve.JobStatus) bool {
 	if st.State == serve.StateDone && len(st.Result) > 0 {
 		g.cache.Put(key, st.Result)
 	}
+	g.forget(key)
+	return true
+}
+
+// forget drops key's rescue record, if any.
+func (g *Gateway) forget(key string) {
 	g.mu.Lock()
 	delete(g.jobs, key)
 	g.mu.Unlock()
-	return true
 }
 
 // observeReply observes the JobStatus in a node's reply about key: the body
@@ -526,15 +530,17 @@ func (g *Gateway) ownerOf(key string, rec *rescueRecord) *node {
 	return g.nodes[g.ring.Owner(key)]
 }
 
-// forwardSubmit walks the record's hand-off order, forwarding the submission
-// until a node accepts it. A draining (503) or over-capacity (429) answer
-// and any transport failure move on to the next ring owner — this is the
-// drain-aware hand-off: a queued job on a dying node is resubmitted, not
-// bounced, and determinism + content addressing make the duplicate safe.
-// Returns (resp, owner) on acceptance; (lastResp, nil) when every candidate
-// refused with a non-hand-offable error; (nil, nil) when no candidate could
-// be reached at all.
-func (g *Gateway) forwardSubmit(ctx context.Context, rec *rescueRecord, syncWait bool) (*serve.APIResponse, *node) {
+// handOff is the one hand-off walk, for first forwards and rescues alike: it
+// forwards rec's submission along route(key, exclude), capped at the first
+// node plus rec.budget successors, until a node gives a reply that does not
+// hand off. A draining (503) or over-capacity (429) answer and any transport
+// failure move on to the next ring owner — the drain-aware hand-off: a
+// queued job on a dying node is resubmitted, not bounced, and determinism +
+// content addressing make the duplicate safe. Returns (resp, node) for the
+// node whose reply stands, whatever its status; (lastResp, nil) when every
+// candidate handed off or the deadline ran out; (nil, nil) when no candidate
+// could be reached at all.
+func (g *Gateway) handOff(ctx context.Context, rec *rescueRecord, exclude string, syncWait bool) (*serve.APIResponse, *node) {
 	path := "/v1/sims"
 	perCall := serve.DefaultPollTimeout
 	if syncWait {
@@ -542,8 +548,8 @@ func (g *Gateway) forwardSubmit(ctx context.Context, rec *rescueRecord, syncWait
 		perCall = 0 // long poll: simulations can run for minutes
 	}
 	header := rec.header()
-	cands := g.route(rec.key, "")
-	// The walk is bounded by the hand-off budget: the owner plus at most
+	cands := g.route(rec.key, exclude)
+	// The walk is bounded by the hand-off budget: the first node plus at most
 	// rec.budget successors, so a refused submission cannot storm the fleet.
 	if max := 1 + rec.budget; len(cands) > max {
 		cands = cands[:max]
@@ -705,10 +711,10 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // sweep refreshes every rescue record, without holding g.mu across the
 // calls. A key whose owner has become ineligible (draining, ejected, or
-// failing health polls) is resubmitted to the next ring owner — the
-// drain-aware hand-off for asynchronous jobs whose submitter is long gone.
-// Any other key is refreshed as a status poll would be, so a job that
-// finished with nobody polling through the gateway still settles its record.
+// failing health polls) is rescued — the drain-aware hand-off for
+// asynchronous jobs whose submitter is long gone. Any other key is refreshed
+// as a status poll would be, so a job that finished with nobody polling
+// through the gateway still settles its record.
 func (g *Gateway) sweep() {
 	g.mu.RLock()
 	recs := make([]*rescueRecord, 0, len(g.jobs))
@@ -727,39 +733,30 @@ func (g *Gateway) sweep() {
 	}
 }
 
-// rescue resubmits one live key to the next eligible ring owner after
-// exclude and returns that node's observed reply, or nil when none took it.
-// The duplicate submission is safe: the request is content-addressed and the
-// simulator deterministic, so whichever node finishes first populates the
-// caches with the byte-identical Result.
+// rescue resubmits one live key by the hand-off walk, excluding its old
+// owner, and returns the new owner's observed 2xx reply, or nil when no node
+// took it (the record stays for the next sweep). The duplicate submission is
+// safe: the request is content-addressed and the simulator deterministic, so
+// whichever node finishes first populates the caches with the byte-identical
+// Result. A record whose deadline has passed is dropped instead: nobody waits
+// for it, no node would start it, and the walk would never take it again.
 func (g *Gateway) rescue(rec *rescueRecord, exclude string) *serve.APIResponse {
-	header := rec.header()
-	cands := g.route(rec.key, exclude)
-	if max := 1 + g.cfg.HandoffBudget; len(cands) > max {
-		cands = cands[:max]
+	if !rec.deadline.IsZero() && !time.Now().Before(rec.deadline) {
+		g.forget(rec.key)
+		g.logger.Info("job dropped: deadline expired before rescue", "job", rec.key, "from", exclude)
+		return nil
 	}
-	for _, n := range cands {
-		ctx, cancel := context.WithTimeout(g.ctx, serve.DefaultPollTimeout)
-		resp, err := n.client.RoundTrip(ctx, http.MethodPost, "/v1/sims", header, rec.body, serve.DefaultPollTimeout)
-		cancel()
-		if err != nil {
-			continue
-		}
-		if resp.Status == http.StatusServiceUnavailable {
-			n.markDraining()
-		}
-		if resp.Status/100 != 2 {
-			continue
-		}
-		g.met.rescued.Add(1)
-		rec.setOwner(n.name)
-		g.observeReply(rec.key, resp)
-		g.logger.Info("job rescued", "job", rec.key, "from", exclude, "to", n.name,
-			"trace_id", rec.trace.Trace.String())
-		return resp
+	resp, n := g.handOff(g.ctx, rec, exclude, false)
+	if n == nil || resp.Status/100 != 2 {
+		g.logger.Warn("job stranded: no eligible node to rescue to", "job", rec.key, "from", exclude)
+		return nil
 	}
-	g.logger.Warn("job stranded: no eligible node to rescue to", "job", rec.key, "from", exclude)
-	return nil
+	g.met.rescued.Add(1)
+	rec.setOwner(n.name)
+	g.observeReply(rec.key, resp)
+	g.logger.Info("job rescued", "job", rec.key, "from", exclude, "to", n.name,
+		"trace_id", rec.trace.Trace.String())
+	return resp
 }
 
 // Health is the gateway's /v1/healthz payload: the node-compatible summary
@@ -768,13 +765,6 @@ type Health struct {
 	serve.Health
 	Nodes []NodeStatus `json:"nodes"`
 }
-
-// brownoutSteps orders the serve brownout names for fleet aggregation;
-// brownoutStepNames is its inverse.
-var (
-	brownoutSteps     = map[string]int{"": 0, "shed-low": 1, "no-new-work": 2, "cached-only": 3}
-	brownoutStepNames = [...]string{"", "shed-low", "no-new-work", "cached-only"}
-)
 
 // minBrownoutStep is the fleet's effective brownout: the lowest step among
 // eligible nodes, because a submission is routed to the least-degraded node
@@ -787,7 +777,7 @@ func (g *Gateway) minBrownoutStep() int {
 		if !n.eligible() {
 			continue
 		}
-		step := brownoutSteps[n.brownout()]
+		step := max(slices.Index(serve.BrownoutNames[:], n.brownout()), 0)
 		if min < 0 || step < min {
 			min = step
 		}
@@ -834,26 +824,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if eligible == 0 {
 		h.State = "draining"
 	}
-	h.Brownout = brownoutStepNames[g.minBrownoutStep()]
+	h.Brownout = serve.BrownoutNames[g.minBrownoutStep()]
 	serve.WriteJSON(w, http.StatusOK, h)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", obsv.PromContentType)
-		_ = g.reg.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = g.reg.WriteJSON(w)
-}
-
-func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "perfetto" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = g.spans.WriteTrace(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = g.spans.WriteNDJSON(w)
 }

@@ -733,3 +733,85 @@ func TestGatewayBrownoutAggregate(t *testing.T) {
 		})
 	}
 }
+
+// TestGatewayDropsExpiredRecords: an async job whose deadline passes while
+// it sits queued on its owner, which then drains and dies, is dropped from
+// the gateway's rescue records within a few health polls — not resubmitted
+// to a surviving node that would only refuse to start it.
+func TestGatewayDropsExpiredRecords(t *testing.T) {
+	// No stealing: the queued job must stay on its ring owner.
+	f := startFleet(t, 2, Config{StealThreshold: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	req := testLoopReq(101)
+	creq, err := req.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := creq.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := 0
+	for i, ts := range f.servers {
+		if ts.URL == f.gw.ring.Owner(key) {
+			owner = i
+		}
+	}
+
+	// Occupy the owner's one worker with a long job, sent to it directly.
+	long := testLoopReq(102)
+	long.Loop.Shape.Trip = 1 << 20
+	nc := serve.NewClient(f.servers[owner].URL)
+	lst, err := nc.Submit(ctx, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := nc.Status(ctx, lst.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == serve.StateRunning {
+			break
+		}
+		if st.State == serve.StateDone || st.State == serve.StateFailed {
+			t.Fatalf("long job ended %s before the test could queue behind it", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	const deadline = 300 * time.Millisecond
+	body, _ := json.Marshal(req)
+	resp, got := do(t, http.MethodPost, f.front.URL+"/v1/sims", body,
+		map[string]string{serve.HeaderDeadlineMS: fmt.Sprint(deadline.Milliseconds())})
+	var st serve.JobStatus
+	if err := json.Unmarshal(got, &st); err != nil || resp.StatusCode != http.StatusAccepted ||
+		st.State != serve.StateQueued || st.Node != fmt.Sprintf("node-%d", owner) {
+		t.Fatalf("submission: HTTP %d %s, want 202 queued on node-%d", resp.StatusCode, got, owner)
+	}
+	tracked := f.gw.Registry().Lookup("gateway.jobs_tracked")
+	if n := tracked.Int(); n != 1 {
+		t.Fatalf("gateway.jobs_tracked = %d after the submission, want 1", n)
+	}
+
+	// Once the deadline has passed, drain the owner (cancelling the long
+	// job) and tear down its listener.
+	time.Sleep(deadline + 50*time.Millisecond)
+	mark := f.replies.len()
+	dctx, dcancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer dcancel()
+	_ = f.nodes[owner].Drain(dctx)
+	f.servers[owner].Close()
+
+	for settle := time.Now().Add(20 * f.gw.cfg.HealthInterval); tracked.Int() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(settle) {
+			t.Fatalf("gateway.jobs_tracked = %d with the record's deadline long past, want 0", tracked.Int())
+		}
+	}
+	if posts := f.replies.since(mark, http.MethodPost, "/v1/sims"); len(posts) != 0 {
+		t.Fatalf("the expired job was resubmitted: %d POSTs reached %s after the owner died (HTTP %d %s)",
+			len(posts), posts[0].node, posts[0].status, posts[0].body)
+	}
+}

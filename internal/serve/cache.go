@@ -25,18 +25,13 @@ type cacheEntry struct {
 	data []byte
 }
 
-// newCache returns an LRU holding at most max entries; max < 1 disables
-// caching entirely (every Get misses, every Put is dropped).
-func NewResultCache(max int) *ResultCache {
-	return NewResultCacheBytes(max, 0)
-}
-
-// NewResultCacheBytes additionally bounds the cache by total payload bytes:
-// eviction runs while either bound is exceeded, so a handful of multi-MB
-// benchmark Results cannot blow past the memory budget that the entry count
-// alone would allow. maxBytes ≤ 0 leaves bytes unbounded (entry count only);
-// a single entry larger than maxBytes is never admitted.
-func NewResultCacheBytes(max int, maxBytes int64) *ResultCache {
+// NewResultCache returns an LRU holding at most max entries and maxBytes of
+// payload; max < 1 disables caching entirely (every Get misses, every Put is
+// dropped). Eviction runs while either bound is exceeded, so a handful of
+// multi-MB benchmark Results cannot blow past the memory budget that the
+// entry count alone would allow. maxBytes ≤ 0 leaves bytes unbounded (entry
+// count only); a single entry larger than maxBytes is never admitted.
+func NewResultCache(max int, maxBytes int64) *ResultCache {
 	return &ResultCache{max: max, maxByte: maxBytes, entries: make(map[string]*list.Element), order: list.New()}
 }
 

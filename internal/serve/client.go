@@ -36,18 +36,21 @@ var ErrResponseTooLarge = errors.New("serve: response too large")
 // which is how `srvbench -remote` farms a whole experiment fleet out to one
 // daemon (deduplicated by its result cache).
 //
-// The client is resilient by default: idempotent-safe failures (connection
-// errors, 429/503/504 — never typed simulation failures) are retried with
-// exponential backoff and full jitter, honouring the daemon's Retry-After;
-// a per-host circuit breaker fails fast after consecutive transport failures
-// and probes half-open after a cooldown. Together with the daemon's durable
-// journal this is what lets `srvbench -remote` ride out a daemon restart.
+// Every call is one or more exchanges (one HTTP request through the per-host
+// circuit breaker, its body read under the response cap) driven by one
+// backoff loop; only the rule for which failures earn another attempt
+// differs. The typed calls (Submit, Status, Health, Do) retry idempotent-safe
+// failures — connection errors, an open circuit, 429/503/504, never typed
+// simulation failures — with exponential backoff and full jitter, honouring
+// the daemon's Retry-After; RoundTrip retries transport errors only. The
+// breaker fails fast after consecutive transport failures and probes
+// half-open after a cooldown. Together with the daemon's durable journal
+// this is what lets `srvbench -remote` ride out a daemon restart.
 type Client struct {
 	base        string
 	http        *http.Client
 	retry       RetryPolicy
 	br          *breaker
-	pollTimeout time.Duration
 	maxResponse int64
 	spans       *obsv.SpanRecorder
 }
@@ -68,22 +71,10 @@ func WithBreaker(threshold int, cooldown time.Duration) ClientOption {
 	return func(c *Client) { c.br = newBreaker(threshold, cooldown) }
 }
 
-// WithPollTimeout bounds each short-poll attempt (Status, Health, async
-// Submit); 0 removes the bound. The ?wait=1 long poll is never bounded by
-// this — use the call context.
-func WithPollTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.pollTimeout = d }
-}
-
 // WithMaxResponseBytes caps how much of a response body the client reads;
 // larger responses fail with ErrResponseTooLarge.
 func WithMaxResponseBytes(n int64) ClientOption {
 	return func(c *Client) { c.maxResponse = n }
-}
-
-// WithHTTPClient substitutes the underlying http.Client.
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
 }
 
 // WithTransport substitutes the underlying transport (ChaosTransport in the
@@ -104,15 +95,14 @@ func WithSpanRecorder(rec *obsv.SpanRecorder) ClientOption {
 // NewClient returns a resilient client for the daemon at base (e.g.
 // "http://localhost:8077"). The underlying http.Client carries no global
 // timeout — simulations can run for minutes — so the long-poll path is
-// bounded by the request context, while short polls get a per-attempt
-// timeout (WithPollTimeout).
+// bounded by the request context, while short polls get DefaultPollTimeout
+// per attempt.
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
 		base:        strings.TrimRight(base, "/"),
 		http:        &http.Client{},
 		retry:       DefaultRetryPolicy(),
 		br:          newBreaker(5, 2*time.Second),
-		pollTimeout: DefaultPollTimeout,
 		maxResponse: DefaultMaxResponseBytes,
 	}
 	for _, o := range opts {
@@ -121,63 +111,63 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// decode parses an API response, converting non-2xx bodies into errors by
+// APIResponse is one daemon reply exactly as it arrived: status, headers and
+// body bytes.
+type APIResponse struct {
+	Status int
+	Header http.Header
+	Body   []byte
+}
+
+// decode parses the reply into v, converting non-2xx bodies into errors by
 // decoding the typed error envelope ({"error": {code, message, ...}} — see
 // API.md) instead of sniffing status lines: typed simulation failures
 // round-trip as *harness.SimError via the envelope's embedded JobStatus,
 // invalid requests unwrap to harness.ErrInvalidRequest, and everything else
 // becomes an *HTTPError carrying the machine-readable code and Retry-After
-// hint. Bodies are read through an io.LimitReader so a misbehaving daemon
-// cannot balloon client memory.
-func decode(resp *http.Response, v interface{}, max int64) error {
-	defer resp.Body.Close()
-	if max <= 0 {
-		max = DefaultMaxResponseBytes
+// hint.
+func (r *APIResponse) decode(v interface{}) error {
+	if r.Status/100 == 2 {
+		return json.Unmarshal(r.Body, v)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
-	if err != nil {
-		return &transportError{err: fmt.Errorf("reading response: %w", err)}
-	}
-	if int64(len(body)) > max {
-		return fmt.Errorf("%w: body exceeds %d bytes", ErrResponseTooLarge, max)
-	}
-	if resp.StatusCode/100 != 2 {
-		ra := parseRetryAfter(resp.Header.Get("Retry-After"))
-		var env errorEnvelope
-		if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-			e := env.Error
-			// The envelope's retry_after_ms is millisecond truth; the
-			// Retry-After header is the same hint rounded up to whole seconds
-			// for plain-HTTP intermediaries. When both are present the
-			// envelope wins — even when smaller — so quota refusals with
-			// sub-second buckets back off honestly instead of a whole second.
-			if e.RetryAfterMS > 0 {
-				ra = time.Duration(e.RetryAfterMS) * time.Millisecond
-			}
-			// A failed synchronous job travels inside the envelope with its
-			// full JobStatus; surface the typed failure so remote errors keep
-			// the harness taxonomy.
-			if e.Job != nil && e.Job.Failure != nil {
-				return e.Job.Failure.SimError()
-			}
-			he := &HTTPError{Status: resp.StatusCode, Code: e.Code, RetryAfter: ra, Msg: e.Message}
-			if e.Code == CodeInvalidRequest {
-				he.err = harness.ErrInvalidRequest
-			}
-			return he
-		}
+	ra := parseRetryAfter(r.Header.Get("Retry-After"))
+	var env errorEnvelope
+	if err := json.Unmarshal(r.Body, &env); err != nil || env.Error.Code == "" {
 		// Not an envelope: net/http's own plain-text 404/405 and the like.
-		return &HTTPError{Status: resp.StatusCode, Code: codeForStatus(resp.StatusCode), RetryAfter: ra, Msg: string(bytes.TrimSpace(body))}
+		return &HTTPError{Status: r.Status, Code: codeForStatus(r.Status), RetryAfter: ra, Msg: string(bytes.TrimSpace(r.Body))}
 	}
-	return json.Unmarshal(body, v)
+	e := env.Error
+	// The envelope's retry_after_ms is millisecond truth; the Retry-After
+	// header is the same hint rounded up to whole seconds for plain-HTTP
+	// intermediaries. When both are present the envelope wins — even when
+	// smaller — so quota refusals with sub-second buckets back off honestly
+	// instead of a whole second.
+	if e.RetryAfterMS > 0 {
+		ra = time.Duration(e.RetryAfterMS) * time.Millisecond
+	}
+	// A failed synchronous job travels inside the envelope with its full
+	// JobStatus; surface the typed failure so remote errors keep the harness
+	// taxonomy.
+	if e.Job != nil && e.Job.Failure != nil {
+		return e.Job.Failure.SimError()
+	}
+	he := &HTTPError{Status: r.Status, Code: e.Code, RetryAfter: ra, Msg: e.Message}
+	if e.Code == CodeInvalidRequest {
+		he.err = harness.ErrInvalidRequest
+	}
+	return he
 }
 
-// attempt performs one exchange through the breaker: build constructs a
-// fresh *http.Request (bodies must be re-readable across attempts), perCall
-// optionally bounds this attempt's wall clock.
-func (c *Client) attempt(ctx context.Context, perCall time.Duration, build func(context.Context) (*http.Request, error), out interface{}) error {
+// exchange is one attempt of any call: a request to path through the
+// breaker, bounded by perCall when it is positive, whose reply body is read
+// under the response cap (through an io.LimitReader, so a misbehaving daemon
+// cannot balloon client memory) and returned verbatim. Any HTTP reply counts
+// as a breaker success; a transport error counts as a failure only while the
+// caller's context is live, since a caller-abandoned request says nothing
+// about the daemon.
+func (c *Client) exchange(ctx context.Context, perCall time.Duration, method, path string, header http.Header, body []byte) (*APIResponse, error) {
 	if err := c.br.allow(); err != nil {
-		return err
+		return nil, err
 	}
 	actx := ctx
 	cancel := func() {}
@@ -185,46 +175,69 @@ func (c *Client) attempt(ctx context.Context, perCall time.Duration, build func(
 		actx, cancel = context.WithTimeout(ctx, perCall)
 	}
 	defer cancel()
-	hreq, err := build(actx)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	hreq, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
 	if err != nil {
 		c.br.record(true) // not a transport failure
-		return err
+		return nil, err
+	}
+	for k, vs := range header {
+		for _, v := range vs {
+			hreq.Header.Add(k, v)
+		}
 	}
 	resp, err := c.http.Do(hreq)
 	if err != nil {
-		// A caller-abandoned request says nothing about the daemon; a
-		// per-attempt timeout or connection error does.
 		if ctx.Err() == nil {
 			c.br.record(false)
 		}
-		return &transportError{err: err}
+		return nil, &transportError{err: err}
 	}
 	c.br.record(true)
-	return decode(resp, out, c.maxResponse)
+	defer resp.Body.Close()
+	limit := c.maxResponse
+	if limit <= 0 {
+		limit = DefaultMaxResponseBytes
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, &transportError{err: fmt.Errorf("reading response: %w", err)}
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrResponseTooLarge, limit)
+	}
+	return &APIResponse{Status: resp.StatusCode, Header: resp.Header, Body: b}, nil
 }
 
-// doRetry drives the attempt/backoff loop for one logical call.
-func (c *Client) doRetry(ctx context.Context, perCall time.Duration, build func(context.Context) (*http.Request, error), out interface{}) error {
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+// do drives one logical call: attempt n (0-based) runs, and while it fails
+// with an error again accepts, the loop sleeps the jittered backoff (never
+// less than the failure's Retry-After hint) and tries again, up to the
+// policy's MaxAttempts.
+func (c *Client) do(ctx context.Context, again func(error) bool, attempt func(n int) error) error {
 	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
+	for n := 0; n < c.attempts(); n++ {
+		if n > 0 {
 			clientMet.retries.Add(1)
 			select {
-			case <-time.After(c.retry.delay(attempt-1, retryAfterOf(err))):
+			case <-time.After(c.retry.delay(n-1, retryAfterOf(err))):
 			case <-ctx.Done():
 				return fmt.Errorf("serve: retry abandoned: %w (last error: %v)", ctx.Err(), err)
 			}
 		}
-		err = c.attempt(ctx, perCall, build, out)
-		if err == nil || !retryable(err) || ctx.Err() != nil {
+		err = attempt(n)
+		if err == nil || !again(err) || ctx.Err() != nil {
 			return err
 		}
 	}
 	return err
+}
+
+// attempts is the policy's attempt bound, at least one.
+func (c *Client) attempts() int {
+	return max(c.retry.MaxAttempts, 1)
 }
 
 // post submits req, optionally waiting for completion server-side. The
@@ -237,11 +250,11 @@ func (c *Client) post(ctx context.Context, req harness.Request, wait bool) (JobS
 	if err != nil {
 		return st, fmt.Errorf("serve: encoding request: %w", err)
 	}
-	url := c.base + "/v1/sims"
-	perCall := c.pollTimeout
+	path := "/v1/sims"
+	perCall := DefaultPollTimeout
 	name := "client.submit"
 	if wait {
-		url += "?wait=1"
+		path += "?wait=1"
 		perCall = 0 // long poll: bounded by ctx only
 		name = "client.do"
 	}
@@ -253,39 +266,26 @@ func (c *Client) post(ctx context.Context, req harness.Request, wait bool) (JobS
 		sc = obsv.NewTrace()
 	}
 	start := time.Now()
-	maxAttempts := c.retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	attemptNo := 0
-	err = c.doRetry(ctx, perCall, func(actx context.Context) (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("traceparent", sc.Traceparent())
-		// Deadline rides the caller's context (not actx: the per-attempt
-		// poll timeout is transport plumbing, not the caller's intent), as
+	err = c.do(ctx, retryable, func(n int) error {
+		header := http.Header{}
+		header.Set("Content-Type", "application/json")
+		header.Set("traceparent", sc.Traceparent())
+		// Deadline rides the caller's context (not the per-attempt poll
+		// timeout, which is transport plumbing, not the caller's intent), as
 		// relative milliseconds so fleet nodes need no clock agreement.
 		if dl, ok := ctx.Deadline(); ok {
-			ms := time.Until(dl).Milliseconds()
-			if ms < 0 {
-				ms = 0
-			}
-			hreq.Header.Set(HeaderDeadlineMS, strconv.FormatInt(ms, 10))
+			header.Set(HeaderDeadlineMS, strconv.FormatInt(max(time.Until(dl).Milliseconds(), 0), 10))
 		}
 		// The retry budget tells the gateway how many more attempts this
 		// client has left, capping its hand-off walk so client retries and
 		// gateway hand-offs cannot multiply into a storm.
-		attemptNo++
-		budget := maxAttempts - attemptNo
-		if budget < 0 {
-			budget = 0
+		header.Set(HeaderRetryBudget, strconv.Itoa(c.attempts()-1-n))
+		resp, err := c.exchange(ctx, perCall, http.MethodPost, path, header, data)
+		if err != nil {
+			return err
 		}
-		hreq.Header.Set(HeaderRetryBudget, strconv.Itoa(budget))
-		return hreq, nil
-	}, &st)
+		return resp.decode(&st)
+	})
 	if c.spans != nil {
 		sp := obsv.Span{
 			Trace: sc.Trace, ID: sc.Span, Name: name,
@@ -307,11 +307,15 @@ func (c *Client) post(ctx context.Context, req harness.Request, wait bool) (JobS
 	return st, err
 }
 
-// get performs one short-poll GET with retry.
-func (c *Client) get(ctx context.Context, url string, out interface{}) error {
-	return c.doRetry(ctx, c.pollTimeout, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-	}, out)
+// get performs one short-poll GET of path with retry.
+func (c *Client) get(ctx context.Context, path string, out interface{}) error {
+	return c.do(ctx, retryable, func(int) error {
+		resp, err := c.exchange(ctx, DefaultPollTimeout, http.MethodGet, path, nil, nil)
+		if err != nil {
+			return err
+		}
+		return resp.decode(out)
+	})
 }
 
 // Submit enqueues a request and returns immediately with its job status.
@@ -322,14 +326,14 @@ func (c *Client) Submit(ctx context.Context, req harness.Request) (JobStatus, er
 // Status polls one job.
 func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.get(ctx, c.base+"/v1/sims/"+id, &st)
+	err := c.get(ctx, "/v1/sims/"+id, &st)
 	return st, err
 }
 
 // Health checks the daemon's /v1/healthz.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.get(ctx, c.base+"/v1/healthz", &h)
+	err := c.get(ctx, "/v1/healthz", &h)
 	return h, err
 }
 
@@ -371,94 +375,21 @@ func (c *Client) Base() string { return c.base }
 // succeeding) closes the circuit again, which is the readmission signal.
 func (c *Client) CircuitOpen() bool { return c.br.isOpen() }
 
-// APIResponse is one raw daemon response forwarded by RoundTrip.
-type APIResponse struct {
-	Status int
-	Header http.Header
-	Body   []byte
-}
-
-// RoundTrip performs one raw /v1 exchange under the client's transport
-// discipline — per-host circuit breaker, transport-only retries, response
-// size cap — and returns the daemon's answer verbatim. Unlike the typed
-// methods it never interprets HTTP statuses: any response the daemon managed
-// to send is authoritative and handed back untouched (body bytes included),
-// which is what lets the srvgw gateway forward the API surface — the typed
-// error envelope especially — without rewriting it. An open circuit fails
-// fast (no backoff) so a fleet caller can immediately route around the node.
+// RoundTrip performs one raw /v1 exchange and returns the daemon's reply
+// verbatim. It shares the typed calls' exchange — circuit breaker, response
+// size cap — and their backoff loop, but retries transport errors only:
+// any reply the daemon managed to send, whatever its status, is
+// authoritative and handed back untouched (body bytes included), which is
+// what lets the srvgw gateway forward the API surface — the typed error
+// envelope especially — without rewriting it. An open circuit fails at once
+// (no backoff) so a fleet caller can immediately route around the node.
 // perCall bounds each attempt's wall clock; 0 leaves only ctx.
 func (c *Client) RoundTrip(ctx context.Context, method, path string, header http.Header, body []byte, perCall time.Duration) (*APIResponse, error) {
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			clientMet.retries.Add(1)
-			select {
-			case <-time.After(c.retry.delay(attempt-1, 0)):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("serve: retry abandoned: %w (last error: %v)", ctx.Err(), lastErr)
-			}
-		}
-		resp, err := c.rawAttempt(ctx, method, path, header, body, perCall)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		var te *transportError
-		if !errors.As(err, &te) || ctx.Err() != nil {
-			return nil, lastErr
-		}
-	}
-	return nil, lastErr
-}
-
-// rawAttempt is one RoundTrip exchange through the breaker.
-func (c *Client) rawAttempt(ctx context.Context, method, path string, header http.Header, body []byte, perCall time.Duration) (*APIResponse, error) {
-	if err := c.br.allow(); err != nil {
-		return nil, err
-	}
-	actx := ctx
-	cancel := func() {}
-	if perCall > 0 {
-		actx, cancel = context.WithTimeout(ctx, perCall)
-	}
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	hreq, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
-	if err != nil {
-		c.br.record(true) // not a transport failure
-		return nil, err
-	}
-	for k, vs := range header {
-		for _, v := range vs {
-			hreq.Header.Add(k, v)
-		}
-	}
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		if ctx.Err() == nil {
-			c.br.record(false)
-		}
-		return nil, &transportError{err: err}
-	}
-	c.br.record(true)
-	defer resp.Body.Close()
-	max := c.maxResponse
-	if max <= 0 {
-		max = DefaultMaxResponseBytes
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
-	if err != nil {
-		return nil, &transportError{err: fmt.Errorf("reading response: %w", err)}
-	}
-	if int64(len(b)) > max {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrResponseTooLarge, max)
-	}
-	return &APIResponse{Status: resp.StatusCode, Header: resp.Header, Body: b}, nil
+	var resp *APIResponse
+	err := c.do(ctx, isTransport, func(int) error {
+		var err error
+		resp, err = c.exchange(ctx, perCall, method, path, header, body)
+		return err
+	})
+	return resp, err
 }

@@ -161,16 +161,3 @@ func writeErrorEnvelope(w http.ResponseWriter, code ErrorCode, retryAfter time.D
 func writeFailedJob(w http.ResponseWriter, code ErrorCode, st JobStatus) {
 	writeErrorEnvelope(w, code, 0, &st, "job %s failed: %s", st.ID, st.Error)
 }
-
-// failCodeFor maps a failed job's HTTP status (failStatusFor) onto its
-// envelope code.
-func failCodeFor(status int) ErrorCode {
-	switch status {
-	case http.StatusUnprocessableEntity:
-		return CodeCompileRejected
-	case http.StatusGatewayTimeout:
-		return CodeTimeout
-	default:
-		return CodeSimFailed
-	}
-}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"net/http"
 	"sync"
 	"time"
 
@@ -101,13 +100,13 @@ type job struct {
 	result  json.RawMessage
 	failure *harness.FailureRecord
 	errMsg  string
-	// failStatus is the HTTP status a synchronous waiter reports for a
-	// failed job (422 compile error, 504 timeout, 500 otherwise).
-	failStatus int
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
-	done       chan struct{}
+	// failCode is the envelope code a synchronous waiter reports for a
+	// failed job (compile_rejected, timeout or sim_failed).
+	failCode  ErrorCode
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	done      chan struct{}
 }
 
 func newJob(key string, req harness.Request, now time.Time) *job {
@@ -142,7 +141,7 @@ func (j *job) claim(now time.Time) (time.Time, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.deadline.IsZero() && now.After(j.deadline) {
-		j.finishLocked(nil, nil, "deadline expired before execution", http.StatusGatewayTimeout, now)
+		j.finishLocked(nil, nil, "deadline expired before execution", CodeTimeout, now)
 		return j.deadline, false
 	}
 	j.state = StateRunning
@@ -162,13 +161,13 @@ func (j *job) appendEvent(ev harness.ProgressEvent) {
 
 // finish moves the job to its terminal state: done with the marshalled
 // result, or failed with a typed failure record and message.
-func (j *job) finish(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failStatus int, now time.Time) {
+func (j *job) finish(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failCode ErrorCode, now time.Time) {
 	j.mu.Lock()
-	j.finishLocked(result, failure, errMsg, failStatus, now)
+	j.finishLocked(result, failure, errMsg, failCode, now)
 	j.mu.Unlock()
 }
 
-func (j *job) finishLocked(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failStatus int, now time.Time) {
+func (j *job) finishLocked(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failCode ErrorCode, now time.Time) {
 	if j.state.terminal() {
 		return
 	}
@@ -179,7 +178,7 @@ func (j *job) finishLocked(result json.RawMessage, failure *harness.FailureRecor
 		j.state = StateFailed
 		j.failure = failure
 		j.errMsg = errMsg
-		j.failStatus = failStatus
+		j.failCode = failCode
 	}
 	j.finished = now
 	close(j.done)

@@ -524,3 +524,184 @@ func TestOversizeBodyIs413(t *testing.T) {
 		t.Fatalf("shed_oversize = %d, want 1", n)
 	}
 }
+
+// TestClientRetryDisciplines pins the two retry rules over the one exchange:
+// RoundTrip retries transport failures only and hands back any reply
+// verbatim, while the typed calls also back off on 429/503/504 and on an
+// open circuit, never sooner than the server's retry hint.
+func TestClientRetryDisciplines(t *testing.T) {
+	const attempts = 3
+	drop := func(w http.ResponseWriter) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}
+	draining := func(w http.ResponseWriter) {
+		WriteErrorRetry(w, CodeDraining, time.Millisecond, "draining: not accepting new jobs")
+	}
+	roundTrip := func(ctx context.Context, c *Client) (*APIResponse, error) {
+		return c.RoundTrip(ctx, http.MethodPost, "/v1/sims", nil, []byte(`{}`), 0)
+	}
+	cases := []struct {
+		name string
+		// reply answers the server's nth call (1-based).
+		reply       func(w http.ResponseWriter, n int64)
+		opts        []ClientOption
+		openBreaker bool
+		// call makes the client call and checks its outcome; gaps are the
+		// times between consecutive server calls.
+		call        func(t *testing.T, ctx context.Context, c *Client, start time.Time)
+		wantCalls   int64
+		wantRetries int64 // -1: at least one
+		gaps        func(t *testing.T, gaps []time.Duration)
+	}{
+		{
+			name:  "roundtrip-503-verbatim",
+			reply: func(w http.ResponseWriter, n int64) { draining(w) },
+			call: func(t *testing.T, ctx context.Context, c *Client, _ time.Time) {
+				resp, err := roundTrip(ctx, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := httptest.NewRecorder()
+				draining(want)
+				if resp.Status != http.StatusServiceUnavailable || !bytes.Equal(resp.Body, want.Body.Bytes()) ||
+					resp.Header.Get("Retry-After") != "1" {
+					t.Fatalf("got HTTP %d %s, want the 503 draining envelope untouched", resp.Status, resp.Body)
+				}
+			},
+			wantCalls: 1,
+		},
+		{
+			name: "roundtrip-500-verbatim",
+			reply: func(w http.ResponseWriter, n int64) {
+				http.Error(w, "boom", http.StatusInternalServerError)
+			},
+			call: func(t *testing.T, ctx context.Context, c *Client, _ time.Time) {
+				resp, err := roundTrip(ctx, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Status != http.StatusInternalServerError || string(resp.Body) != "boom\n" {
+					t.Fatalf("got HTTP %d %q, want 500 \"boom\\n\"", resp.Status, resp.Body)
+				}
+			},
+			wantCalls: 1,
+		},
+		{
+			name:  "roundtrip-dropped-connection",
+			reply: func(w http.ResponseWriter, n int64) { drop(w) },
+			call: func(t *testing.T, ctx context.Context, c *Client, _ time.Time) {
+				if _, err := roundTrip(ctx, c); !isTransport(err) {
+					t.Fatalf("want a transport error after %d drops, got %v", attempts, err)
+				}
+			},
+			wantCalls:   attempts,
+			wantRetries: attempts - 1,
+		},
+		{
+			name: "roundtrip-circuit-open",
+			reply: func(w http.ResponseWriter, n int64) {
+				WriteJSON(w, http.StatusOK, Health{Status: "ok"})
+			},
+			opts:        []ClientOption{WithBreaker(1, time.Minute)},
+			openBreaker: true,
+			call: func(t *testing.T, ctx context.Context, c *Client, start time.Time) {
+				if _, err := roundTrip(ctx, c); !errors.Is(err, ErrCircuitOpen) {
+					t.Fatalf("want ErrCircuitOpen, got %v", err)
+				}
+				if d := time.Since(start); d > 100*time.Millisecond {
+					t.Fatalf("open circuit took %v to fail, want at once", d)
+				}
+			},
+		},
+		{
+			// The breaker half-opens after its cooldown; Status backs off
+			// across it and its probe gets through.
+			name: "status-circuit-open",
+			reply: func(w http.ResponseWriter, n int64) {
+				WriteJSON(w, http.StatusOK, JobStatus{ID: "k", State: StateDone})
+			},
+			opts: []ClientOption{
+				WithBreaker(1, 100*time.Millisecond),
+				WithRetry(RetryPolicy{MaxAttempts: 40, BaseDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond}),
+			},
+			openBreaker: true,
+			call: func(t *testing.T, ctx context.Context, c *Client, start time.Time) {
+				st, err := c.Status(ctx, "k")
+				if err != nil || st.State != StateDone {
+					t.Fatalf("status = %+v, %v; want done once the circuit half-opens", st, err)
+				}
+				if d := time.Since(start); d < 100*time.Millisecond {
+					t.Fatalf("status succeeded after %v, inside the breaker cooldown", d)
+				}
+			},
+			wantCalls:   1,
+			wantRetries: -1,
+		},
+		{
+			name: "status-503-retry-after",
+			reply: func(w http.ResponseWriter, n int64) {
+				if n == 1 {
+					WriteErrorRetry(w, CodeDraining, 150*time.Millisecond, "draining: not accepting new jobs")
+					return
+				}
+				WriteJSON(w, http.StatusOK, JobStatus{ID: "k", State: StateDone})
+			},
+			call: func(t *testing.T, ctx context.Context, c *Client, _ time.Time) {
+				if st, err := c.Status(ctx, "k"); err != nil || st.State != StateDone {
+					t.Fatalf("status = %+v, %v; want done after one retry", st, err)
+				}
+			},
+			wantCalls:   2,
+			wantRetries: 1,
+			gaps: func(t *testing.T, gaps []time.Duration) {
+				if gaps[0] < 150*time.Millisecond {
+					t.Fatalf("retried after %v, sooner than the envelope's retry_after_ms (150ms)", gaps[0])
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var times []time.Time
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				times = append(times, time.Now())
+				n := int64(len(times))
+				mu.Unlock()
+				tc.reply(w, n)
+			}))
+			defer ts.Close()
+			c := NewClient(ts.URL, append([]ClientOption{WithRetry(fastRetry(attempts))}, tc.opts...)...)
+			if tc.openBreaker {
+				c.br.record(false)
+				if !c.CircuitOpen() {
+					t.Fatal("breaker did not open")
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			before := clientMet.retries.Load()
+			tc.call(t, ctx, c, time.Now())
+			retries := clientMet.retries.Load() - before
+			mu.Lock()
+			defer mu.Unlock()
+			if got := int64(len(times)); got != tc.wantCalls {
+				t.Fatalf("%d server calls, want %d", got, tc.wantCalls)
+			}
+			if tc.wantRetries < 0 && retries < 1 || tc.wantRetries >= 0 && retries != tc.wantRetries {
+				t.Fatalf("serve.client.retries moved by %d, want %d (-1: at least one)", retries, tc.wantRetries)
+			}
+			if tc.gaps != nil {
+				var gaps []time.Duration
+				for i := 1; i < len(times); i++ {
+					gaps = append(gaps, times[i].Sub(times[i-1]))
+				}
+				tc.gaps(t, gaps)
+			}
+		})
+	}
+}

@@ -100,8 +100,7 @@ func retryable(err error) bool {
 	if errors.Is(err, ErrCircuitOpen) {
 		return true // backoff will outlast the cooldown and probe
 	}
-	var te *transportError
-	if errors.As(err, &te) {
+	if isTransport(err) {
 		return true
 	}
 	var he *HTTPError
@@ -112,6 +111,13 @@ func retryable(err error) bool {
 		}
 	}
 	return false
+}
+
+// isTransport reports whether err failed below HTTP: the only failure
+// RoundTrip retries.
+func isTransport(err error) bool {
+	var te *transportError
+	return errors.As(err, &te)
 }
 
 // retryAfterOf extracts the server's Retry-After hint from a failed attempt.

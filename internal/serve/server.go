@@ -199,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		cache:    NewResultCacheBytes(cfg.CacheSize, cfg.CacheMaxBytes),
+		cache:    NewResultCache(cfg.CacheSize, cfg.CacheMaxBytes),
 		jobs:     make(map[string]*job),
 		draining: make(chan struct{}),
 		spans:    obsv.NewSpanRecorder(cfg.SpanCap),
@@ -413,10 +413,11 @@ const (
 	HeaderRetryBudget = "X-Srv-Retry-Budget"
 )
 
-// Brownout step names, indexed by brownoutStep(). Step 0 (serving normally)
+// BrownoutNames are the brownout step names, indexed by step (a node's
+// brownoutStep, a gateway's fleet aggregate). Step 0 (serving normally)
 // renders as the empty string so healthz payloads without brownout configured
 // are byte-identical to the seed.
-var brownoutNames = [...]string{"", "shed-low", "no-new-work", "cached-only"}
+var BrownoutNames = [...]string{"", "shed-low", "no-new-work", "cached-only"}
 
 // brownoutStep grades overload against Config.BrownoutHighWater: 0 below the
 // mark, 1 above it (shed tenants below the max configured weight), 2 above
@@ -557,7 +558,7 @@ func (s *Server) runJob(j *job) {
 			outcome = "preempted"
 		}
 		now := endExecute(outcome)
-		j.finish(nil, &fr, se.Error(), failStatusFor(err, ctx), now)
+		j.finish(nil, &fr, se.Error(), failCodeFor(err, ctx), now)
 		s.met.jobsFailed.Add(1)
 		if outcome == "preempted" {
 			lg.Info("job preempted", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
@@ -572,7 +573,7 @@ func (s *Server) runJob(j *job) {
 	data, err := json.Marshal(res)
 	if err != nil {
 		msg := fmt.Sprintf("marshalling result: %v", err)
-		j.finish(nil, nil, msg, http.StatusInternalServerError, endExecute("failed"))
+		j.finish(nil, nil, msg, CodeSimFailed, endExecute("failed"))
 		s.met.jobsFailed.Add(1)
 		lg.Warn("job failed", "err", msg)
 		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: msg})
@@ -580,25 +581,25 @@ func (s *Server) runJob(j *job) {
 	}
 	s.cache.Put(j.id, data)
 	now := endExecute("done")
-	j.finish(data, nil, "", 0, now)
+	j.finish(data, nil, "", "", now)
 	s.met.jobsDone.Add(1)
 	s.observeService(time.Since(start))
 	lg.Info("job done", "duration_ms", now.Sub(start).Milliseconds(), "result_bytes", len(data))
 	journalSpan(journalRecord{Op: opDone, Key: j.id, ID: j.id, At: time.Now(), Result: data})
 }
 
-// failStatusFor maps a failed job to the HTTP status a synchronous waiter
-// sees: compile errors are the client's fault (422), cancellation means the
-// job timed out or the server is draining (504), everything else is a plain
-// simulation failure (500).
-func failStatusFor(err error, ctx context.Context) int {
+// failCodeFor maps a failed job to the envelope code a synchronous waiter
+// sees: compile errors are the client's fault (compile_rejected, 422),
+// cancellation means the job timed out or the server is draining (timeout,
+// 504), everything else is a plain simulation failure (sim_failed, 500).
+func failCodeFor(err error, ctx context.Context) ErrorCode {
 	if errors.Is(err, pipeline.ErrCancelled) || ctx.Err() != nil {
-		return http.StatusGatewayTimeout
+		return CodeTimeout
 	}
 	if se := harness.AsSimError(err); se.Kind == harness.KindCompileError {
-		return http.StatusUnprocessableEntity
+		return CodeCompileRejected
 	}
-	return http.StatusInternalServerError
+	return CodeSimFailed
 }
 
 // Handler returns the /v1 API mux.
@@ -608,8 +609,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sims/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/sims/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/trace", s.handleTrace)
+	mux.HandleFunc("GET /v1/metrics", MetricsHandler(s.reg))
+	mux.HandleFunc("GET /v1/trace", TraceHandler(s.spans))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.met.requests.Add(1)
 		mux.ServeHTTP(w, r)
@@ -623,10 +624,11 @@ func (s *Server) jobStatus(j *job) JobStatus {
 	return st
 }
 
-// parseDeadlineMS reads the X-Srv-Deadline-Ms header (relative milliseconds
-// remaining). ok=false means absent or unparseable — unparseable values are
-// ignored rather than refused, since a deadline is advisory metadata.
-func parseDeadlineMS(h string) (time.Duration, bool) {
+// ParseDeadlineMS reads the X-Srv-Deadline-Ms header (relative milliseconds
+// remaining), for nodes and the gateway alike. ok=false means absent or
+// unparseable — unparseable values are ignored rather than refused, since a
+// deadline is advisory metadata.
+func ParseDeadlineMS(h string) (time.Duration, bool) {
 	if h == "" {
 		return 0, false
 	}
@@ -743,7 +745,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadlineIn, hasDeadline := parseDeadlineMS(r.Header.Get(HeaderDeadlineMS))
+	deadlineIn, hasDeadline := ParseDeadlineMS(r.Header.Get(HeaderDeadlineMS))
 	var deadline time.Time
 	if hasDeadline {
 		deadline = arrived.Add(deadlineIn)
@@ -804,9 +806,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		shed := step >= 2 || s.quotas.WeightFor(tenant) < s.maxTenantWeight
 		if shed {
 			s.met.shedBrownout.Add(1)
-			refused("brownout", brownoutNames[step])
+			refused("brownout", BrownoutNames[step])
 			WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
-				"brownout (%s): refusing non-cached work", brownoutNames[step])
+				"brownout (%s): refusing non-cached work", BrownoutNames[step])
 			return
 		}
 	}
@@ -912,9 +914,9 @@ func (s *Server) replyJob(w http.ResponseWriter, r *http.Request, j *job) {
 	st := s.jobStatus(j)
 	if st.State == StateFailed {
 		j.mu.Lock()
-		code := j.failStatus
+		code := j.failCode
 		j.mu.Unlock()
-		writeFailedJob(w, failCodeFor(code), st)
+		writeFailedJob(w, code, st)
 		return
 	}
 	WriteJSON(w, http.StatusOK, st)
@@ -1047,19 +1049,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Node:            s.cfg.NodeID,
 		PredictedWaitMS: float64(s.estimatedWait().Nanoseconds()) / 1e6,
 		JournalLag:      s.met.journalRecords.Load(),
-		Brownout:        brownoutNames[s.brownoutStep()],
+		Brownout:        BrownoutNames[s.brownoutStep()],
 		Tenants:         tenants,
 	})
 }
 
-// handleMetrics serves the registry: JSON by default, Prometheus text
-// exposition with ?format=prometheus (the scrape target for a fleet).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", obsv.PromContentType)
-		_ = s.reg.WritePrometheus(w)
-		return
+// MetricsHandler serves GET /v1/metrics for a node or the gateway: reg as
+// JSON by default, Prometheus text exposition with ?format=prometheus (the
+// scrape target for a fleet).
+func MetricsHandler(reg *obsv.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "prometheus" {
+			w.Header().Set("Content-Type", obsv.PromContentType)
+			_ = reg.WritePrometheus(w)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = reg.WriteJSON(w)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.reg.WriteJSON(w)
 }

@@ -576,7 +576,7 @@ func TestClientRetryAfterPreference(t *testing.T) {
 // payload bytes evict beyond the cap, oversized entries are refused, and
 // overwrites re-account.
 func TestCacheByteBound(t *testing.T) {
-	c := NewResultCacheBytes(10, 100)
+	c := NewResultCache(10, 100)
 	val := func(n int) json.RawMessage { return json.RawMessage(bytes.Repeat([]byte("x"), n)) }
 
 	c.Put("a", val(40))
@@ -610,7 +610,7 @@ func TestCacheByteBound(t *testing.T) {
 		t.Fatalf("after overwrite bytes=%d, want 50", c.Bytes())
 	}
 	// Entry-count bound still applies independently of bytes.
-	tiny := NewResultCacheBytes(2, 0)
+	tiny := NewResultCache(2, 0)
 	tiny.Put("a", val(1))
 	tiny.Put("b", val(1))
 	tiny.Put("c", val(1))

@@ -41,14 +41,17 @@ func (s *Server) jobLogger(j *job) *slog.Logger {
 	return s.logger.With("trace_id", j.trace.Trace.String(), "job", j.id, "cache_key", j.id)
 }
 
-// handleTrace exports the buffered spans: NDJSON (one span per line) by
-// default, a Chrome/Perfetto trace document with ?format=perfetto.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "perfetto" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.spans.WriteTrace(w)
-		return
+// TraceHandler serves GET /v1/trace for a node or the gateway: the spans
+// buffered in rec as NDJSON (one span per line) by default, a
+// Chrome/Perfetto trace document with ?format=perfetto.
+func TraceHandler(rec *obsv.SpanRecorder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "perfetto" {
+			w.Header().Set("Content-Type", "application/json")
+			_ = rec.WriteTrace(w)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = rec.WriteNDJSON(w)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = s.spans.WriteNDJSON(w)
 }
