@@ -33,7 +33,8 @@ bench:
 
 # bench-speed is the simulator-throughput check: the core hot-path
 # microbenchmarks with allocation reporting (the scheduler pop path, the
-# observability hooks, the bitvec disambiguation kernels, and whole-pipeline
+# observability hooks, the bitvec disambiguation kernels, the LSU's
+# reservation paths outside and inside regions, and whole-pipeline
 # cycles/sec, including the gather/scatter path), then a fresh timing report
 # (BENCH_harness.json) carrying informational cycles_per_sec deltas against
 # the previous run. Wall-clock
@@ -41,6 +42,7 @@ bench:
 bench-speed: build
 	$(GO) test -run '^$$' -bench 'QuietTarget|AdvanceQuiet|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'Mask128' -benchmem ./internal/bitvec
+	$(GO) test -run '^$$' -bench 'Reserve' -benchmem ./internal/lsu
 	$(GO) run ./cmd/srvbench -timing BENCH_harness.json
 
 # timing regenerates BENCH_harness.json (per-benchmark wall-clock of the

@@ -529,8 +529,12 @@ func TestGatewayRepeatHitsKeepNoRecords(t *testing.T) {
 // and answers the 5th with the last node's 429 over_capacity byte for byte,
 // retry hint included. On a 1-node fleet a fire-and-forget job returns its
 // node byte charge when it finishes, with nobody polling the gateway.
+//
+// Neither fleet polls node health after the first: every check below reads
+// node state directly, and a health poll that outlived its 50 ms timeout on
+// a loaded machine marked the nodes ineligible, refusing a submission 503.
 func TestGatewayTenantQuota(t *testing.T) {
-	f := startFleetWith(t, 2, Config{}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
+	f := startFleetWith(t, 2, Config{HealthInterval: time.Hour}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
 		"greedy": {SubmitRate: 0.25, SubmitBurst: 2},
 	}})
 	greedy := map[string]string{serve.HeaderTenant: "greedy"}
@@ -571,7 +575,7 @@ func TestGatewayTenantQuota(t *testing.T) {
 	heavy.Tenant = "heavy"
 	canonical, _ := heavy.Canonical()
 	body, _ := json.Marshal(canonical)
-	one := startFleetWith(t, 1, Config{}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
+	one := startFleetWith(t, 1, Config{HealthInterval: time.Hour}, serve.Config{TenantQuotas: map[string]serve.TenantLimits{
 		"heavy": {MaxInflightBytes: int64(len(body))}, // room for one live body
 	}})
 	c := serve.NewClient(one.front.URL, serve.WithRetry(serve.RetryPolicy{MaxAttempts: 1}))

@@ -66,12 +66,12 @@ func cfg() pipeline.Config {
 // defaultMaxCycles is the harness's cycle budget per simulation.
 const defaultMaxCycles = 500_000_000
 
-// warm pre-touches every line of the loop's arrays through the cache
+// warm pre-touches every line of a loop's arrays through the cache
 // hierarchy, modelling the steady state of a loop whose working set was
 // recently used by earlier program phases (the paper measures loop
 // invocations inside running applications, not cold starts).
-func warm(p *pipeline.Pipeline, l *compiler.Loop) {
-	for _, a := range l.Arrays() {
+func warm(p *pipeline.Pipeline, arrays []*compiler.Array) {
+	for _, a := range arrays {
 		end := a.Base + uint64(a.Elem*a.Len)
 		for line := a.Base &^ 63; line < end; line += 64 {
 			p.Hier.Latency(line)
@@ -84,8 +84,8 @@ func warm(p *pipeline.Pipeline, l *compiler.Loop) {
 // timeline, so a reproduced failure comes back with forensics attached.
 // (The per-simulation wall-clock bound is a context deadline; see
 // simContext.)
-func (e *Env) prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
-	warm(p, l)
+func (e *Env) prepare(p *pipeline.Pipeline, arrays []*compiler.Array, diag bool) {
+	warm(p, arrays)
 	if e.RefTickCore {
 		p.UseReferenceTickCore()
 	}
@@ -141,9 +141,14 @@ func ratio(a, b float64) float64 {
 func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, ls workloads.LoopSpec, seed int64, diag bool) (LoopResult, error) {
 	res := LoopResult{Bench: bench, Loop: ls.Shape.Name}
 
-	// Reference result, computed once up front; both variants only read it.
-	refLoop, refIm := ls.Instantiate(seed)
-	compiler.Eval(refLoop, refIm)
+	// One instantiation serves the reference and both variants: the
+	// reference and the scalar variant each run on a clone of its image,
+	// the SRV variant on the image itself, and all three share the loop,
+	// which none of them writes to (TestCompileLeavesLoopUnchanged).
+	l, vim := ls.Instantiate(seed)
+	refIm, sim := vim.Clone(), vim.Clone()
+	compiler.Eval(l, refIm)
+	arrays := l.Arrays()
 
 	type variant struct {
 		name string
@@ -151,13 +156,12 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 	}
 	variants := []variant{
 		{"scalar", func(a attribution) error {
-			sl, sim := ls.Instantiate(seed)
-			sc, err := compiler.Compile(sl, sim, compiler.ModeScalar)
+			sc, err := compiler.Compile(l, sim, compiler.ModeScalar)
 			if err != nil {
 				return a.simErr(KindCompileError, "%v", err)
 			}
 			sp := pipeline.New(pcfg, sc.Prog, sim)
-			e.prepare(sp, sl, diag)
+			e.prepare(sp, arrays, diag)
 			if err := armCheckpoints(ctx, sp, a); err != nil {
 				return err
 			}
@@ -175,13 +179,12 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 			return nil
 		}},
 		{"srv", func(a attribution) error {
-			vl, vim := ls.Instantiate(seed)
-			vc, err := compiler.Compile(vl, vim, compiler.ModeSRV)
+			vc, err := compiler.Compile(l, vim, compiler.ModeSRV)
 			if err != nil {
 				return a.simErr(KindCompileError, "%v", err)
 			}
 			vp := pipeline.New(pcfg, vc.Prog, vim)
-			e.prepare(vp, vl, diag)
+			e.prepare(vp, arrays, diag)
 			if err := armCheckpoints(ctx, vp, a); err != nil {
 				return err
 			}
@@ -207,7 +210,7 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 			res.SRVCam = power.Sample{CAMLookups: vp.LSU.Stats.CAMLookups,
 				HorizShifts: vp.LSU.Stats.HorizDisamb, Cycles: vp.Stats.Cycles}
 			res.StaticInsts = vc.Prog.Len()
-			res.Estimated = compiler.DefaultCostModel().Estimate(vl)
+			res.Estimated = compiler.DefaultCostModel().Estimate(l)
 			res.Regions = vp.Ctrl.Stats.Regions
 			res.LSUHighWater = vp.LSU.Stats.MaxOccupancy
 			if durs := vp.RegionDurations(); len(durs) > 0 {
@@ -220,9 +223,9 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 				}
 				res.RegionDurMean = float64(sum) / float64(len(durs))
 			}
-			res.MemAccesses, res.GatherScatter = vl.MemAccessCount()
-			res.GatherLoads = countGatherLoads(vl)
-			res.TotalLoads = countLoads(vl)
+			res.MemAccesses, res.GatherScatter = l.MemAccessCount()
+			res.GatherLoads = countGatherLoads(l)
+			res.TotalLoads = countLoads(l)
 			return nil
 		}},
 	}

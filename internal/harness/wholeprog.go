@@ -114,8 +114,8 @@ func (e *Env) RunWholeProgram(ctx context.Context, b workloads.Benchmark, seed i
 			return nil, err
 		}
 		p := pipeline.New(cfg(), prog, im)
-		warm(p, loop)
-		warm(p, f1)
+		warm(p, loop.Arrays())
+		warm(p, f1.Arrays())
 		if err := p.RunContext(ctx); err != nil {
 			return nil, err
 		}

@@ -50,6 +50,28 @@ func BenchmarkReserveRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkReserveRegion measures the region path of Reserve: each
+// iteration reserves a lane-indexed entry per lane in a fresh region
+// instance, re-reserves each by the same (instance, SRV-id, lane) as a
+// replay does, and frees the instance two back, so three are live at once.
+func BenchmarkReserveRegion(b *testing.B) {
+	l, _, _ := benchLSU(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := int64(i + 1)
+		for lane := 0; lane < isa.NumLanes; lane++ {
+			r := l.Reserve(i, 7, lane, false, seq)
+			if !r.OK || l.Reserve(i, 7, lane, false, seq).Entry != r.Entry {
+				b.Fatal("reserve failed or re-reserve allocated a fresh entry")
+			}
+		}
+		if i >= 2 {
+			l.DiscardRegion(i - 2)
+		}
+	}
+}
+
 // BenchmarkExecLoad measures a load resolving against a store queue holding
 // 24 live stores on nearby cachelines — the candidate-search path.
 func BenchmarkExecLoad(b *testing.B) {

@@ -15,7 +15,12 @@
 // touches, and the CAM/disambiguation
 // statistics — which model a hardware CAM that compares against every
 // entry — are maintained arithmetically from live-entry counters so the
-// index never changes what Fig 11/12 report.
+// index never changes what Fig 11/12 report. The region tables are
+// map-free too: (instance, SRV-id, lane) lookups walk a fixed intrusive
+// bucket table like the line index, and the per-instance counters sit in a
+// short dense table, since only a few region instances are ever live at
+// once. Both are built in New; only an LSU holding more than instSlots
+// live instances grows its counter table.
 package lsu
 
 import (
@@ -67,8 +72,10 @@ type Entry struct {
 	// Queue plumbing (not architectural state).
 	prev, next   *Entry // live list in allocation order; next doubles as the free-list link
 	alloc        int64  // allocation stamp: position in the legacy slice order
-	key          lsuKey // current byKey registration (valid when inMap)
-	inMap        bool
+	key          lsuKey // rebind identity (valid when inMap)
+	inMap        bool   // holds a rebind identity, even if another entry owns it now
+	keyed        bool   // owns key: on its keys bucket chain
+	kprev, knext *Entry // keys bucket chain
 	indexed      bool   // registered in the per-line address index
 	idxLo, idxHi uint64 // registered line range
 	bprev, bnext *Entry // line-index bucket chain (the bucket of idxLo)
@@ -172,14 +179,13 @@ type LSU struct {
 	free       *Entry // recycled entries, linked through next
 	allocSeq   int64
 
-	byKey     map[lsuKey]*Entry // region entries for the SRV-id reuse rule
-	instCount map[int]int       // live entries per region instance
+	keys  keyTable     // region entries for the SRV-id reuse rule
+	insts []instCounts // one record per region instance with live entries
 
-	// Valid-entry counters backing the CAM disambiguation statistics.
+	// Valid-entry counters backing the CAM disambiguation statistics (the
+	// per-instance ones are in insts).
 	validStores       int
-	validStoresByInst map[int]int
 	validLoadsOutside int
-	validLoadsByInst  map[int]int
 
 	// Per-cacheline address index over valid entries, one table per queue.
 	loadLines, storeLines lineIndex
@@ -193,28 +199,30 @@ type LSU struct {
 	units    []fwdUnit
 }
 
+// instSlots is how many live region instances the counter table holds
+// before it grows; the workload suite never has more than 3 live at once.
+const instSlots = 8
+
 // maxSlab caps the entries New builds up front. The capacity comes from a
 // request's configuration, so an LSU larger than any the evaluation sweeps
 // allocates its entries past the slab lazily instead of all at once.
 const maxSlab = 1024
 
 // New returns an LSU with the given total entry capacity. Its entries (up
-// to maxSlab), their SDQ data buffers and both line-index tables are carved
-// from slabs sized here, so no entry is allocated while the LSU runs.
+// to maxSlab), their SDQ data buffers, both line-index tables, the key
+// table and the instance table are carved from slabs sized here, so no
+// entry is allocated while the LSU runs.
 func New(capacity int, m isa.Memory, ctrl *core.Controller) *LSU {
 	slab := min(max(capacity, 0), maxSlab)
 	l := &LSU{
-		capacity:          capacity,
-		mem:               m,
-		ctrl:              ctrl,
-		byKey:             make(map[lsuKey]*Entry, slab),
-		instCount:         make(map[int]int),
-		validStoresByInst: make(map[int]int),
-		validLoadsByInst:  make(map[int]int),
-		written:           bitvec.NewSet(),
-		cands:             make([]*Entry, 0, slab),
-		stores:            make([]*Entry, 0, slab),
-		memAddrs:          make([]uint64, 0, maxFootprint),
+		capacity: capacity,
+		mem:      m,
+		ctrl:     ctrl,
+		insts:    make([]instCounts, 0, instSlots),
+		written:  bitvec.NewSet(),
+		cands:    make([]*Entry, 0, slab),
+		stores:   make([]*Entry, 0, slab),
+		memAddrs: make([]uint64, 0, maxFootprint),
 	}
 	entries := make([]Entry, slab)
 	data := make([]byte, slab*maxFootprint)
@@ -228,9 +236,10 @@ func New(capacity int, m isa.Memory, ctrl *core.Controller) *LSU {
 	for n < 2*slab {
 		n <<= 1
 	}
-	buckets := make([]*Entry, 2*n)
+	buckets := make([]*Entry, 3*n)
 	l.loadLines = lineIndex{buckets: buckets[:n:n], mask: uint64(n - 1)}
-	l.storeLines = lineIndex{buckets: buckets[n:], mask: uint64(n - 1)}
+	l.storeLines = lineIndex{buckets: buckets[n : 2*n : 2*n], mask: uint64(n - 1)}
+	l.keys = keyTable{buckets: buckets[2*n:], mask: uint64(n - 1)}
 	return l
 }
 
@@ -273,21 +282,13 @@ func (l *LSU) allocEntry() *Entry {
 // counters, then recycles it through the free list.
 func (l *LSU) unlink(e *Entry) {
 	if e.Valid {
-		l.dropValid(e)
+		l.addValid(e, -1)
 	}
 	l.unindex(e)
-	if e.inMap {
-		if l.byKey[e.key] == e {
-			delete(l.byKey, e.key)
-		}
-		e.inMap = false
-	}
+	l.keys.remove(e)
+	e.inMap = false
 	if e.Instance != NoInstance {
-		if n := l.instCount[e.Instance] - 1; n > 0 {
-			l.instCount[e.Instance] = n
-		} else {
-			delete(l.instCount, e.Instance)
-		}
+		l.dropInst(e.Instance)
 	}
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -305,38 +306,130 @@ func (l *LSU) unlink(e *Entry) {
 	l.free = e
 }
 
-func (l *LSU) noteValid(e *Entry) {
-	if e.IsStore {
-		l.validStores++
+// addValid adjusts the valid-entry counters for e by d: +1 when its address
+// becomes known, -1 when it is freed.
+func (l *LSU) addValid(e *Entry, d int) {
+	switch {
+	case e.IsStore:
+		l.validStores += d
 		if e.Instance != NoInstance {
-			l.validStoresByInst[e.Instance]++
+			l.findInst(e.Instance).validStores += d
 		}
-	} else if e.Instance == NoInstance {
-		l.validLoadsOutside++
-	} else {
-		l.validLoadsByInst[e.Instance]++
+	case e.Instance == NoInstance:
+		l.validLoadsOutside += d
+	default:
+		l.findInst(e.Instance).validLoads += d
 	}
 }
 
-func (l *LSU) dropValid(e *Entry) {
-	if e.IsStore {
-		l.validStores--
-		if e.Instance != NoInstance {
-			if n := l.validStoresByInst[e.Instance] - 1; n > 0 {
-				l.validStoresByInst[e.Instance] = n
-			} else {
-				delete(l.validStoresByInst, e.Instance)
-			}
-		}
-	} else if e.Instance == NoInstance {
-		l.validLoadsOutside--
-	} else {
-		if n := l.validLoadsByInst[e.Instance] - 1; n > 0 {
-			l.validLoadsByInst[e.Instance] = n
-		} else {
-			delete(l.validLoadsByInst, e.Instance)
+// instCounts is one region instance's live-entry counters.
+type instCounts struct {
+	instance    int
+	live        int // live entries
+	validStores int // live entries with a known address, by queue
+	validLoads  int
+}
+
+// findInst returns the counters of a region instance with live entries, or
+// nil. The table holds a few records, so a scan beats hashing.
+func (l *LSU) findInst(instance int) *instCounts {
+	for i := range l.insts {
+		if l.insts[i].instance == instance {
+			return &l.insts[i]
 		}
 	}
+	return nil
+}
+
+// inst returns a region instance's counters; an instance with no live
+// entries reads zero.
+func (l *LSU) inst(instance int) instCounts {
+	if r := l.findInst(instance); r != nil {
+		return *r
+	}
+	return instCounts{}
+}
+
+// addInst counts one more live entry of a region instance, adding its
+// record on the first. Past instSlots live instances the table grows.
+func (l *LSU) addInst(instance int) {
+	if r := l.findInst(instance); r != nil {
+		r.live++
+		return
+	}
+	l.insts = append(l.insts, instCounts{instance: instance, live: 1})
+}
+
+// dropInst counts one live entry of a region instance fewer, dropping its
+// record with the last.
+func (l *LSU) dropInst(instance int) {
+	r := l.findInst(instance)
+	if r.live--; r.live > 0 {
+		return
+	}
+	last := len(l.insts) - 1
+	*r = l.insts[last]
+	l.insts = l.insts[:last]
+}
+
+// keyTable finds a region entry by its (instance, SRV-id, lane) identity: a
+// fixed power-of-two table of intrusive bucket chains, as lineIndex is. It
+// holds at most one entry per identity, the one a lookup must return.
+type keyTable struct {
+	buckets []*Entry
+	mask    uint64
+}
+
+func (t *keyTable) bucket(k lsuKey) **Entry {
+	h := uint64(k.instance)*0x9E3779B97F4A7C15 ^ uint64(k.id)*0xBF58476D1CE4E5B9 ^ uint64(k.lane)
+	return &t.buckets[(h^h>>31)&t.mask]
+}
+
+// lookup returns the entry that owns k, or nil.
+func (t *keyTable) lookup(k lsuKey) *Entry {
+	for e := *t.bucket(k); e != nil; e = e.knext {
+		if e.key == k {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert makes e the owner of e.key; no other entry may own it.
+func (t *keyTable) insert(e *Entry) {
+	at := t.bucket(e.key)
+	e.kprev, e.knext = nil, *at
+	if *at != nil {
+		(*at).kprev = e
+	}
+	*at = e
+	e.keyed = true
+}
+
+// remove gives up e's ownership of e.key, if it has it.
+func (t *keyTable) remove(e *Entry) {
+	if !e.keyed {
+		return
+	}
+	if e.kprev != nil {
+		e.kprev.knext = e.knext
+	} else {
+		*t.bucket(e.key) = e.knext
+	}
+	if e.knext != nil {
+		e.knext.kprev = e.kprev
+	}
+	e.kprev, e.knext = nil, nil
+	e.keyed = false
+}
+
+// claim makes e the owner of e.key, displacing any current owner. The
+// displaced entry keeps its identity (inMap) but no lookup finds it.
+func (t *keyTable) claim(e *Entry) {
+	if old := t.lookup(e.key); old != nil {
+		t.remove(old)
+	}
+	t.insert(e)
 }
 
 // lineIndex is the per-cacheline address index of one queue: a fixed
@@ -445,7 +538,7 @@ type ReserveResult struct {
 // entries with the same SRV-id are updated").
 func (l *LSU) Reserve(instance, id, lane int, isStore bool, dispSeq int64) ReserveResult {
 	if instance != NoInstance {
-		if e := l.byKey[lsuKey{instance, id, lane}]; e != nil {
+		if e := l.keys.lookup(lsuKey{instance, id, lane}); e != nil {
 			e.DispSeq = dispSeq
 			return ReserveResult{Entry: e, OK: true}
 		}
@@ -454,7 +547,7 @@ func (l *LSU) Reserve(instance, id, lane int, isStore bool, dispSeq int64) Reser
 		// Overflow when every live entry belongs to this same region
 		// instance: nothing can be freed before srv_end, which is
 		// unreachable without more entries (paper §III-D7).
-		overflow := instance != NoInstance && l.instCount[instance] == l.live
+		overflow := instance != NoInstance && l.inst(instance).live == l.live
 		if overflow {
 			l.Stats.Overflows++
 		}
@@ -465,9 +558,9 @@ func (l *LSU) Reserve(instance, id, lane int, isStore bool, dispSeq int64) Reser
 	e.Seq = 0
 	if instance != NoInstance {
 		e.key = lsuKey{instance, id, lane}
-		l.byKey[e.key] = e
+		l.keys.insert(e)
 		e.inMap = true
-		l.instCount[instance]++
+		l.addInst(instance)
 	}
 	return ReserveResult{Entry: e, OK: true}
 }
@@ -484,17 +577,15 @@ func (l *LSU) SetLane(e *Entry, lane int) {
 	if !e.inMap {
 		return
 	}
-	if l.byKey[e.key] == e {
-		delete(l.byKey, e.key)
-	}
+	l.keys.remove(e)
 	e.key.lane = lane
-	if old := l.byKey[e.key]; old != nil && old.alloc < e.alloc {
+	if old := l.keys.lookup(e.key); old != nil && old.alloc < e.alloc {
 		// An older entry already claims this identity; a lookup must keep
 		// finding it first, as a front-to-back scan would.
 		e.inMap = false
 		return
 	}
-	l.byKey[e.key] = e
+	l.keys.claim(e)
 }
 
 // LoadResult reports a load execution's outcome.
@@ -521,7 +612,7 @@ func (l *LSU) ExecLoad(e *Entry, kind core.Kind, addr uint64, elem int, dir isa.
 	if e.Instance == NoInstance {
 		if !e.Valid {
 			e.Valid = true
-			l.noteValid(e)
+			l.addValid(e, 1)
 		}
 		e.Addr, e.ActLanes = addr, actMask
 	} else {
@@ -530,7 +621,7 @@ func (l *LSU) ExecLoad(e *Entry, kind core.Kind, addr uint64, elem int, dir isa.
 		if !e.Valid {
 			e.Addr, e.Valid = addr, true
 			e.ActLanes = 0
-			l.noteValid(e)
+			l.addValid(e, 1)
 		} else if kind == core.KindElem {
 			if update[e.Lane] {
 				e.Addr = addr
@@ -549,7 +640,7 @@ func (l *LSU) ExecLoad(e *Entry, kind core.Kind, addr uint64, elem int, dir isa.
 	// candidate walk below is pruned by the line index.
 	horiz := int64(0)
 	if e.Instance != NoInstance {
-		horiz = int64(l.validStoresByInst[e.Instance])
+		horiz = int64(l.inst(e.Instance).validStores)
 	}
 	l.Stats.HorizDisamb += horiz
 	l.Stats.VertDisamb += int64(l.validStores) - horiz
@@ -825,7 +916,7 @@ func (l *LSU) ExecStore(e *Entry, kind core.Kind, addr uint64, elem int, dir isa
 	if !e.Valid || e.Instance == NoInstance {
 		if !e.Valid {
 			e.Valid = true
-			l.noteValid(e)
+			l.addValid(e, 1)
 		}
 		e.Addr = addr
 		e.sizeBuffers(fp)
@@ -908,7 +999,7 @@ func (l *LSU) ExecStore(e *Entry, kind core.Kind, addr uint64, elem int, dir isa
 	// re-executed this round will pick the fresh data up via forwarding and
 	// are skipped, as are bytes of store lanes not updated this round (their
 	// data is unchanged and was already forwarded or flagged).
-	l.Stats.HorizDisamb += int64(l.validLoadsByInst[e.Instance])
+	l.Stats.HorizDisamb += int64(l.inst(e.Instance).validLoads)
 	replayMask := core.PredMask(l.ctrl.Replay())
 	updateMask := core.PredMask(update)
 	iss := e.Access()
@@ -937,7 +1028,7 @@ func (l *LSU) ExecStore(e *Entry, kind core.Kind, addr uint64, elem int, dir isa
 	}
 
 	// Horizontal WAW: older stores in later lanes covering common bytes.
-	l.Stats.HorizDisamb += int64(l.validStoresByInst[e.Instance] - 1)
+	l.Stats.HorizDisamb += int64(l.inst(e.Instance).validStores - 1)
 	for _, st := range l.collect(true, addr, fp) {
 		if st == e || st.Instance != e.Instance {
 			continue

@@ -12,7 +12,7 @@ import (
 // in live-list (allocation) order with their allocation stamps, so entry
 // pointers held elsewhere (robEntry.lsuEntries) can be re-linked by stamp
 // after a restore. Derived structure — the per-line address index, the
-// validity counters, the per-instance counts and the rebind map — is
+// validity counters, the per-instance counts and the key table — is
 // rebuilt from the captured entries rather than serialised; the rebind
 // registration itself (key + inMap) IS captured, because SetLane can leave
 // an entry carrying a key while deregistered, which a rebuild cannot infer.
@@ -80,7 +80,7 @@ func (l *LSU) State() LSUState {
 }
 
 // SetState replaces the LSU's entries with a captured state, rebuilding the
-// address index, validity counters, instance counts and rebind map.
+// address index, validity counters, instance counts and key table.
 func (l *LSU) SetState(st LSUState) error {
 	if st.Capacity != l.capacity {
 		return fmt.Errorf("lsu: capacity mismatch: state %d, lsu %d", st.Capacity, l.capacity)
@@ -94,18 +94,8 @@ func (l *LSU) SetState(st LSUState) error {
 		e = next
 	}
 	l.head, l.tail, l.live = nil, nil, 0
-	for k := range l.byKey {
-		delete(l.byKey, k)
-	}
-	for k := range l.instCount {
-		delete(l.instCount, k)
-	}
-	for k := range l.validStoresByInst {
-		delete(l.validStoresByInst, k)
-	}
-	for k := range l.validLoadsByInst {
-		delete(l.validLoadsByInst, k)
-	}
+	clear(l.keys.buckets)
+	l.insts = l.insts[:0]
 	l.validStores, l.validLoadsOutside = 0, 0
 	for _, x := range []*lineIndex{&l.loadLines, &l.storeLines} {
 		clear(x.buckets)
@@ -148,13 +138,15 @@ func (l *LSU) SetState(st LSUState) error {
 		l.live++
 
 		if e.Instance != NoInstance {
-			l.instCount[e.Instance]++
+			l.addInst(e.Instance)
 		}
 		if e.inMap {
-			l.byKey[e.key] = e
+			// In allocation order, a younger holder of a key displaces an
+			// older one.
+			l.keys.claim(e)
 		}
 		if e.Valid {
-			l.noteValid(e)
+			l.addValid(e, 1)
 			l.reindex(e)
 		}
 	}

@@ -131,14 +131,16 @@ func (im *Image) WriteInt(addr uint64, n int, v int64) {
 }
 
 // Clone returns a deep copy of the image, used to run the same initial state
-// through several execution strategies.
+// through several execution strategies. The copied pages share one slab, so
+// a clone costs a few allocations however many pages the image holds.
 func (im *Image) Clone() *Image {
-	c := NewImage()
-	c.next = im.next
+	c := &Image{pages: make(map[uint64]*[pageSize]byte, len(im.pages)), next: im.next}
+	slab := make([][pageSize]byte, len(im.pages))
+	i := 0
 	for pn, p := range im.pages {
-		cp := new([pageSize]byte)
-		*cp = *p
-		c.pages[pn] = cp
+		slab[i] = *p
+		c.pages[pn] = &slab[i]
+		i++
 	}
 	return c
 }
@@ -174,40 +176,43 @@ func (im *Image) coveredBy(o *Image) bool {
 	return true
 }
 
+// zeroPage stands in for a page one image lacks: untouched memory reads as
+// zero.
+var zeroPage [pageSize]byte
+
 // FirstDiff returns the lowest address at which the images differ, for test
-// diagnostics. The second result is false when the images are equal.
+// diagnostics. The second result is false when the images are equal. Pages
+// are compared whole; bytes are scanned only inside a page that differs.
 func (im *Image) FirstDiff(o *Image) (uint64, bool) {
-	seen := make(map[uint64]bool)
 	var lowest uint64
 	found := false
-	check := func(pn uint64) {
-		if seen[pn] {
+	check := func(pn uint64, a, b *[pageSize]byte) {
+		if found && pn<<pageBits > lowest {
 			return
 		}
-		seen[pn] = true
-		a, b := im.pages[pn], o.pages[pn]
-		var za, zb [pageSize]byte
 		if a == nil {
-			a = &za
+			a = &zeroPage
 		}
 		if b == nil {
-			b = &zb
+			b = &zeroPage
 		}
-		for i := 0; i < pageSize; i++ {
+		if *a == *b {
+			return
+		}
+		for i := range a {
 			if a[i] != b[i] {
-				addr := pn<<pageBits + uint64(i)
-				if !found || addr < lowest {
-					lowest, found = addr, true
-				}
+				lowest, found = pn<<pageBits+uint64(i), true
 				return
 			}
 		}
 	}
-	for pn := range im.pages {
-		check(pn)
+	for pn, a := range im.pages {
+		check(pn, a, o.pages[pn])
 	}
-	for pn := range o.pages {
-		check(pn)
+	for pn, b := range o.pages {
+		if im.pages[pn] == nil {
+			check(pn, nil, b)
+		}
 	}
 	return lowest, found
 }

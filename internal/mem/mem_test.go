@@ -83,6 +83,91 @@ func TestCloneEqualFirstDiff(t *testing.T) {
 	}
 }
 
+// TestFirstDiff pins FirstDiff's answer at page edges, for pages only one
+// image holds, and across several differing pages.
+func TestFirstDiff(t *testing.T) {
+	const pg = 0x4000 // a page boundary
+	type write struct {
+		addr uint64
+		v    int64
+	}
+	cases := []struct {
+		name     string
+		a, b     []write // byte writes to each image
+		want     uint64
+		wantDiff bool
+	}{
+		{name: "equal", a: []write{{pg, 1}, {pg + 9, 2}}, b: []write{{pg, 1}, {pg + 9, 2}}},
+		{name: "first byte of a page", a: []write{{pg, 1}}, b: []write{{pg, 2}}, want: pg, wantDiff: true},
+		{name: "last byte of a page", a: []write{{pg + pageSize - 1, 1}}, b: []write{{pg + pageSize - 1, 2}},
+			want: pg + pageSize - 1, wantDiff: true},
+		{name: "zero page in one image only", a: []write{{pg + 5, 0}}},
+		{name: "non-zero page in one image only", b: []write{{pg + 5, 7}}, want: pg + 5, wantDiff: true},
+		{name: "non-zero page in the other image only", a: []write{{pg + pageSize - 1, 7}},
+			want: pg + pageSize - 1, wantDiff: true},
+		{name: "lowest of several pages",
+			a:    []write{{pg + 3*pageSize + 1, 1}, {pg + pageSize + 100, 1}, {pg + 2*pageSize, 1}},
+			b:    []write{{pg + 3*pageSize, 1}, {pg + pageSize + 7, 1}, {pg + 5*pageSize, 1}},
+			want: pg + pageSize + 7, wantDiff: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := NewImage(), NewImage()
+			for _, w := range tc.a {
+				a.WriteInt(w.addr, 1, w.v)
+			}
+			for _, w := range tc.b {
+				b.WriteInt(w.addr, 1, w.v)
+			}
+			for _, dir := range []struct {
+				name string
+				x, y *Image
+			}{{"a vs b", a, b}, {"b vs a", b, a}, {"a vs clone of b", a, b.Clone()}} {
+				addr, diff := dir.x.FirstDiff(dir.y)
+				if diff != tc.wantDiff || addr != tc.want {
+					t.Errorf("%s: FirstDiff = %#x,%v, want %#x,%v", dir.name, addr, diff, tc.want, tc.wantDiff)
+				}
+				if eq := dir.x.Equal(dir.y); eq == tc.wantDiff {
+					t.Errorf("%s: Equal = %v, want %v", dir.name, eq, !tc.wantDiff)
+				}
+			}
+		})
+	}
+	a := NewImage()
+	for i := uint64(0); i < 64; i++ {
+		a.WriteInt(pg+i*pageSize, 8, int64(i))
+	}
+	b := a.Clone()
+	if n := testing.AllocsPerRun(10, func() { a.FirstDiff(b) }); n != 0 {
+		t.Errorf("FirstDiff of equal 64-page images made %.0f allocations, want 0", n)
+	}
+}
+
+// TestCloneIsIndependent checks that a clone's pages, which share one slab,
+// are copies: writes to the clone reach neither the original nor each other.
+func TestCloneIsIndependent(t *testing.T) {
+	const pages = 64
+	im := NewImage()
+	for i := uint64(0); i < pages; i++ {
+		im.WriteInt(0x4000+i*pageSize, 8, int64(i+1))
+	}
+	c := im.Clone()
+	for i := uint64(0); i < pages; i++ {
+		c.WriteInt(0x4000+i*pageSize, 8, -1)
+	}
+	for i := uint64(0); i < pages; i++ {
+		if got := im.ReadInt(0x4000+i*pageSize, 8); got != int64(i+1) {
+			t.Errorf("original page %d reads %d after writing the clone, want %d", i, got, i+1)
+		}
+		if got := c.ReadInt(0x4000+i*pageSize, 8); got != -1 {
+			t.Errorf("clone page %d reads %d, want -1", i, got)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { im.Clone() }); n > 8 {
+		t.Errorf("Clone of a %d-page image made %.0f allocations, want a few, not one per page", pages, n)
+	}
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "t", SizeB: 1024, Ways: 2, LineB: 64, HitLat: 2})
 	if c.Lookup(0x1000) {
