@@ -99,9 +99,11 @@ obs-smoke: build
 # resume-smoke is the checkpoint/resume acceptance drill, run under the race
 # detector: a daemon SIGKILLed mid-simulation (machine checkpoints already
 # journaled) must resume the job from its last checkpoint on restart and
-# finish it byte-identical to an uninterrupted run.
+# finish it byte-identical to an uninterrupted run. It also pins the record
+# order that makes a reported result durable: with the journal blocked, no
+# waiter or stream learns that a finished job is done.
 resume-smoke: build
-	$(GO) test -race -timeout 15m -run 'TestSIGKILLMidSimResume|TestPreemptAndResume' ./internal/serve
+	$(GO) test -race -timeout 15m -run 'TestSIGKILLMidSimResume|TestPreemptAndResume|TestTerminalRecordBeforeWake' ./internal/serve
 
 # fleet-smoke is the gateway acceptance drill, run under the race detector:
 # an in-process 3-node fleet behind the gateway takes a batch of

@@ -9,6 +9,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"srvsim/internal/isa"
 	"srvsim/internal/mem"
@@ -122,11 +123,11 @@ type Loop struct {
 
 // Arrays returns every distinct array the loop touches, in first-use order.
 func (l *Loop) Arrays() []*Array {
+	// A loop touches a handful of arrays: a linear scan of out dedupes them
+	// without allocating a set.
 	var out []*Array
-	seen := make(map[*Array]bool)
 	add := func(a *Array) {
-		if a != nil && !seen[a] {
-			seen[a] = true
+		if a != nil && !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}

@@ -224,8 +224,7 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 				res.RegionDurMean = float64(sum) / float64(len(durs))
 			}
 			res.MemAccesses, res.GatherScatter = l.MemAccessCount()
-			res.GatherLoads = countGatherLoads(l)
-			res.TotalLoads = countLoads(l)
+			res.GatherLoads, res.TotalLoads = countLoads(l)
 			return nil
 		}},
 	}
@@ -259,24 +258,18 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 	return res, nil
 }
 
-func countGatherLoads(l *compiler.Loop) int64 {
-	n := int64(0)
-	for _, a := range l.AccessSummaries() {
-		if !a.IsStore && a.Unknown {
-			n++
-		}
-	}
-	return n
-}
-
-func countLoads(l *compiler.Loop) int64 {
-	n := int64(0)
+// countLoads counts the loop's loads, and of them the gathers (loads through
+// an indirect subscript), in one walk of its accesses.
+func countLoads(l *compiler.Loop) (gathers, total int64) {
 	for _, a := range l.AccessSummaries() {
 		if !a.IsStore {
-			n++
+			total++
+			if a.Unknown {
+				gathers++
+			}
 		}
 	}
-	return n
+	return gathers, total
 }
 
 // BenchResult aggregates a benchmark's loops. Failed loops are excluded

@@ -1085,15 +1085,7 @@ func (l *LSU) Release(e *Entry) {
 	l.unlink(e)
 }
 
-// DebugWatch, when non-zero, prints every entry write-back covering the
-// address. Test-only instrumentation.
-var DebugWatch uint64
-
 func (l *LSU) writeEntry(e *Entry) {
-	if DebugWatch != 0 {
-		fmt.Printf("  writeEntry id=%d lane=%d inst=%d seq=%d addr=%#x\n",
-			e.ID, e.Lane, e.Instance, e.Seq, e.Addr)
-	}
 	// Batch runs of valid bytes into single memory writes.
 	for off, n := e.valid.NextRun(0); n > 0; off, n = e.valid.NextRun(off + n) {
 		l.mem.WriteBytes(e.Addr+uint64(off), e.Data[off:off+n])

@@ -13,9 +13,10 @@ import (
 // pointers held elsewhere (robEntry.lsuEntries) can be re-linked by stamp
 // after a restore. Derived structure — the per-line address index, the
 // validity counters, the per-instance counts and the key table — is
-// rebuilt from the captured entries rather than serialised; the rebind
-// registration itself (key + inMap) IS captured, because SetLane can leave
-// an entry carrying a key while deregistered, which a rebuild cannot infer.
+// rebuilt from the captured entries rather than serialised. The rebind
+// registration itself (key, inMap and keyed) IS captured: SetLane can leave
+// two entries holding one identity, and which of them owns it — older or
+// younger — is history a rebuild cannot infer.
 
 // EntryState is one captured LSU entry.
 type EntryState struct {
@@ -41,6 +42,7 @@ type EntryState struct {
 	Committed bool      `json:"committed"`
 
 	InMap   bool `json:"inMap"`
+	Keyed   bool `json:"keyed"` // owns the identity: what a rebind finds
 	KeyInst int  `json:"keyInst"`
 	KeyID   int  `json:"keyID"`
 	KeyLane int  `json:"keyLane"`
@@ -69,7 +71,7 @@ func (l *LSU) State() LSUState {
 			Kind: e.Kind, Elem: e.Elem, Dir: e.Dir,
 			Valid: e.Valid, Addr: e.Addr, ActLanes: uint64(e.ActLanes),
 			ValidMask: [2]uint64(e.valid), Spec: e.Spec, Committed: e.Committed,
-			InMap: e.inMap, KeyInst: e.key.instance, KeyID: e.key.id, KeyLane: e.key.lane,
+			InMap: e.inMap, Keyed: e.keyed, KeyInst: e.key.instance, KeyID: e.key.id, KeyLane: e.key.lane,
 		}
 		if len(e.Data) > 0 {
 			es.Data = append([]byte(nil), e.Data...)
@@ -140,10 +142,11 @@ func (l *LSU) SetState(st LSUState) error {
 		if e.Instance != NoInstance {
 			l.addInst(e.Instance)
 		}
-		if e.inMap {
-			// In allocation order, a younger holder of a key displaces an
-			// older one.
-			l.keys.claim(e)
+		if es.Keyed {
+			if l.keys.lookup(e.key) != nil {
+				return fmt.Errorf("lsu: two entries own rebind identity %+v", e.key)
+			}
+			l.keys.insert(e)
 		}
 		if e.Valid {
 			l.addValid(e, 1)

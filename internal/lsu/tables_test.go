@@ -211,16 +211,26 @@ func TestKeyTableMatchesMapModel(t *testing.T) {
 			}
 			l.DiscardRegion(inst)
 		default:
-			st := l.State()
-			must(t, l.SetState(st))
-			// Entries are rebuilt in place: re-derive the model from the
-			// restored identities, in allocation order.
-			m = &keyModel{owner: map[lsuKey]*Entry{}, key: map[*Entry]lsuKey{}}
-			for _, e := range l.Entries() {
-				if e.inMap {
-					m.reserve(e, e.key)
-				}
+			// A round trip keeps every identity and its owner. SetState
+			// recycles the Entry values, so carry the model across by
+			// allocation stamp.
+			stamp := map[*Entry]int64{}
+			for _, e := range live {
+				stamp[e] = e.alloc
 			}
+			must(t, l.SetState(l.State()))
+			byStamp := map[int64]*Entry{}
+			for _, e := range l.Entries() {
+				byStamp[e.alloc] = e
+			}
+			next := &keyModel{owner: map[lsuKey]*Entry{}, key: map[*Entry]lsuKey{}}
+			for e, k := range m.key {
+				next.key[byStamp[stamp[e]]] = k
+			}
+			for k, e := range m.owner {
+				next.owner[k] = byStamp[stamp[e]]
+			}
+			m = next
 		}
 		for _, e := range l.Entries() {
 			k, ok := m.key[e]
@@ -234,5 +244,24 @@ func TestKeyTableMatchesMapModel(t *testing.T) {
 			}
 		}
 		checkTables(t, l)
+	}
+}
+
+// TestStateKeepsRebindOwner: once SetLane moves an older entry onto the
+// identity a younger one holds, the older entry owns it, and a State/SetState
+// round trip must leave it the owner rather than hand the identity to the
+// younger holder.
+func TestStateKeepsRebindOwner(t *testing.T) {
+	l, _, ctrl := newLSU(8)
+	must(t, ctrl.Start(1, isa.DirUp))
+	first := l.Reserve(0, 7, -1, false, 1).Entry
+	l.Reserve(0, 7, 3, false, 2)
+	l.SetLane(first, 3)
+	if got := l.Reserve(0, 7, 3, false, 3).Entry.AllocID(); got != 1 {
+		t.Fatalf("live LSU rebinds (0,7,3) to alloc %d, want 1", got)
+	}
+	must(t, l.SetState(l.State()))
+	if got := l.Reserve(0, 7, 3, false, 4).Entry.AllocID(); got != 1 {
+		t.Fatalf("restored LSU rebinds (0,7,3) to alloc %d, want 1", got)
 	}
 }

@@ -41,7 +41,7 @@ import (
 // CheckpointSchemaVersion is the schema version of Checkpoint. Bump on any
 // incompatible change to the serialised form; Restore rejects mismatches so
 // a stale journal cannot silently resurrect wrong state.
-const CheckpointSchemaVersion = 1
+const CheckpointSchemaVersion = 2
 
 // SrcState is one captured operand link (robEntry.src).
 type SrcState struct {

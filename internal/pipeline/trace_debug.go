@@ -3,14 +3,9 @@ package pipeline
 import "fmt"
 
 // DebugTrace, when set, prints one line per executed instruction (cycle,
-// pc, op). Test-only instrumentation.
+// seq, pc, op, scalar result). srvsim -trace sets it.
 var DebugTrace bool
 
 func (p *Pipeline) traceExec(e *robEntry) {
-	if DebugTrace && e.seq >= TraceFromSeq && e.seq <= TraceToSeq {
-		fmt.Printf("cyc=%-6d seq=%-5d pc=%-3d %-10s scl=%d\n", p.cycle, e.seq, e.pc, e.inst.Op, e.sclRes)
-	}
+	fmt.Printf("cyc=%-6d seq=%-5d pc=%-3d %-10s scl=%d\n", p.cycle, e.seq, e.pc, e.inst.Op, e.sclRes)
 }
-
-// TraceFromSeq/TraceToSeq bound the trace window.
-var TraceFromSeq, TraceToSeq int64 = 0, 1 << 62

@@ -87,21 +87,21 @@ func TestJournalCheckpointReplay(t *testing.T) {
 	appendAll(t, dir,
 		// Key a: pending with checkpoints; the later scalar one wins, the
 		// foreign-build one is dropped.
-		journalRecord{Op: opSubmit, Key: "a", ID: "sim-1", At: now, Req: &req},
-		journalRecord{Op: opStart, Key: "a", ID: "sim-1", At: now},
-		journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &cpOld},
-		journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &cpSRV},
-		journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &cpNew},
-		journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &cpForeign},
-		journalRecord{Op: opPreempt, Key: "a", ID: "sim-1", At: now, Error: "drain"},
+		journalRecord{Op: opSubmit, Key: "a", At: now, Req: &req},
+		journalRecord{Op: opStart, Key: "a", At: now},
+		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpOld},
+		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpSRV},
+		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpNew},
+		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpForeign},
+		journalRecord{Op: opPreempt, Key: "a", At: now, Error: "drain"},
 		// Key b: done absorbs its checkpoints — nothing left to resume.
-		journalRecord{Op: opSubmit, Key: "b", ID: "sim-2", At: now, Req: &req},
-		journalRecord{Op: opCkpt, Key: "b", ID: "sim-2", At: now, Checkpoint: &cpDone},
-		journalRecord{Op: opDone, Key: "b", ID: "sim-2", At: now, Result: json.RawMessage(`{"x":1}`)},
+		journalRecord{Op: opSubmit, Key: "b", At: now, Req: &req},
+		journalRecord{Op: opCkpt, Key: "b", At: now, Checkpoint: &cpDone},
+		journalRecord{Op: opDone, Key: "b", At: now, Result: json.RawMessage(`{"x":1}`)},
 		// Key c: a genuine failure invalidates the run's checkpoints.
-		journalRecord{Op: opSubmit, Key: "c", ID: "sim-3", At: now, Req: &req},
-		journalRecord{Op: opCkpt, Key: "c", ID: "sim-3", At: now, Checkpoint: &cpFailed},
-		journalRecord{Op: opFail, Key: "c", ID: "sim-3", At: now, Error: "boom"},
+		journalRecord{Op: opSubmit, Key: "c", At: now, Req: &req},
+		journalRecord{Op: opCkpt, Key: "c", At: now, Checkpoint: &cpFailed},
+		journalRecord{Op: opFail, Key: "c", At: now, Error: "boom"},
 	)
 
 	st, err := replayJournal(dir)

@@ -24,8 +24,10 @@ import (
 // bytes the original submission got (recovery is byte-identical, because the
 // simulator is deterministic and the journal stores the marshalled Result
 // verbatim), and queued or interrupted jobs re-enqueue idempotently. Because
-// the key is a content address, replay is a pure state machine over keys —
-// job ids are informational only.
+// the key is a content address, and also the job's ID, replay is a pure state
+// machine over keys. (Older journals repeat the key in an "id" field; replay
+// ignores it.) A job's terminal record is fsynced before anyone can see the
+// job terminal (Server.end).
 
 // journalFile is the single NDJSON log inside Config.JournalDir.
 const journalFile = "journal.ndjson"
@@ -49,7 +51,6 @@ const (
 type journalRecord struct {
 	Op  journalOp `json:"op"`
 	Key string    `json:"key"`
-	ID  string    `json:"id,omitempty"`
 	At  time.Time `json:"at"`
 	// Req is recorded on submit so an interrupted job can be re-enqueued
 	// after a crash without the client resubmitting.

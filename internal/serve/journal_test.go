@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"srvsim/internal/harness"
+	"srvsim/internal/workloads"
 )
 
 // appendAll writes a sequence of records through a fresh journal handle.
@@ -37,16 +40,27 @@ func TestJournalReplayStateMachine(t *testing.T) {
 	reqB.Seed, reqC.Seed = 8, 9
 	resA := json.RawMessage(`{"loop":{"speedup":2.5}}`)
 	now := time.Now()
+	// Key a's records are seed-era lines, which also carried an "id" field:
+	// replay must ignore it.
+	reqAJSON, err := json.Marshal(reqA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = `"at":"2024-01-01T00:00:00Z"`
+	seedEra := fmt.Sprintf(`{"op":"submit","key":"a","id":"sim-1",%s,"req":%s}
+{"op":"start","key":"a","id":"sim-1",%s}
+{"op":"done","key":"a","id":"sim-1",%s,"result":%s}
+`, at, reqAJSON, at, at, resA)
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(seedEra), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	appendAll(t, dir,
-		journalRecord{Op: opSubmit, Key: "a", ID: "sim-1", At: now, Req: &reqA},
-		journalRecord{Op: opStart, Key: "a", ID: "sim-1", At: now},
-		journalRecord{Op: opDone, Key: "a", ID: "sim-1", At: now, Result: resA},
-		journalRecord{Op: opSubmit, Key: "b", ID: "sim-2", At: now, Req: &reqB},
-		journalRecord{Op: opStart, Key: "b", ID: "sim-2", At: now},
-		journalRecord{Op: opSubmit, Key: "c", ID: "sim-3", At: now, Req: &reqC},
-		journalRecord{Op: opFail, Key: "c", ID: "sim-3", At: now, Error: "boom"},
+		journalRecord{Op: opSubmit, Key: "b", At: now, Req: &reqB},
+		journalRecord{Op: opStart, Key: "b", At: now},
+		journalRecord{Op: opSubmit, Key: "c", At: now, Req: &reqC},
+		journalRecord{Op: opFail, Key: "c", At: now, Error: "boom"},
 		// A done key ignores later transitions; a failed key re-arms on submit.
-		journalRecord{Op: opFail, Key: "a", ID: "sim-4", At: now, Error: "ignored"},
+		journalRecord{Op: opFail, Key: "a", At: now, Error: "ignored"},
 	)
 
 	st, err := replayJournal(dir)
@@ -67,7 +81,7 @@ func TestJournalReplayStateMachine(t *testing.T) {
 	}
 
 	// Resubmitting the failed key re-arms it as pending.
-	appendAll(t, dir, journalRecord{Op: opSubmit, Key: "c", ID: "sim-5", At: now, Req: &reqC})
+	appendAll(t, dir, journalRecord{Op: opSubmit, Key: "c", At: now, Req: &reqC})
 	st, err = replayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -258,5 +272,152 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 		if !bytes.Equal(wantBytes, gotBytes) {
 			t.Fatalf("recovered job diverged from local run:\n  %s\n  %s", wantBytes, gotBytes)
 		}
+	}
+}
+
+// TestTerminalRecordBeforeWake: nobody learns that a job finished before its
+// terminal record is on disk. The test holds the journal's lock from the
+// middle of a run until past the end of the simulation; meanwhile neither a
+// ?wait=1 submitter nor a progress stream may see the job terminal, a poll
+// must still report it running and a resubmission must miss the cache. Once
+// the lock is released, both finish and replay finds the done record.
+func TestTerminalRecordBeforeWake(t *testing.T) {
+	dir := t.TempDir()
+	s, c := startServer(t, Config{Workers: 1, JournalDir: dir, Harness: &harness.Env{Parallelism: 1}})
+	const loops = 4
+	b := workloads.Benchmark{Name: "ordering", Suite: "test", Coverage: 1}
+	for i := 0; i < loops; i++ {
+		b.Loops = append(b.Loops, workloads.LoopSpec{Weight: 1, Shape: workloads.Shape{
+			Name: fmt.Sprintf("l%d", i), Trip: 256, Contig: 1, Chain: 1,
+			Pattern: workloads.PatIdentity, ReadSelf: true, StoreVia: true,
+		}})
+	}
+	req := harness.Request{Mode: harness.ModeBenchmark, Bench: b.Name, BenchSpec: &b, Seed: 7}
+	creq, err := req.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := creq.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The ?wait=1 submission creates the job and waits for it.
+	waited := make(chan string, 1)
+	go func() {
+		resp, err := http.Post(c.base+"/v1/sims?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			waited <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			waited <- err.Error()
+			return
+		}
+		waited <- string(st.State)
+	}()
+
+	// Take the journal lock once the job's start record is written and
+	// before its last loop reports progress. Holding j.mu while checking
+	// pauses the simulation: a loop's progress report needs j.mu.
+	held := false
+	t.Cleanup(func() {
+		if held {
+			s.journal.mu.Unlock()
+		}
+	})
+	var j *job
+	for giveUp := time.Now().Add(time.Minute); !held; time.Sleep(time.Millisecond) {
+		if time.Now().After(giveUp) {
+			t.Fatal("never caught the job running before its last loop finished")
+		}
+		s.mu.RLock()
+		j = s.jobs[key]
+		s.mu.RUnlock()
+		if j == nil {
+			continue
+		}
+		j.mu.Lock()
+		if j.state == StateRunning && s.met.journalRecords.Load() == 2 && len(j.events) < loops {
+			s.journal.mu.Lock()
+			held = true
+		}
+		j.mu.Unlock()
+	}
+
+	// Tail the job's stream; report its terminal line.
+	streamed := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(c.base + "/v1/sims/" + key + "/stream")
+		if err != nil {
+			streamed <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line JobStatus
+			if err := dec.Decode(&line); err != nil {
+				streamed <- err.Error()
+				return
+			}
+			if line.State != "" {
+				streamed <- string(line.State)
+				return
+			}
+		}
+	}()
+
+	// Wait out the simulation: every loop has reported progress, then give
+	// the worker time to reach the terminal record.
+	for giveUp := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		n := len(j.events)
+		j.mu.Unlock()
+		if n == loops {
+			break
+		}
+		if time.Now().After(giveUp) {
+			t.Fatalf("simulation stalled at %d of %d loops", n, loops)
+		}
+	}
+	select {
+	case got := <-waited:
+		t.Fatalf("?wait=1 returned (%s) before the terminal record was journaled", got)
+	case got := <-streamed:
+		t.Fatalf("stream ended (%s) before the terminal record was journaled", got)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if st := s.jobStatus(j); st.State != StateRunning {
+		t.Fatalf("poll reports %s before the terminal record was journaled", st.State)
+	}
+	if _, hit := s.cache.Get(key); hit {
+		t.Fatal("result cached before the terminal record was journaled")
+	}
+
+	s.journal.mu.Unlock()
+	held = false
+	for name, ch := range map[string]chan string{"?wait=1": waited, "stream": streamed} {
+		select {
+		case got := <-ch:
+			if got != string(StateDone) {
+				t.Fatalf("%s ended with %q, want done", name, got)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s never returned after the journal was released", name)
+		}
+	}
+	st, err := replayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.completed) != 1 || st.completed[0].key != key {
+		t.Fatalf("journal holds %d completed jobs, want the one just reported done", len(st.completed))
 	}
 }

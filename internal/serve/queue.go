@@ -90,19 +90,17 @@ type job struct {
 	cond *sync.Cond
 	// deadline is the absolute point after which the job's result is useless
 	// to its callers (propagated via X-Srv-Deadline-Ms). Zero means none.
-	// Joiners may lift it while the job is queued (join); a worker that
+	// Joiners may lift it until a worker claims the job (join); a worker that
 	// claims an already-expired job fails it without simulating into the void.
 	deadline time.Time
+	claimed  bool // a worker has taken the job: its deadline is final
 	// events is an append-only log of progress events; streamers hold a
 	// cursor into it, so late subscribers replay the full history.
-	events  []harness.ProgressEvent
-	state   JobState
-	result  json.RawMessage
-	failure *harness.FailureRecord
-	errMsg  string
-	// failCode is the envelope code a synchronous waiter reports for a
-	// failed job (compile_rejected, timeout or sim_failed).
-	failCode  ErrorCode
+	events []harness.ProgressEvent
+	state  JobState
+	// ended is set with the terminal state and never changed after, so a
+	// caller past wait reads it without mu.
+	ended     jobEnd
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -124,24 +122,24 @@ func (j *job) live() bool {
 }
 
 // join folds a coalesced submitter's deadline into a queued job: the latest
-// deadline wins, and no deadline (zero) beats any. A job that is already
-// running keeps the deadline it was claimed with.
+// deadline wins, and no deadline (zero) beats any. A job a worker has
+// claimed keeps the deadline it was claimed with.
 func (j *job) join(deadline time.Time) {
 	j.mu.Lock()
-	if j.state == StateQueued && !j.deadline.IsZero() && (deadline.IsZero() || deadline.After(j.deadline)) {
+	if !j.claimed && !j.deadline.IsZero() && (deadline.IsZero() || deadline.After(j.deadline)) {
 		j.deadline = deadline
 	}
 	j.mu.Unlock()
 }
 
-// claim moves a queued job to running and returns the deadline it runs
-// under. A job whose deadline has already passed fails instead, and claim
-// reports false.
+// claim takes a queued job for a worker, fixing its deadline, and moves it to
+// running. A job whose deadline has already passed stays queued, and claim
+// reports false: the worker must end it without running it.
 func (j *job) claim(now time.Time) (time.Time, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.claimed = true
 	if !j.deadline.IsZero() && now.After(j.deadline) {
-		j.finishLocked(nil, nil, "deadline expired before execution", CodeTimeout, now)
 		return j.deadline, false
 	}
 	j.state = StateRunning
@@ -159,28 +157,16 @@ func (j *job) appendEvent(ev harness.ProgressEvent) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state: done with the marshalled
-// result, or failed with a typed failure record and message.
-func (j *job) finish(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failCode ErrorCode, now time.Time) {
+// finish moves the job to its terminal state, done or failed as e says, and
+// wakes its waiters and streamers. Server.end is its only caller.
+func (j *job) finish(e jobEnd, now time.Time) {
 	j.mu.Lock()
-	j.finishLocked(result, failure, errMsg, failCode, now)
-	j.mu.Unlock()
-}
-
-func (j *job) finishLocked(result json.RawMessage, failure *harness.FailureRecord, errMsg string, failCode ErrorCode, now time.Time) {
-	if j.state.terminal() {
-		return
-	}
-	if errMsg == "" {
+	defer j.mu.Unlock()
+	j.state = StateFailed
+	if e.outcome == outcomeDone {
 		j.state = StateDone
-		j.result = result
-	} else {
-		j.state = StateFailed
-		j.failure = failure
-		j.errMsg = errMsg
-		j.failCode = failCode
 	}
-	j.finished = now
+	j.ended, j.finished = e, now
 	close(j.done)
 	j.cond.Broadcast()
 }
@@ -202,7 +188,7 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID: j.id, State: j.state, Mode: j.req.Mode, Bench: j.req.Bench,
 		CacheKey: j.id, SubmittedAt: j.submitted,
-		Result: j.result, Failure: j.failure, Error: j.errMsg,
+		Result: j.ended.result, Failure: j.ended.failure, Error: j.ended.err,
 		Tenant: j.tenant,
 	}
 	if !j.trace.Trace.IsZero() {

@@ -439,34 +439,19 @@ func (s *Server) brownoutStep() int {
 	return 0
 }
 
-// journalAppend records one transition (no-op without a journal).
-func (s *Server) journalAppend(rec journalRecord) {
-	if s.journal != nil {
-		s.journal.append(rec)
-	}
-}
-
-// runJob executes one job under the configured timeout and records its
-// terminal state, caching successful results byte-identically and
-// journaling the transition.
+// runJob executes one job under the configured timeout and ends it (end)
+// on every path out.
 func (s *Server) runJob(j *job) {
 	s.met.running.Add(1)
 	defer s.met.running.Add(-1)
-	// The job leaves the tenant's in-flight-bytes allowance on every terminal
-	// path out of this function.
-	defer s.quotas.ReleaseBytes(j.tenant, j.bodyBytes)
 	start := time.Now()
 
-	// A job whose caller-supplied deadline has already passed is cancelled
-	// here, before execution: simulating it would burn a worker on a result
-	// nobody is waiting for.
+	// A job whose caller-supplied deadline has already passed ends here,
+	// before execution: simulating it would burn a worker on a result nobody
+	// is waiting for.
 	deadline, ok := j.claim(start)
 	if !ok {
-		s.met.jobsExpired.Add(1)
-		s.met.e2eMS.Observe(start.Sub(j.submitted).Milliseconds())
-		s.jobLogger(j).Warn("job expired in queue",
-			"queue_wait_ms", start.Sub(j.submitted).Milliseconds())
-		s.journalAppend(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: start, Error: "deadline expired"})
+		s.end(j, jobEnd{outcome: outcomeExpired, err: "deadline expired before execution", code: CodeTimeout})
 		return
 	}
 
@@ -475,11 +460,10 @@ func (s *Server) runJob(j *job) {
 	s.met.queueWaitMS.Observe(start.Sub(j.submitted).Milliseconds())
 	s.stageSpan(j.trace.Trace, j.trace.Span, "queue-wait", j.submitted, start,
 		map[string]string{"job": j.id})
-	exec := j.trace.Child()
-	lg := s.jobLogger(j)
-	lg.Info("job started", "bench", j.req.Bench, "mode", string(j.req.Mode),
+	exec := j.trace.Child().Span
+	s.jobLogger(j).Info("job started", "bench", j.req.Bench, "mode", string(j.req.Mode),
 		"queue_wait_ms", start.Sub(j.submitted).Milliseconds())
-	s.journalAppend(journalRecord{Op: opStart, Key: j.id, ID: j.id, At: start})
+	s.journal.append(journalRecord{Op: opStart, Key: j.id, At: start})
 
 	ctx := s.ctx
 	cancel := func() {}
@@ -500,45 +484,19 @@ func (s *Server) runJob(j *job) {
 	ctx = harness.WithProgress(ctx, func(ev harness.ProgressEvent) {
 		j.appendEvent(ev)
 		now := time.Now()
-		s.stageSpan(j.trace.Trace, exec.Span, "progress:"+ev.Stage, now, now, map[string]string{
+		s.stageSpan(j.trace.Trace, exec, "progress:"+ev.Stage, now, now, map[string]string{
 			"done":  strconv.Itoa(ev.Done),
 			"total": strconv.Itoa(ev.Total),
 		})
 	})
 	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
-		key := j.id
 		ctx = harness.WithCheckpoints(ctx, s.cfg.CheckpointEvery, func(rc harness.RunCheckpoint) {
 			s.met.checkpointsJournaled.Add(1)
-			s.journalAppend(journalRecord{Op: opCkpt, Key: key, ID: key, At: time.Now(), Checkpoint: &rc})
+			s.journal.append(journalRecord{Op: opCkpt, Key: j.id, At: time.Now(), Checkpoint: &rc})
 		})
 	}
 	if len(j.resume) > 0 {
 		ctx = harness.WithResume(ctx, j.resume)
-	}
-
-	// endExecute closes the execute span and the end-to-end latency metric
-	// for every terminal path, before j.finish wakes the job's waiters: a
-	// caller that saw the job terminal finds its execute span recorded.
-	endExecute := func(outcome string) time.Time {
-		now := time.Now()
-		s.spans.Record(obsv.Span{
-			Trace: j.trace.Trace, ID: exec.Span, Parent: j.trace.Span,
-			Name: "execute", Start: start, End: now,
-			Attrs: map[string]string{"job": j.id, "cache_key": j.id, "outcome": outcome},
-		})
-		s.met.e2eMS.Observe(now.Sub(j.submitted).Milliseconds())
-		return now
-	}
-	// journalSpan wraps a terminal journal append in a "journal-append"
-	// span (skipped without a journal: there is no stage to time).
-	journalSpan := func(rec journalRecord) {
-		if s.journal == nil {
-			return
-		}
-		js := time.Now()
-		s.journal.append(rec)
-		s.stageSpan(j.trace.Trace, exec.Span, "journal-append", js, time.Now(),
-			map[string]string{"op": string(rec.Op)})
 	}
 
 	run := harness.Run
@@ -546,46 +504,106 @@ func (s *Server) runJob(j *job) {
 		run = s.cfg.Harness.Run
 	}
 	res, err := run(ctx, j.req)
-	if err != nil {
-		se := harness.AsSimError(err)
-		fr := se.Record()
-		// A job cancelled because the server itself is going down (drain
-		// budget exhausted, Shutdown) was preempted, not failed: journal it
-		// as such so it stays pending — with its checkpoints — and the next
-		// process resumes it instead of marking the key terminally failed.
-		outcome := "failed"
-		if s.ctx.Err() != nil {
-			outcome = "preempted"
-		}
-		now := endExecute(outcome)
-		j.finish(nil, &fr, se.Error(), failCodeFor(err, ctx), now)
-		s.met.jobsFailed.Add(1)
-		if outcome == "preempted" {
-			lg.Info("job preempted", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
-			s.met.jobsPreempted.Add(1)
-			journalSpan(journalRecord{Op: opPreempt, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
+	if err == nil {
+		data, merr := json.Marshal(res)
+		if merr != nil {
+			s.end(j, jobEnd{outcome: outcomeFailed, exec: exec,
+				err: fmt.Sprintf("marshalling result: %v", merr), code: CodeSimFailed})
 			return
 		}
-		lg.Warn("job failed", "err", se.Error(), "duration_ms", now.Sub(start).Milliseconds())
-		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: se.Error()})
+		s.end(j, jobEnd{outcome: outcomeDone, exec: exec, result: data})
 		return
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		msg := fmt.Sprintf("marshalling result: %v", err)
-		j.finish(nil, nil, msg, CodeSimFailed, endExecute("failed"))
+	se := harness.AsSimError(err)
+	fr := se.Record()
+	e := jobEnd{outcome: outcomeFailed, exec: exec, failure: &fr, err: se.Error(), code: failCodeFor(err, ctx)}
+	// A job cancelled because the server itself is going down (drain budget
+	// exhausted, Shutdown) was preempted, not failed: its journal record
+	// keeps it pending, with its checkpoints, so the next process resumes it
+	// instead of marking the key terminally failed.
+	if s.ctx.Err() != nil {
+		e.outcome = outcomePreempted
+	}
+	s.end(j, e)
+}
+
+// Outcomes of a job. A job that ran ends done, failed or preempted, and its
+// execute span carries the outcome; the other two never ran.
+const (
+	outcomeDone      = "done"
+	outcomeFailed    = "failed"
+	outcomePreempted = "preempted" // cancelled by drain or shutdown: resumable
+	outcomeExpired   = "expired"   // its deadline passed while it was queued
+	outcomeRefused   = "refused"   // the queue refused it at submission
+)
+
+// jobEnd is how one job ends: its outcome, and what its waiters are handed.
+type jobEnd struct {
+	outcome string
+	exec    obsv.SpanID            // the execute span of a job that ran; zero otherwise
+	result  json.RawMessage        // done: the marshalled harness.Result
+	failure *harness.FailureRecord // the harness's typed failure, if there is one
+	err     string                 // every outcome but done
+	code    ErrorCode              // the envelope code a ?wait=1 caller gets
+}
+
+// end is the one terminal transition of a job. It journals the terminal
+// record first, so a job anyone is told has finished is already durable, and
+// a resubmission of its key, which joins the job until it turns terminal,
+// cannot journal a submit ahead of that record. Then it caches a result,
+// records the execute span, latency, counters and log line, and returns the
+// tenant's byte charge, so a caller that sees the job terminal sees all of
+// it. Last it turns the job terminal, waking its waiters and streamers.
+func (s *Server) end(j *job, e jobEnd) {
+	op := opFail
+	switch e.outcome {
+	case outcomeDone:
+		op = opDone
+	case outcomePreempted:
+		op = opPreempt
+	}
+	ran := !e.exec.IsZero()
+	js := time.Now()
+	s.journal.append(journalRecord{Op: op, Key: j.id, At: js, Result: e.result, Error: e.err})
+	if ran && s.journal != nil {
+		s.stageSpan(j.trace.Trace, e.exec, "journal-append", js, time.Now(),
+			map[string]string{"op": string(op)})
+	}
+	if e.outcome == outcomeDone {
+		s.cache.Put(j.id, e.result)
+	}
+
+	now := time.Now()
+	if ran {
+		s.spans.Record(obsv.Span{
+			Trace: j.trace.Trace, ID: e.exec, Parent: j.trace.Span,
+			Name: "execute", Start: j.started, End: now,
+			Attrs: map[string]string{"job": j.id, "cache_key": j.id, "outcome": e.outcome},
+		})
+	}
+	if e.outcome != outcomeRefused {
+		s.met.e2eMS.Observe(now.Sub(j.submitted).Milliseconds())
+	}
+	lg := s.jobLogger(j)
+	ms := now.Sub(j.started).Milliseconds()
+	switch e.outcome {
+	case outcomeDone:
+		s.met.jobsDone.Add(1)
+		s.observeService(now.Sub(j.started))
+		lg.Info("job done", "duration_ms", ms, "result_bytes", len(e.result))
+	case outcomeFailed:
 		s.met.jobsFailed.Add(1)
-		lg.Warn("job failed", "err", msg)
-		journalSpan(journalRecord{Op: opFail, Key: j.id, ID: j.id, At: time.Now(), Error: msg})
-		return
+		lg.Warn("job failed", "err", e.err, "duration_ms", ms)
+	case outcomePreempted:
+		s.met.jobsFailed.Add(1)
+		s.met.jobsPreempted.Add(1)
+		lg.Info("job preempted", "err", e.err, "duration_ms", ms)
+	case outcomeExpired:
+		s.met.jobsExpired.Add(1)
+		lg.Warn("job expired in queue", "queue_wait_ms", now.Sub(j.submitted).Milliseconds())
 	}
-	s.cache.Put(j.id, data)
-	now := endExecute("done")
-	j.finish(data, nil, "", "", now)
-	s.met.jobsDone.Add(1)
-	s.observeService(time.Since(start))
-	lg.Info("job done", "duration_ms", now.Sub(start).Milliseconds(), "result_bytes", len(data))
-	journalSpan(journalRecord{Op: opDone, Key: j.id, ID: j.id, At: time.Now(), Result: data})
+	s.quotas.ReleaseBytes(j.tenant, j.bodyBytes)
+	j.finish(e, now)
 }
 
 // failCodeFor maps a failed job to the envelope code a synchronous waiter
@@ -813,22 +831,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// In-flight-bytes quota: charged here, released when the job reaches a
-	// terminal state (runJob) or is refused below.
-	if !s.quotas.AdmitBytes(tenant, bodyBytes) {
-		s.met.shedQuota.Add(1)
-		refused("quota-bytes", tenant)
-		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
-			"tenant %q over in-flight bytes quota", tenantName(tenant))
-		return
-	}
-
 	// Admission control: shed jobs that would out-wait the deadline instead
 	// of letting them rot in the queue. The Retry-After is the prediction
 	// itself — when the backlog has cleared, so has the reason to shed.
 	if d := s.cfg.QueueDeadline; d > 0 {
 		if est := s.estimatedWait(); est > d {
-			s.quotas.ReleaseBytes(tenant, bodyBytes)
 			s.met.shedDeadline.Add(1)
 			refused("shed-deadline", est.String())
 			WriteErrorRetry(w, CodeOverCapacity, est,
@@ -844,23 +851,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Worker-side stage spans parent to the admission span.
 	j.trace = obsv.SpanContext{Trace: parent.Trace, Span: adm.Span}
 
-	// The record check, the journal and the queue move together under s.mu,
-	// so two racing creators of one key queue it once. The submit record is
-	// journaled before a worker can see the job, so the journal's per-key
-	// record order always starts with submit; a refused push terminalises it
-	// so replay does not resurrect a job the client was told to retry.
+	// The record check, the in-flight-bytes charge, the journal and the queue
+	// move together under s.mu, so two racing creators of one key queue and
+	// charge it once. The submit record is journaled before a worker can see
+	// the job, so the journal's per-key record order always starts with
+	// submit. A refused push ends the job, which journals its fail record
+	// (replay must not resurrect a job the client was told to retry) and
+	// returns the charge; a queued job returns it when it ends.
 	s.mu.Lock()
 	if live := s.jobs[key]; live != nil && live.live() {
 		s.mu.Unlock()
-		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.coalesce(w, r, live, deadline, admitted)
 		return
 	}
-	s.journalAppend(journalRecord{Op: opSubmit, Key: key, ID: key, At: time.Now(), Req: &creq, Tenant: tenant})
+	if !s.quotas.AdmitBytes(tenant, bodyBytes) {
+		s.mu.Unlock()
+		s.met.shedQuota.Add(1)
+		refused("quota-bytes", tenant)
+		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
+			"tenant %q over in-flight bytes quota", tenantName(tenant))
+		return
+	}
+	s.journal.append(journalRecord{Op: opSubmit, Key: key, At: time.Now(), Req: &creq, Tenant: tenant})
 	if err = s.fq.Push(j); err == nil {
 		s.jobs[key] = j
 	} else {
-		s.journalAppend(journalRecord{Op: opFail, Key: key, ID: key, At: time.Now(), Error: err.Error()})
+		s.end(j, jobEnd{outcome: outcomeRefused, err: err.Error(), code: CodeOverCapacity})
 	}
 	s.mu.Unlock()
 
@@ -872,14 +888,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.jobLogger(j).Info("job admitted", "bench", creq.Bench, "mode", string(creq.Mode),
 			"propagated", propagated)
 	case errTenantFull:
-		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.met.shedTenantFull.Add(1)
 		refused("tenant-queue-full", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
 			"tenant %q queue full (%d jobs waiting)", tenantName(tenant), s.fq.TenantDepth(tenant))
 		return
 	default:
-		s.quotas.ReleaseBytes(tenant, bodyBytes)
 		s.met.rejectedFull.Add(1)
 		refused("queue-full", "")
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(), "queue full (%d jobs waiting)", s.cfg.QueueSize)
@@ -913,10 +927,7 @@ func (s *Server) replyJob(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	st := s.jobStatus(j)
 	if st.State == StateFailed {
-		j.mu.Lock()
-		code := j.failCode
-		j.mu.Unlock()
-		writeFailedJob(w, code, st)
+		writeFailedJob(w, j.ended.code, st)
 		return
 	}
 	WriteJSON(w, http.StatusOK, st)
