@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"srvsim/internal/isa"
@@ -390,26 +391,14 @@ func (g *gen) needPointers() []*Array {
 // collectConsts gathers literal values used by value expressions so they can
 // be hoisted into registers.
 func (g *gen) collectConsts() []int64 {
-	seen := make(map[int64]bool)
 	var out []int64
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Const:
-			if !seen[x.V] {
-				seen[x.V] = true
-				out = append(out, x.V)
-			}
-		case Bin:
-			walk(x.L)
-			walk(x.R)
-			if x.C != nil {
-				walk(x.C)
-			}
+	lit := func(e Expr) {
+		if c, ok := e.(Const); ok && !slices.Contains(out, c.V) {
+			out = append(out, c.V)
 		}
 	}
 	for _, s := range g.l.Body {
-		walk(s.Val)
+		walkLeaves(s.Val, lit)
 	}
 	return out
 }
@@ -475,22 +464,28 @@ func (g *gen) scalarStmt(s Stmt) {
 		l := g.scalarExpr(s.Mask.L)
 		r := g.scalarExpr(s.Mask.R)
 		skip = fmt.Sprintf("%sskip%d_%d", g.prefix, g.b.Len(), s.Mask.Op)
-		switch s.Mask.Op {
-		case CmpLT:
-			g.b.BGE(l, r, skip)
-		case CmpGE:
-			g.b.BLT(l, r, skip)
-		case CmpEQ:
-			g.b.BNE(l, r, skip)
-		case CmpNE:
-			g.b.BEQ(l, r, skip)
-		}
+		branchUnless(g.b, s.Mask.Op, l, r, skip)
 	}
 	v := g.scalarExpr(s.Val)
 	addr := g.scalarAddr(s.Dst, s.Idx)
 	g.b.Store(addr, 0, s.Dst.Elem, v)
 	if skip != "" {
 		g.b.Label(skip)
+	}
+}
+
+// branchUnless emits the scalar branch to skip taken when the guard
+// comparison l op r fails. An unknown op emits nothing.
+func branchUnless(b *isa.Builder, op CmpOp, l, r int, skip string) {
+	switch op {
+	case CmpLT:
+		b.BGE(l, r, skip)
+	case CmpGE:
+		b.BLT(l, r, skip)
+	case CmpEQ:
+		b.BNE(l, r, skip)
+	case CmpNE:
+		b.BEQ(l, r, skip)
 	}
 }
 
@@ -604,16 +599,7 @@ func (g *gen) vecStmtPg(s Stmt, base int) {
 	if s.Mask != nil {
 		l := g.vecExpr(s.Mask.L, base)
 		r := g.vecExpr(s.Mask.R, base)
-		switch s.Mask.Op {
-		case CmpLT:
-			g.b.VCmpLT(0, l, r, isa.NoPred)
-		case CmpGE:
-			g.b.VCmpGE(0, l, r, isa.NoPred)
-		case CmpEQ:
-			g.b.VCmpEQ(0, l, r, isa.NoPred)
-		case CmpNE:
-			g.b.VCmpNE(0, l, r, isa.NoPred)
-		}
+		vcmp(g.b, s.Mask.Op, 0, l, r)
 		if base != isa.NoPred {
 			g.b.PAnd(0, 0, base)
 		}
@@ -621,6 +607,21 @@ func (g *gen) vecStmtPg(s Stmt, base int) {
 	}
 	v := g.vecExpr(s.Val, pg)
 	g.vecStore(s.Dst, s.Idx, v, pg)
+}
+
+// vcmp emits the unpredicated vector comparison pd = l op r. An unknown op
+// emits nothing.
+func vcmp(b *isa.Builder, op CmpOp, pd, l, r int) {
+	switch op {
+	case CmpLT:
+		b.VCmpLT(pd, l, r, isa.NoPred)
+	case CmpGE:
+		b.VCmpGE(pd, l, r, isa.NoPred)
+	case CmpEQ:
+		b.VCmpEQ(pd, l, r, isa.NoPred)
+	case CmpNE:
+		b.VCmpNE(pd, l, r, isa.NoPred)
+	}
 }
 
 // vecIndexVector materialises the lane-index vector for an affine subscript
@@ -777,5 +778,3 @@ func (g *gen) emitFP(emit func()) {
 		g.b.SetLastFP()
 	}
 }
-
-var _ = mem.NewImage // keep the import for Bind signatures in docs

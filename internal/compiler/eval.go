@@ -7,34 +7,46 @@ import "srvsim/internal/mem"
 // match.
 func Eval(l *Loop, im *mem.Image) {
 	for n := 0; n < l.Trip; n++ {
-		i := n
-		if l.Down {
-			i = l.Trip - 1 - n
-		}
-		iv := int64(i)
-		for _, s := range l.Body {
-			if s.Mask != nil {
-				lv := evalExpr(s.Mask.L, iv, im)
-				rv := evalExpr(s.Mask.R, iv, im)
-				ok := false
-				switch s.Mask.Op {
-				case CmpLT:
-					ok = lv < rv
-				case CmpGE:
-					ok = lv >= rv
-				case CmpEQ:
-					ok = lv == rv
-				case CmpNE:
-					ok = lv != rv
-				}
-				if !ok {
-					continue
-				}
-			}
-			v := evalExpr(s.Val, iv, im)
-			im.WriteInt(evalAddr(s.Dst, s.Idx, iv, im), s.Dst.Elem, v)
-		}
+		EvalIter(l, l.iteration(n), im)
 	}
+}
+
+// iteration returns the induction-variable value of the loop's n-th
+// iteration in sequential order: n counting up, Trip-1-n counting down.
+func (l *Loop) iteration(n int) int {
+	if l.Down {
+		return l.Trip - 1 - n
+	}
+	return n
+}
+
+// EvalIter executes exactly one iteration of the loop against the image.
+func EvalIter(l *Loop, i int, im *mem.Image) {
+	iv := int64(i)
+	for _, s := range l.Body {
+		if s.Mask != nil && !s.Mask.holds(iv, im) {
+			continue
+		}
+		v := evalExpr(s.Val, iv, im)
+		im.WriteInt(evalAddr(s.Dst, s.Idx, iv, im), s.Dst.Elem, v)
+	}
+}
+
+// holds evaluates the guard for induction value iv. An unknown comparison
+// never holds.
+func (m *Mask) holds(iv int64, im *mem.Image) bool {
+	l, r := evalExpr(m.L, iv, im), evalExpr(m.R, iv, im)
+	switch m.Op {
+	case CmpLT:
+		return l < r
+	case CmpGE:
+		return l >= r
+	case CmpEQ:
+		return l == r
+	case CmpNE:
+		return l != r
+	}
+	return false
 }
 
 func evalIdx(ix Index, iv int64, im *mem.Image) int64 {

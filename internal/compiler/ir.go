@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 
-	"srvsim/internal/isa"
 	"srvsim/internal/mem"
 )
 
@@ -122,41 +121,49 @@ type Loop struct {
 }
 
 // Arrays returns every distinct array the loop touches, in first-use order.
+// The order fixes the arrays' base addresses (Bind), so it is part of the
+// simulated behaviour.
 func (l *Loop) Arrays() []*Array {
-	// A loop touches a handful of arrays: a linear scan of out dedupes them
-	// without allocating a set.
 	var out []*Array
-	add := func(a *Array) {
-		if a != nil && !slices.Contains(out, a) {
-			out = append(out, a)
-		}
-	}
-	var walkIdx func(Index)
-	var walkExpr func(Expr)
-	walkIdx = func(ix Index) { add(ix.Indirect) }
-	walkExpr = func(e Expr) {
-		switch x := e.(type) {
-		case Ref:
-			add(x.Arr)
-			walkIdx(x.Idx)
-		case Bin:
-			walkExpr(x.L)
-			walkExpr(x.R)
-			if x.C != nil {
-				walkExpr(x.C)
-			}
+	ref := func(e Expr) {
+		if x, ok := e.(Ref); ok {
+			out = addArray(addArray(out, x.Arr), x.Idx.Indirect)
 		}
 	}
 	for _, s := range l.Body {
 		if s.Mask != nil {
-			walkExpr(s.Mask.L)
-			walkExpr(s.Mask.R)
+			walkLeaves(s.Mask.L, ref)
+			walkLeaves(s.Mask.R, ref)
 		}
-		walkExpr(s.Val)
-		add(s.Dst)
-		walkIdx(s.Idx)
+		walkLeaves(s.Val, ref)
+		out = addArray(addArray(out, s.Dst), s.Idx.Indirect)
 	}
 	return out
+}
+
+// addArray appends a to out unless it is nil or already there. A loop
+// touches a handful of arrays, so a linear scan dedupes them without
+// allocating a set.
+func addArray(out []*Array, a *Array) []*Array {
+	if a == nil || slices.Contains(out, a) {
+		return out
+	}
+	return append(out, a)
+}
+
+// walkLeaves calls visit on every leaf (Ref, Const or IV) of e, left to
+// right: L, then R, then C of an OpMulAdd.
+func walkLeaves(e Expr, visit func(Expr)) {
+	b, ok := e.(Bin)
+	if !ok {
+		visit(e)
+		return
+	}
+	walkLeaves(b.L, visit)
+	walkLeaves(b.R, visit)
+	if b.C != nil {
+		walkLeaves(b.C, visit)
+	}
 }
 
 // access describes one memory access of the loop body for analysis.
@@ -168,35 +175,29 @@ type access struct {
 }
 
 // accesses enumerates the body's memory accesses in program order, including
-// reads of index arrays.
+// reads of index arrays (each just before the access it subscripts).
 func (l *Loop) accesses() []access {
 	var out []access
-	var walkExpr func(e Expr, pos int)
-	walkIdx := func(ix Index, pos int) {
+	pos := 0
+	idx := func(ix Index) {
 		if ix.Indirect != nil {
 			out = append(out, access{arr: ix.Indirect, idx: Affine(ix.Scale, ix.Offset), pos: pos})
 		}
 	}
-	walkExpr = func(e Expr, pos int) {
-		switch x := e.(type) {
-		case Ref:
-			walkIdx(x.Idx, pos)
+	ref := func(e Expr) {
+		if x, ok := e.(Ref); ok {
+			idx(x.Idx)
 			out = append(out, access{arr: x.Arr, idx: x.Idx, pos: pos})
-		case Bin:
-			walkExpr(x.L, pos)
-			walkExpr(x.R, pos)
-			if x.C != nil {
-				walkExpr(x.C, pos)
-			}
 		}
 	}
-	for pos, s := range l.Body {
+	for p, s := range l.Body {
+		pos = p
 		if s.Mask != nil {
-			walkExpr(s.Mask.L, pos)
-			walkExpr(s.Mask.R, pos)
+			walkLeaves(s.Mask.L, ref)
+			walkLeaves(s.Mask.R, ref)
 		}
-		walkExpr(s.Val, pos)
-		walkIdx(s.Idx, pos)
+		walkLeaves(s.Val, ref)
+		idx(s.Idx)
 		out = append(out, access{arr: s.Dst, idx: s.Idx, isStore: true, pos: pos})
 	}
 	return out
@@ -215,8 +216,10 @@ func (l *Loop) MemAccessCount() (total, gatherScatter int) {
 }
 
 // Bind allocates every array of the loop in the image and returns them.
-func (l *Loop) Bind(im *mem.Image) []*Array {
-	arrs := l.Arrays()
+func (l *Loop) Bind(im *mem.Image) []*Array { return bind(l.Arrays(), im) }
+
+// bind allocates each array that has no base yet, in order.
+func bind(arrs []*Array, im *mem.Image) []*Array {
 	for _, a := range arrs {
 		if a.Base == 0 {
 			a.Base = im.Alloc(a.Elem*a.Len, 64)
@@ -229,6 +232,3 @@ func (l *Loop) Bind(im *mem.Image) []*Array {
 func (a *Array) Addr(k int64) uint64 {
 	return a.Base + uint64(k*int64(a.Elem))
 }
-
-// Guard against accidental misuse in workloads.
-var _ = isa.NumLanes

@@ -39,48 +39,25 @@ type Block struct {
 // Arrays returns the distinct arrays the block touches.
 func (b *Block) Arrays() []*Array {
 	var out []*Array
-	seen := map[*Array]bool{}
-	add := func(a *Array) {
-		if a != nil && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Ref:
-			add(x.Arr)
-		case Bin:
-			walk(x.L)
-			walk(x.R)
-			if x.C != nil {
-				walk(x.C)
-			}
+	ref := func(e Expr) {
+		if x, ok := e.(Ref); ok {
+			out = addArray(out, x.Arr)
 		}
 	}
 	for _, s := range b.Stmts {
-		walk(s.Val)
+		walkLeaves(s.Val, ref)
 		if s.Guard != nil {
-			walk(s.Guard.L)
-			walk(s.Guard.R)
+			walkLeaves(s.Guard.L, ref)
+			walkLeaves(s.Guard.R, ref)
 		}
-		add(s.Dst)
+		out = addArray(out, s.Dst)
 	}
 	return out
 }
 
 // Bind allocates the block's arrays. Arrays sharing a non-zero AliasGroup
 // AND a pre-set identical Base model genuinely aliasing pointers.
-func (b *Block) Bind(im *mem.Image) []*Array {
-	arrs := b.Arrays()
-	for _, a := range arrs {
-		if a.Base == 0 {
-			a.Base = im.Alloc(a.Elem*a.Len, 64)
-		}
-	}
-	return arrs
-}
+func (b *Block) Bind(im *mem.Image) []*Array { return bind(b.Arrays(), im) }
 
 // signature returns the isomorphism class of a statement: expression shape
 // and the identity of every array touched, in traversal order. Statements
@@ -178,23 +155,8 @@ func CompileBlock(b *Block, im *mem.Image, mode Mode) (*isa.Program, error) {
 // EvalBlock executes the block sequentially over the image (reference).
 func EvalBlock(b *Block, im *mem.Image) {
 	for _, s := range b.Stmts {
-		if s.Guard != nil {
-			lv := evalExpr(s.Guard.L, 0, im)
-			rv := evalExpr(s.Guard.R, 0, im)
-			ok := false
-			switch s.Guard.Op {
-			case CmpLT:
-				ok = lv < rv
-			case CmpGE:
-				ok = lv >= rv
-			case CmpEQ:
-				ok = lv == rv
-			case CmpNE:
-				ok = lv != rv
-			}
-			if !ok {
-				continue
-			}
+		if s.Guard != nil && !s.Guard.holds(0, im) {
+			continue
 		}
 		v := evalExpr(s.Val, 0, im)
 		im.WriteInt(s.Dst.Addr(s.DstIdx), s.Dst.Elem, v)
@@ -237,16 +199,7 @@ func (g *slpGen) scalarStmt(s SLPStmt) {
 		l := g.scalarExpr(s.Guard.L)
 		r := g.scalarExpr(s.Guard.R)
 		skip = fmt.Sprintf("slpskip%d", g.b.Len())
-		switch s.Guard.Op { // inverted: branch around the store
-		case CmpLT:
-			g.b.BGE(l, r, skip)
-		case CmpGE:
-			g.b.BLT(l, r, skip)
-		case CmpEQ:
-			g.b.BNE(l, r, skip)
-		case CmpNE:
-			g.b.BEQ(l, r, skip)
-		}
+		branchUnless(g.b, s.Guard.Op, l, r, skip)
 	}
 	v := g.scalarExpr(s.Val)
 	addr := g.stmp()
@@ -326,16 +279,7 @@ func (g *slpGen) vectorPack(name string, p Pack) {
 	if gu := p.Stmts[0].Guard; gu != nil {
 		gl := g.vecExpr(name+"_gl", p, gu.L, func(s SLPStmt) Expr { return s.Guard.L }, pg)
 		gr := g.vecExpr(name+"_gr", p, gu.R, func(s SLPStmt) Expr { return s.Guard.R }, pg)
-		switch gu.Op {
-		case CmpLT:
-			g.b.VCmpLT(1, gl, gr, isa.NoPred)
-		case CmpGE:
-			g.b.VCmpGE(1, gl, gr, isa.NoPred)
-		case CmpEQ:
-			g.b.VCmpEQ(1, gl, gr, isa.NoPred)
-		case CmpNE:
-			g.b.VCmpNE(1, gl, gr, isa.NoPred)
-		}
+		vcmp(g.b, gu.Op, 1, gl, gr)
 		if pg == isa.NoPred {
 			pg = 1
 		} else {

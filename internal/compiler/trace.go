@@ -1,108 +1,56 @@
 package compiler
 
-import "srvsim/internal/mem"
+import (
+	"srvsim/internal/isa"
+	"srvsim/internal/mem"
+)
 
-// AccessRec is one dynamic memory access of a loop iteration.
-type AccessRec struct {
-	Addr    uint64
-	Size    int
-	IsStore bool
-	Pos     int // statement position
+// accessRec is one dynamic memory access of a loop iteration.
+type accessRec struct {
+	addr    uint64
+	size    int
+	isStore bool
+	pos     int // statement position
 }
 
-// IterAccesses returns the memory accesses iteration i would perform against
+// iterAccesses returns the memory accesses iteration i would perform against
 // the current memory state, without executing the iteration. Guarded
-// statements whose mask fails contribute no accesses. Index-array reads are
-// included (they are real loads).
-func IterAccesses(l *Loop, i int, im *mem.Image) []AccessRec {
+// statements whose mask fails contribute only the guard's reads. Index-array
+// reads are included (they are real loads).
+func iterAccesses(l *Loop, i int, im *mem.Image) []accessRec {
 	iv := int64(i)
-	var out []AccessRec
-	var walkExpr func(e Expr, pos int)
-	walkIdx := func(ix Index, pos int) {
+	var out []accessRec
+	pos := 0
+	idx := func(ix Index) {
 		if ix.Indirect != nil {
-			out = append(out, AccessRec{
-				Addr: ix.Indirect.Addr(ix.Scale*iv + ix.Offset),
-				Size: ix.Indirect.Elem, Pos: pos,
-			})
+			out = append(out, accessRec{addr: ix.Indirect.Addr(ix.Scale*iv + ix.Offset), size: ix.Indirect.Elem, pos: pos})
 		}
 	}
-	walkExpr = func(e Expr, pos int) {
-		switch x := e.(type) {
-		case Ref:
-			walkIdx(x.Idx, pos)
-			out = append(out, AccessRec{
-				Addr: evalAddr(x.Arr, x.Idx, iv, im),
-				Size: x.Arr.Elem, Pos: pos,
-			})
-		case Bin:
-			walkExpr(x.L, pos)
-			walkExpr(x.R, pos)
-			if x.C != nil {
-				walkExpr(x.C, pos)
-			}
+	ref := func(e Expr) {
+		if x, ok := e.(Ref); ok {
+			idx(x.Idx)
+			out = append(out, accessRec{addr: evalAddr(x.Arr, x.Idx, iv, im), size: x.Arr.Elem, pos: pos})
 		}
 	}
-	for pos, s := range l.Body {
+	for p, s := range l.Body {
+		pos = p
 		if s.Mask != nil {
-			walkExpr(s.Mask.L, pos)
-			walkExpr(s.Mask.R, pos)
-			lv := evalExpr(s.Mask.L, iv, im)
-			rv := evalExpr(s.Mask.R, iv, im)
-			ok := false
-			switch s.Mask.Op {
-			case CmpLT:
-				ok = lv < rv
-			case CmpGE:
-				ok = lv >= rv
-			case CmpEQ:
-				ok = lv == rv
-			case CmpNE:
-				ok = lv != rv
-			}
-			if !ok {
+			walkLeaves(s.Mask.L, ref)
+			walkLeaves(s.Mask.R, ref)
+			if !s.Mask.holds(iv, im) {
 				continue
 			}
 		}
-		walkExpr(s.Val, pos)
-		walkIdx(s.Idx, pos)
-		out = append(out, AccessRec{
-			Addr: evalAddr(s.Dst, s.Idx, iv, im),
-			Size: s.Dst.Elem, IsStore: true, Pos: pos,
-		})
+		walkLeaves(s.Val, ref)
+		idx(s.Idx)
+		out = append(out, accessRec{addr: evalAddr(s.Dst, s.Idx, iv, im), size: s.Dst.Elem, isStore: true, pos: pos})
 	}
 	return out
 }
 
-// EvalIter executes exactly one iteration of the loop against the image.
-func EvalIter(l *Loop, i int, im *mem.Image) {
-	iv := int64(i)
-	for _, s := range l.Body {
-		if s.Mask != nil {
-			lv := evalExpr(s.Mask.L, iv, im)
-			rv := evalExpr(s.Mask.R, iv, im)
-			ok := false
-			switch s.Mask.Op {
-			case CmpLT:
-				ok = lv < rv
-			case CmpGE:
-				ok = lv >= rv
-			case CmpEQ:
-				ok = lv == rv
-			case CmpNE:
-				ok = lv != rv
-			}
-			if !ok {
-				continue
-			}
-		}
-		v := evalExpr(s.Val, iv, im)
-		im.WriteInt(evalAddr(s.Dst, s.Idx, iv, im), s.Dst.Elem, v)
-	}
-}
-
-// Overlaps reports byte-range overlap of two access records.
-func (a AccessRec) Overlaps(b AccessRec) bool {
-	return a.Addr < b.Addr+uint64(b.Size) && b.Addr < a.Addr+uint64(a.Size)
+// overlaps reports byte-range overlap of two access records.
+func (a accessRec) overlaps(b accessRec) bool {
+	return a.addr < b.addr+uint64(b.size) && b.addr < a.addr+uint64(a.size)
 }
 
 // AccessSummary describes one static memory access for alias-pair counting.
@@ -121,7 +69,7 @@ func (l *Loop) AccessSummaries() []AccessSummary {
 	return out
 }
 
-// TrueRAWBetween reports whether a store of iteration earlier conflicts with
+// trueRAWBetween reports whether a store of iteration earlier conflicts with
 // a read of iteration later in a way statement-at-a-time vector execution
 // would violate: the load's statement position must not be after the
 // store's, otherwise the vector code executes the store statement first and
@@ -129,16 +77,53 @@ func (l *Loop) AccessSummaries() []AccessSummary {
 // vector execution and scatter ordering resolve them naturally (the §II
 // limit study's store-buffering assumption). Both access lists must come
 // from the same pre-group memory state.
-func TrueRAWBetween(earlier, later []AccessRec) bool {
+func trueRAWBetween(earlier, later []accessRec) bool {
 	for _, st := range earlier {
-		if !st.IsStore {
+		if !st.isStore {
 			continue
 		}
 		for _, ld := range later {
-			if !ld.IsStore && ld.Pos <= st.Pos && st.Overlaps(ld) {
+			if !ld.isStore && ld.pos <= st.pos && st.overlaps(ld) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// EmulateGroups executes the loop over the image (which is consumed) the
+// way an ideal 16-wide vectorisation would, for the §II limit study and the
+// FlexVec comparison. Iterations run in sequential order (iteration); each
+// group of isa.NumLanes of them splits into maximal prefixes of lanes free
+// of true RAW dependences (trueRAWBetween, against the pre-group memory
+// state): lane k starts a new subgroup when it reads what an earlier lane
+// of the current subgroup stores. group receives each group's subgroup
+// count before the group executes. The iterations past the last full group
+// execute one by one; their number is returned.
+func EmulateGroups(l *Loop, im *mem.Image, group func(subgroups int64)) (remainder int) {
+	main := l.Trip - l.Trip%isa.NumLanes
+	accs := make([][]accessRec, isa.NumLanes)
+	for g := 0; g < main; g += isa.NumLanes {
+		for lane := range accs {
+			accs[lane] = iterAccesses(l, l.iteration(g+lane), im)
+		}
+		start, sub := 0, int64(1)
+		for i := 1; i < isa.NumLanes; i++ {
+			for j := start; j < i; j++ {
+				if trueRAWBetween(accs[j], accs[i]) {
+					sub++
+					start = i
+					break
+				}
+			}
+		}
+		group(sub)
+		for lane := range accs {
+			EvalIter(l, l.iteration(g+lane), im)
+		}
+	}
+	for n := main; n < l.Trip; n++ {
+		EvalIter(l, l.iteration(n), im)
+	}
+	return l.Trip - main
 }

@@ -66,57 +66,22 @@ func Compare(l *compiler.Loop, im *mem.Image) (Result, error) {
 	// --- FlexVec side: analytic emulation over the same data. ---
 	bodyV, loopO, aliasPairs := staticCounts(srv)
 	imFV := im.Clone()
-	main := l.Trip - l.Trip%isa.NumLanes
-	for g := 0; g < main; g += isa.NumLanes {
+	rem := compiler.EmulateGroups(l, imFV, func(sub int64) {
 		res.Groups++
-		// Conflict detection at group entry: addresses from the pre-group
-		// state (FlexVec checks index vectors before executing the group).
-		accs := make([][]compiler.AccessRec, isa.NumLanes)
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			accs[lane] = compiler.IterAccesses(l, g+lane, imFV)
-		}
-		// One split VCONFLICTM per aliasing pair: 16 per-element compare
-		// instructions plus one index-vector load and one mask combine.
+		// Conflict detection at group entry: one split VCONFLICTM per
+		// aliasing pair, 16 per-element compare instructions plus one
+		// index-vector load and one mask combine.
 		res.CheckInsts += int64(aliasPairs) * (isa.NumLanes + 2)
-
-		// Partition lanes into maximal conflict-free prefixes: lane i starts
-		// a new subgroup when it conflicts with any earlier lane of the
-		// current subgroup.
-		start := 0
-		sub := int64(1)
-		for i := 1; i < isa.NumLanes; i++ {
-			conflict := false
-			for j := start; j < i; j++ {
-				if compiler.TrueRAWBetween(accs[j], accs[i]) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				sub++
-				start = i
-			}
-		}
 		res.Subgroups += sub
 		// Each subgroup executes the full vector body under a partial
 		// predicate (FlexVec predicates off the remaining lanes).
 		res.BodyInsts += sub * int64(bodyV)
 		res.LoopInsts += int64(loopO)
-
-		// Execute the group to evolve memory for subsequent groups.
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			compiler.EvalIter(l, g+lane, imFV)
-		}
-	}
+	})
 	// Scalar remainder, charged at the scalar body cost.
-	if main < l.Trip {
-		sc, err := compiler.Compile(l, imFV, compiler.ModeScalar)
-		if err == nil {
-			per := scalarBodyLen(sc)
-			res.LoopInsts += int64((l.Trip - main) * per)
-		}
-		for i := main; i < l.Trip; i++ {
-			compiler.EvalIter(l, i, imFV)
+	if rem > 0 {
+		if sc, err := compiler.Compile(l, imFV, compiler.ModeScalar); err == nil {
+			res.LoopInsts += int64(rem * scalarBodyLen(sc))
 		}
 	}
 	res.FlexVecInsts = res.CheckInsts + res.BodyInsts + res.LoopInsts

@@ -123,8 +123,8 @@ func (r Request) Canonical() (Request, error) {
 			ls := b.Loops[r.LoopIndex]
 			r.Loop = &ls
 		}
-		if r.Loop.Shape.Trip <= 0 {
-			return r, fmt.Errorf("harness: %w: loop %q has non-positive trip count", ErrInvalidRequest, r.Loop.Shape.Name)
+		if err := checkShape(&r.Loop.Shape); err != nil {
+			return r, err
 		}
 	case ModeBenchmark, ModeFlexVec, ModeLimit:
 		if r.BenchSpec == nil {
@@ -136,6 +136,16 @@ func (r Request) Canonical() (Request, error) {
 		}
 		if r.Bench == "" {
 			r.Bench = r.BenchSpec.Name
+		}
+		for i := range r.BenchSpec.Loops {
+			if err := checkShape(&r.BenchSpec.Loops[i].Shape); err != nil {
+				return r, err
+			}
+		}
+		for i := range r.BenchSpec.Limit {
+			if err := checkShape(&r.BenchSpec.Limit[i].Shape); err != nil {
+				return r, err
+			}
 		}
 	case ModeFuzz:
 		if r.Trial < 0 {
@@ -182,6 +192,55 @@ func checkConfig(c *pipeline.Config) error {
 	}
 	if c.MaxCycles > MaxConfigCycles {
 		return fmt.Errorf("harness: %w: config MaxCycles %d above %d", ErrInvalidRequest, c.MaxCycles, int64(MaxConfigCycles))
+	}
+	return nil
+}
+
+// Loop-shape bounds. Building and seeding a loop allocates and fills every
+// array its shape names, so Canonical refuses an inline shape outside them,
+// or one whose seeding would panic, before it reaches a worker. The shipped
+// workloads peak at trip 8192, range 32768, 8 terms, 2 statements and, by
+// checkShape's estimate, 3 MB of arrays.
+const (
+	MaxShapeTrip  = 1 << 20   // Shape.Trip
+	MaxShapeRange = 1 << 20   // Shape.Range
+	MaxShapeTerms = 16        // Shape.Stmts, Contig, Gathers and Chain
+	MaxShapeBytes = 256 << 20 // upper estimate of the bytes of a shape's arrays
+)
+
+// checkShape validates one loop shape against the bounds above. It
+// allocates nothing unless it refuses the shape.
+func checkShape(s *workloads.Shape) error {
+	fields := [...]struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"Trip", s.Trip, 1, MaxShapeTrip},
+		{"Range", s.Range, 0, MaxShapeRange},
+		{"Stmts", s.Stmts, 0, MaxShapeTerms},
+		{"Contig", s.Contig, 0, MaxShapeTerms},
+		{"Gathers", s.Gathers, 0, MaxShapeTerms},
+		{"Chain", s.Chain, 0, MaxShapeTerms},
+		{"Pattern", int(s.Pattern), int(workloads.PatIdentity), int(workloads.PatSpreadHigh)},
+	}
+	for _, f := range fields {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("harness: %w: loop %q shape %s %d outside [%d, %d]",
+				ErrInvalidRequest, s.Name, f.name, f.v, f.lo, f.hi)
+		}
+	}
+	switch s.Elem {
+	case 0, 1, 2, 4, 8:
+	default:
+		return fmt.Errorf("harness: %w: loop %q shape Elem %d not 1, 2, 4 or 8", ErrInvalidRequest, s.Name, s.Elem)
+	}
+	// Each statement names at most its contiguous sources, two arrays per
+	// gather, a guard and a destination, besides the shared a and x; no
+	// array exceeds max(Trip, Range)+32 elements of 8 bytes.
+	arrays := 2 + max(s.Stmts, 1)*(s.Contig+2*s.Gathers+2)
+	if bytes := arrays * (max(s.Trip, s.Range) + 32) * 8; bytes > MaxShapeBytes {
+		return fmt.Errorf("harness: %w: loop %q shape needs up to %d bytes of arrays, above %d",
+			ErrInvalidRequest, s.Name, bytes, MaxShapeBytes)
 	}
 	return nil
 }
@@ -423,7 +482,10 @@ func (e *Env) runLocal(ctx context.Context, req Request) (Result, error) {
 		}
 		res.FlexVec = &FlexVecSummary{Aggregate: agg, WeightedRatio: ratio}
 	case ModeLimit:
-		st := e.runLimit(*req.BenchSpec, req.Seed)
+		st, err := e.runLimit(*req.BenchSpec, req.Seed)
+		if err != nil {
+			return res, err
+		}
 		res.Limit = &st
 	case ModeFuzz:
 		fr, err := runFuzzTrial(ctx, req.Seed, req.Trial, req.Affine, req.Interrupts)

@@ -258,3 +258,123 @@ func TestCanonicalBoundsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// poisonShape is a loop whose negative index range makes seeding its data
+// panic (rand.Intn of a negative bound).
+func poisonShape() workloads.Shape {
+	return workloads.Shape{Name: "p", Trip: 16, Range: -5, Pattern: workloads.PatRare, StoreVia: true}
+}
+
+// TestCanonicalBoundsShape pins the loop-shape bounds, for an inline loop
+// and for every loop and limit-study entry of an inline benchmark. Shapes
+// at the caps go through Canonical only: running them would be slow.
+func TestCanonicalBoundsShape(t *testing.T) {
+	base := testLoopSpec().Shape
+	with := func(mut func(s *workloads.Shape)) workloads.Shape {
+		s := base
+		mut(&s)
+		return s
+	}
+	cases := []struct {
+		name  string
+		shape workloads.Shape
+		ok    bool
+		run   bool // also through Env.Run
+	}{
+		{"test loop", base, true, true},
+		{"trip at cap", with(func(s *workloads.Shape) { s.Trip = MaxShapeTrip }), true, false},
+		{"range at cap", with(func(s *workloads.Shape) { s.Range = MaxShapeRange }), true, false},
+		{"terms at cap", with(func(s *workloads.Shape) {
+			s.Stmts, s.Contig, s.Gathers, s.Chain = MaxShapeTerms, MaxShapeTerms, MaxShapeTerms, MaxShapeTerms
+		}), true, false},
+		{"elem 8", with(func(s *workloads.Shape) { s.Elem = 8 }), true, false},
+		{"last pattern", with(func(s *workloads.Shape) { s.Pattern = workloads.PatSpreadHigh }), true, false},
+		{"negative range", poisonShape(), false, true},
+		{"trip zero", with(func(s *workloads.Shape) { s.Trip = 0 }), false, true},
+		{"trip over cap", with(func(s *workloads.Shape) { s.Trip = MaxShapeTrip + 1 }), false, false},
+		{"range over cap", with(func(s *workloads.Shape) { s.Range = MaxShapeRange + 1 }), false, false},
+		{"stmts over cap", with(func(s *workloads.Shape) { s.Stmts = MaxShapeTerms + 1 }), false, false},
+		{"contig negative", with(func(s *workloads.Shape) { s.Contig = -1 }), false, true},
+		{"gathers over cap", with(func(s *workloads.Shape) { s.Gathers = MaxShapeTerms + 1 }), false, false},
+		{"chain over cap", with(func(s *workloads.Shape) { s.Chain = MaxShapeTerms + 1 }), false, false},
+		{"elem 3", with(func(s *workloads.Shape) { s.Elem = 3 }), false, true},
+		{"pattern negative", with(func(s *workloads.Shape) { s.Pattern = -1 }), false, true},
+		{"pattern past last", with(func(s *workloads.Shape) { s.Pattern = workloads.PatSpreadHigh + 1 }), false, false},
+		{"arrays over budget", with(func(s *workloads.Shape) {
+			s.Trip, s.Contig, s.Gathers = MaxShapeTrip, MaxShapeTerms, MaxShapeTerms
+		}), false, false},
+	}
+	check := func(t *testing.T, what string, req Request, ok bool) {
+		t.Helper()
+		_, err := req.Canonical()
+		if ok && err != nil {
+			t.Fatalf("%s: valid shape refused: %v", what, err)
+		}
+		if !ok && !errors.Is(err, ErrInvalidRequest) {
+			t.Fatalf("%s: shape accepted or refused untyped: %v", what, err)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := workloads.LoopSpec{Weight: 1, Shape: tc.shape}
+			loop := Request{Mode: ModeLoop, Bench: "api", Loop: &ls, Seed: 7}
+			check(t, "loop", loop, tc.ok)
+			b := workloads.Benchmark{Name: "api", Loops: []workloads.LoopSpec{testLoopSpec(), ls}}
+			check(t, "bench loops", Request{Mode: ModeBenchmark, BenchSpec: &b, Seed: 7}, tc.ok)
+			lb := workloads.Benchmark{Name: "api", Limit: []workloads.LimitLoop{{Shape: base}, {Shape: tc.shape}}}
+			check(t, "bench limit", Request{Mode: ModeLimit, BenchSpec: &lb, Seed: 7}, tc.ok)
+			if !tc.run {
+				return
+			}
+			_, err := (&Env{}).Run(context.Background(), loop)
+			if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrInvalidRequest) {
+				t.Fatalf("Env.Run: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckShapeAllocs holds shape validation, which every submission and
+// every gateway cache hit pays, to zero allocations, and every shipped
+// workload inside the bounds.
+func TestCheckShapeAllocs(t *testing.T) {
+	var shapes []workloads.Shape
+	for _, b := range workloads.All() {
+		for _, ls := range b.Loops {
+			shapes = append(shapes, ls.Shape)
+		}
+		for _, ll := range b.Limit {
+			shapes = append(shapes, ll.Shape)
+		}
+	}
+	for i := range shapes {
+		if err := checkShape(&shapes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(10, func() {
+		for i := range shapes {
+			_ = checkShape(&shapes[i])
+		}
+	})
+	if n != 0 {
+		t.Fatalf("validating %d shipped shapes made %.0f allocations, want 0", len(shapes), n)
+	}
+}
+
+// TestMalformedShapeContained runs a shape that panics while seeding past
+// validation, as a caller inside the package can: runLoop's guard and
+// runLimit's error return contain it as a typed failure.
+func TestMalformedShapeContained(t *testing.T) {
+	e := &Env{}
+	ls := workloads.LoopSpec{Weight: 1, Shape: poisonShape()}
+	_, err := e.runLoop(context.Background(), cfg(), "api", ls, 7, false)
+	var se *SimError
+	if !errors.As(err, &se) || se.Kind != KindPanic || se.Variant != "reference" {
+		t.Fatalf("runLoop = %v, want a reference-variant panic SimError", err)
+	}
+	b := workloads.Benchmark{Name: "api", Limit: []workloads.LimitLoop{{Shape: poisonShape()}}}
+	if _, err := e.runLimit(b, 7); !errors.As(err, &se) || se.Kind != KindPanic {
+		t.Fatalf("runLimit = %v, want a panic SimError", err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"srvsim/internal/compiler"
 	"srvsim/internal/flexvec"
+	"srvsim/internal/mem"
 	"srvsim/internal/pipeline"
 	"srvsim/internal/power"
 	"srvsim/internal/trace"
@@ -145,57 +146,28 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 	// reference and the scalar variant each run on a clone of its image,
 	// the SRV variant on the image itself, and all three share the loop,
 	// which none of them writes to (TestCompileLeavesLoopUnchanged).
-	l, vim := ls.Instantiate(seed)
-	refIm, sim := vim.Clone(), vim.Clone()
-	compiler.Eval(l, refIm)
+	a := attribution{bench: bench, loop: ls.Shape.Name, variant: "reference", seed: seed}
+	l, vim, refIm, err := instantiate(a, ls, seed)
+	if err != nil {
+		return res, err
+	}
 	arrays := l.Arrays()
 
+	// Both variants take the same step (compile, build, warm, simulate,
+	// verify against the reference); each keeps only its mode, its image
+	// and the result fields it records.
 	type variant struct {
-		name string
-		run  func(a attribution) error
+		mode   compiler.Mode
+		im     *mem.Image
+		record func(c *compiler.Compiled, p *pipeline.Pipeline)
 	}
 	variants := []variant{
-		{"scalar", func(a attribution) error {
-			sc, err := compiler.Compile(l, sim, compiler.ModeScalar)
-			if err != nil {
-				return a.simErr(KindCompileError, "%v", err)
-			}
-			sp := pipeline.New(pcfg, sc.Prog, sim)
-			e.prepare(sp, arrays, diag)
-			if err := armCheckpoints(ctx, sp, a); err != nil {
-				return err
-			}
-			sctx, cancel := e.simContext(ctx)
-			defer cancel()
-			if err := sp.RunContext(sctx); err != nil {
-				return err
-			}
-			if addr, diff := sim.FirstDiff(refIm); diff {
-				return a.simErr(KindDivergence, "scalar result diverges from the reference at %#x", addr)
-			}
+		{compiler.ModeScalar, vim.Clone(), func(_ *compiler.Compiled, sp *pipeline.Pipeline) {
 			res.ScalarCycles = sp.Stats.Cycles
 			res.SeqVertDisamb = sp.LSU.Stats.VertDisamb
 			res.SeqCam = power.Sample{CAMLookups: sp.LSU.Stats.CAMLookups, Cycles: sp.Stats.Cycles}
-			return nil
 		}},
-		{"srv", func(a attribution) error {
-			vc, err := compiler.Compile(l, vim, compiler.ModeSRV)
-			if err != nil {
-				return a.simErr(KindCompileError, "%v", err)
-			}
-			vp := pipeline.New(pcfg, vc.Prog, vim)
-			e.prepare(vp, arrays, diag)
-			if err := armCheckpoints(ctx, vp, a); err != nil {
-				return err
-			}
-			vctx, cancel := e.simContext(ctx)
-			defer cancel()
-			if err := vp.RunContext(vctx); err != nil {
-				return err
-			}
-			if addr, diff := vim.FirstDiff(refIm); diff {
-				return a.simErr(KindDivergence, "SRV result diverges from the reference at %#x", addr)
-			}
+		{compiler.ModeSRV, vim, func(vc *compiler.Compiled, vp *pipeline.Pipeline) {
 			res.SRVCycles = vp.Stats.Cycles
 			res.BarrierFrac = ratio(float64(vp.Stats.BarrierCycles), float64(vp.Stats.Cycles))
 			res.VectorIters = vp.Ctrl.Stats.VectorIters
@@ -225,7 +197,6 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 			}
 			res.MemAccesses, res.GatherScatter = l.MemAccessCount()
 			res.GatherLoads, res.TotalLoads = countLoads(l)
-			return nil
 		}},
 	}
 	// The two variants write disjoint LoopResult fields, so running them
@@ -233,8 +204,9 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 	// inside the guard so injected faults exercise the same containment path
 	// as real ones; diagnostic re-runs are exempt, so an injected fault is
 	// correctly diagnosed as not-reproducible.
-	err := e.parMap(len(variants), func(i int) error {
-		a := attribution{bench: bench, loop: ls.Shape.Name, variant: variants[i].name, seed: seed}
+	err = e.parMap(len(variants), func(i int) error {
+		v := variants[i]
+		a := attribution{bench: bench, loop: ls.Shape.Name, variant: v.mode.String(), seed: seed}
 		t0 := time.Now()
 		verr := a.guard(func() error {
 			if !diag {
@@ -242,7 +214,25 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 					return err
 				}
 			}
-			return variants[i].run(a)
+			c, err := compiler.Compile(l, v.im, v.mode)
+			if err != nil {
+				return a.simErr(KindCompileError, "%v", err)
+			}
+			p := pipeline.New(pcfg, c.Prog, v.im)
+			e.prepare(p, arrays, diag)
+			if err := armCheckpoints(ctx, p, a); err != nil {
+				return err
+			}
+			sctx, cancel := e.simContext(ctx)
+			defer cancel()
+			if err := p.RunContext(sctx); err != nil {
+				return err
+			}
+			if addr, diff := v.im.FirstDiff(refIm); diff {
+				return a.simErr(KindDivergence, "%v result diverges from the reference at %#x", v.mode, addr)
+			}
+			v.record(c, p)
+			return nil
 		})
 		if !diag {
 			// Leaf-level fleet accounting: diagnostic re-runs are forensics,
@@ -256,6 +246,19 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 	}
 	res.Speedup = ratio(float64(res.ScalarCycles), float64(res.SRVCycles))
 	return res, nil
+}
+
+// instantiate builds and seeds the loop and evaluates the reference result
+// on a clone of its image. A malformed spec can panic while building or
+// seeding, so all of it runs under a's guard.
+func instantiate(a attribution, ls workloads.LoopSpec, seed int64) (l *compiler.Loop, im, ref *mem.Image, err error) {
+	err = a.guard(func() error {
+		l, im = ls.Instantiate(seed)
+		ref = im.Clone()
+		compiler.Eval(l, ref)
+		return nil
+	})
+	return l, im, ref, err
 }
 
 // countLoads counts the loop's loads, and of them the gathers (loads through
@@ -423,8 +426,8 @@ func errNoPayload(mode Mode, want string) error {
 
 // RunLimit executes the §II limit study for a benchmark, profiling the
 // inner loops concurrently and summarising them in order. It routes through
-// Run; the error is nil for local runs (profiling cannot fail) and surfaces
-// transport failures when the Env has an Executor.
+// Run; a profile that panics (a malformed inline spec) surfaces as a
+// *SimError, and transport failures surface when the Env has an Executor.
 func (e *Env) RunLimit(ctx context.Context, b workloads.Benchmark, seed int64) (trace.Study, error) {
 	res, err := e.Run(ctx, Request{Mode: ModeLimit, Bench: b.Name, BenchSpec: &b, Seed: seed})
 	if err != nil {
@@ -437,9 +440,9 @@ func (e *Env) RunLimit(ctx context.Context, b workloads.Benchmark, seed int64) (
 }
 
 // runLimit is the local limit study behind Run's ModeLimit.
-func (e *Env) runLimit(b workloads.Benchmark, seed int64) trace.Study {
+func (e *Env) runLimit(b workloads.Benchmark, seed int64) (trace.Study, error) {
 	wls := make([]trace.WeightedLoop, len(b.Limit))
-	_ = e.parMap(len(b.Limit), func(i int) error {
+	err := e.parMap(len(b.Limit), func(i int) error {
 		ll := b.Limit[i]
 		l, im := workloads.LoopSpec{Shape: ll.Shape}.Instantiate(seed + int64(i))
 		p := trace.ProfileLoop(l, im)
@@ -449,5 +452,8 @@ func (e *Env) runLimit(b workloads.Benchmark, seed int64) trace.Study {
 		wls[i] = trace.WeightedLoop{Profile: p, Weight: ll.Weight}
 		return nil
 	})
-	return trace.Summarise(wls)
+	if err != nil {
+		return trace.Study{}, err
+	}
+	return trace.Summarise(wls), nil
 }

@@ -40,8 +40,10 @@ import (
 
 // CheckpointSchemaVersion is the schema version of Checkpoint. Bump on any
 // incompatible change to the serialised form; Restore rejects mismatches so
-// a stale journal cannot silently resurrect wrong state.
-const CheckpointSchemaVersion = 2
+// a stale journal cannot silently resurrect wrong state. Version 3 dropped
+// the store-set predictor's LFST; a version-2 build would restore an empty
+// set-ID modulus from a version-3 checkpoint.
+const CheckpointSchemaVersion = 3
 
 // SrcState is one captured operand link (robEntry.src).
 type SrcState struct {

@@ -67,20 +67,15 @@ func TestRAS(t *testing.T) {
 
 func TestStoreSetAssignment(t *testing.T) {
 	s := NewStoreSet(1024, 128)
-	if s.LoadMustWaitFor(40) != -1 {
-		t.Error("untrained load must not wait")
+	if s.SetOf(40) != -1 || s.SetOf(80) != -1 {
+		t.Error("untrained PCs must have no store set")
 	}
 	s.Assign(40, 80) // violation between load@40 and store@80
-	prev := s.StoreDispatched(80, 7)
-	if prev != -1 {
-		t.Errorf("first store of set: prev = %d, want -1", prev)
+	if got := s.SetOf(40); got != 0 || s.SetOf(80) != got {
+		t.Errorf("load and store sets = %d, %d, want both 0", got, s.SetOf(80))
 	}
-	if got := s.LoadMustWaitFor(40); got != 7 {
-		t.Errorf("load must wait for seq 7, got %d", got)
-	}
-	s.StoreCompleted(80, 7)
-	if got := s.LoadMustWaitFor(40); got != -1 {
-		t.Errorf("after completion load must be free, got %d", got)
+	if s.Stats.Assignments != 1 {
+		t.Errorf("assignments = %d, want 1", s.Stats.Assignments)
 	}
 }
 
@@ -89,23 +84,27 @@ func TestStoreSetMerging(t *testing.T) {
 	s.Assign(1, 2)
 	s.Assign(3, 4)
 	s.Assign(1, 3) // merge the two sets: converge on the smaller ID
-	s.StoreDispatched(4, 11)
-	// After merging, stores keep their own SSIT IDs unless reassigned; the
-	// defining behaviour is that load 1 and store 2 share a set.
-	s.StoreDispatched(2, 12)
-	if got := s.LoadMustWaitFor(1); got != 12 {
-		t.Errorf("merged-set load must wait for seq 12, got %d", got)
+	if s.SetOf(1) != 0 || s.SetOf(2) != 0 || s.SetOf(3) != 0 {
+		t.Errorf("merged sets = %d, %d, %d, want all 0", s.SetOf(1), s.SetOf(2), s.SetOf(3))
+	}
+	// Stores keep their own SSIT IDs unless reassigned.
+	if s.SetOf(4) != 1 {
+		t.Errorf("store 4 set = %d, want 1", s.SetOf(4))
 	}
 }
 
-func TestStoreSetSerialisesStores(t *testing.T) {
-	s := NewStoreSet(1024, 128)
+// TestStoreSetSharedByStores: a second store that conflicts with a trained
+// load joins its set, and new set IDs wrap at maxSets.
+func TestStoreSetSharedByStores(t *testing.T) {
+	s := NewStoreSet(1024, 2)
 	s.Assign(40, 80)
 	s.Assign(40, 81) // second store joins the same set
-	if s.StoreDispatched(80, 5) != -1 {
-		t.Error("first store must not wait")
+	if s.SetOf(81) != s.SetOf(80) {
+		t.Errorf("second store set = %d, want %d", s.SetOf(81), s.SetOf(80))
 	}
-	if prev := s.StoreDispatched(81, 6); prev != 5 {
-		t.Errorf("second store must order behind seq 5, got %d", prev)
+	s.Assign(1, 2)
+	s.Assign(5, 6)
+	if got := s.SetOf(5); got != 0 {
+		t.Errorf("third new set ID = %d, want 0 (wrapped at 2 sets)", got)
 	}
 }

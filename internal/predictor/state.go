@@ -78,7 +78,6 @@ func (b *Branch) SetState(st BranchState) {
 // StoreSetState is the serialisable state of the store-set predictor.
 type StoreSetState struct {
 	SSIT   []int         `json:"ssit"`
-	LFST   []int64       `json:"lfst"`
 	NextID int           `json:"nextID"`
 	Stats  StoreSetStats `json:"stats"`
 }
@@ -87,7 +86,6 @@ type StoreSetState struct {
 func (s *StoreSet) State() StoreSetState {
 	return StoreSetState{
 		SSIT:   append([]int(nil), s.ssit...),
-		LFST:   append([]int64(nil), s.lfst...),
 		NextID: s.nextID,
 		Stats:  s.Stats,
 	}
@@ -96,7 +94,6 @@ func (s *StoreSet) State() StoreSetState {
 // SetState replaces the predictor's tables with a captured state.
 func (s *StoreSet) SetState(st StoreSetState) {
 	s.ssit = append(s.ssit[:0], st.SSIT...)
-	s.lfst = append(s.lfst[:0], st.LFST...)
 	s.nextID = st.NextID
 	s.Stats = st.Stats
 }

@@ -4,30 +4,26 @@ package predictor
 // and Emer (ISCA 1998), referenced by paper §IV-B: loads are reordered with
 // respect to earlier stores based on its outcome. A load and the stores it
 // has conflicted with share a store-set ID via the Store Set ID Table
-// (SSIT); the Last Fetched Store Table (LFST) serialises a load behind the
-// most recent in-flight store of its set.
+// (SSIT). The pipeline reads the sets (SetOf) and trains them (Assign); it
+// keeps no table of in-flight stores per set.
 type StoreSet struct {
-	ssit   []int   // PC -> store-set id (-1 = none)
-	lfst   []int64 // set id -> dispatch seq of last in-flight store (-1 = none)
-	nextID int
-	Stats  StoreSetStats
+	ssit    []int // PC -> store-set id (-1 = none)
+	maxSets int   // set IDs are allocated modulo maxSets
+	nextID  int
+	Stats   StoreSetStats
 }
 
 // StoreSetStats counts predictor events.
 type StoreSetStats struct {
 	Assignments int64 // violation-driven set merges/creations
-	Dependences int64 // loads made to wait on a predicted store
 }
 
 // NewStoreSet returns a predictor with the given SSIT size (power of two)
 // and maximum number of store sets.
 func NewStoreSet(ssitSize, maxSets int) *StoreSet {
-	s := &StoreSet{ssit: make([]int, ssitSize), lfst: make([]int64, maxSets)}
+	s := &StoreSet{ssit: make([]int, ssitSize), maxSets: maxSets}
 	for i := range s.ssit {
 		s.ssit[i] = -1
-	}
-	for i := range s.lfst {
-		s.lfst[i] = -1
 	}
 	return s
 }
@@ -40,7 +36,7 @@ func (s *StoreSet) Assign(loadPC, storePC int) {
 	li, si := s.idx(loadPC), s.idx(storePC)
 	switch {
 	case s.ssit[li] == -1 && s.ssit[si] == -1:
-		id := s.nextID % len(s.lfst)
+		id := s.nextID % s.maxSets
 		s.nextID++
 		s.ssit[li], s.ssit[si] = id, id
 	case s.ssit[li] == -1:
@@ -57,38 +53,5 @@ func (s *StoreSet) Assign(loadPC, storePC int) {
 	}
 }
 
-// StoreDispatched records an in-flight store; returns the seq of the
-// previous store of the same set the new store must order behind (or -1).
-func (s *StoreSet) StoreDispatched(pc int, seq int64) int64 {
-	id := s.ssit[s.idx(pc)]
-	if id < 0 {
-		return -1
-	}
-	prev := s.lfst[id]
-	s.lfst[id] = seq
-	return prev
-}
-
-// StoreCompleted clears the LFST slot if this store still owns it.
-func (s *StoreSet) StoreCompleted(pc int, seq int64) {
-	id := s.ssit[s.idx(pc)]
-	if id >= 0 && s.lfst[id] == seq {
-		s.lfst[id] = -1
-	}
-}
-
 // SetOf returns the store-set ID assigned to pc, or -1.
 func (s *StoreSet) SetOf(pc int) int { return s.ssit[s.idx(pc)] }
-
-// LoadMustWaitFor returns the dispatch seq of the store a load at pc must
-// wait for, or -1 when the load may issue freely.
-func (s *StoreSet) LoadMustWaitFor(pc int) int64 {
-	id := s.ssit[s.idx(pc)]
-	if id < 0 {
-		return -1
-	}
-	if s.lfst[id] >= 0 {
-		s.Stats.Dependences++
-	}
-	return s.lfst[id]
-}

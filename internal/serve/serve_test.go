@@ -288,6 +288,40 @@ func TestOutOfBoundsConfigIs400(t *testing.T) {
 	}
 }
 
+// TestPoisonShapeIs400 submits, as raw JSON, a loop whose negative index
+// range would panic while its data is seeded. The node refuses it with 400
+// invalid_request before any worker sees it, and then serves a valid job.
+func TestPoisonShapeIs400(t *testing.T) {
+	s, c := startServer(t, Config{})
+	const poison = `{"mode":"loop","loop":{"Shape":{"Name":"p","Trip":16,"Range":-5,"Pattern":3,"StoreVia":true}}}`
+	resp, err := http.Post(c.base+"/v1/sims?wait=1", "application/json", strings.NewReader(poison))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("poison shape: HTTP %d code %q, want 400 %q", resp.StatusCode, env.Error.Code, CodeInvalidRequest)
+	}
+	if !strings.Contains(env.Error.Message, "Range") {
+		t.Fatalf("message %q does not name the field", env.Error.Message)
+	}
+	s.mu.RLock()
+	n := len(s.jobs)
+	s.mu.RUnlock()
+	if n != 0 {
+		t.Fatalf("%d jobs tracked after a refused submission, want 0", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if _, err := c.Do(ctx, testLoopReq()); err != nil {
+		t.Fatalf("node stopped serving after the poison shape: %v", err)
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, c := startServer(t, Config{})
 	_, err := c.Status(context.Background(), "sim-999999")

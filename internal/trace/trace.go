@@ -7,7 +7,6 @@ package trace
 
 import (
 	"srvsim/internal/compiler"
-	"srvsim/internal/isa"
 	"srvsim/internal/mem"
 )
 
@@ -25,48 +24,15 @@ type LoopProfile struct {
 // ProfileLoop emulates 16-wide vectorisation of the loop over the image
 // (which is consumed: the loop executes). Groups split only at true RAW
 // dependences between iterations of the same group, evaluated against the
-// pre-group memory state.
+// pre-group memory state (compiler.EmulateGroups).
 func ProfileLoop(l *compiler.Loop, im *mem.Image) LoopProfile {
 	l.Bind(im)
 	p := LoopProfile{Name: l.Name, Verdict: compiler.Analyse(l).Verdict}
-	main := l.Trip - l.Trip%isa.NumLanes
-	iter := func(g, lane int) int {
-		if l.Down {
-			return l.Trip - 1 - g - lane
-		}
-		return g + lane
-	}
-	for g := 0; g < main; g += isa.NumLanes {
+	p.RemainderIts = int64(compiler.EmulateGroups(l, im, func(sub int64) {
 		p.Groups++
-		accs := make([][]compiler.AccessRec, isa.NumLanes)
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			accs[lane] = compiler.IterAccesses(l, iter(g, lane), im)
-		}
-		start := 0
-		sub := int64(1)
-		for i := 1; i < isa.NumLanes; i++ {
-			conflict := false
-			for j := start; j < i; j++ {
-				if compiler.TrueRAWBetween(accs[j], accs[i]) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				sub++
-				start = i
-				p.HadRuntimeRAW = true
-			}
-		}
 		p.Subgroups += sub
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			compiler.EvalIter(l, iter(g, lane), im)
-		}
-	}
-	for i := main; i < l.Trip; i++ {
-		compiler.EvalIter(l, iter(i, 0), im)
-		p.RemainderIts++
-	}
+		p.HadRuntimeRAW = p.HadRuntimeRAW || sub > 1
+	}))
 	den := float64(p.Subgroups + p.RemainderIts)
 	if den == 0 {
 		den = 1

@@ -61,6 +61,40 @@ func TestProfileEpilogue(t *testing.T) {
 	}
 }
 
+// TestProfileDescending: a descending loop's groups run from the highest
+// iteration down, so the chain that serialises an ascending loop is
+// conflict-free counting down, the mirrored chain serialises, and the
+// remainder is the lowest iterations. The emulation leaves memory exactly
+// as the reference evaluator does.
+func TestProfileDescending(t *testing.T) {
+	up, _ := idxLoop(64, func(i int) int64 { return int64(i + 1) })
+	up.Down = true
+	_, im := idxLoop(64, func(i int) int64 { return int64(i + 1) })
+	if p := ProfileLoop(up, im); p.HadRuntimeRAW || p.Subgroups != p.Groups || p.Groups != 4 {
+		t.Errorf("store to a[i+1] counting down: groups/subgroups = %d/%d, RAW %v; want 4/4, none",
+			p.Groups, p.Subgroups, p.HadRuntimeRAW)
+	}
+
+	down := func(i int) int64 { return int64(max(i-1, 0)) }
+	for _, n := range []int{64, 20} {
+		l, im := idxLoop(n, down)
+		l.Down = true
+		ref := im.Clone()
+		compiler.Eval(l, ref)
+		p := ProfileLoop(l, im)
+		if !p.HadRuntimeRAW || p.Subgroups != 16*p.Groups {
+			t.Errorf("trip %d, store to a[i-1] counting down: subgroups = %d for %d groups, RAW %v; want 16 per group",
+				n, p.Subgroups, p.Groups, p.HadRuntimeRAW)
+		}
+		if want := int64(n % 16); p.RemainderIts != want {
+			t.Errorf("trip %d: remainder = %d, want %d", n, p.RemainderIts, want)
+		}
+		if addr, diff := im.FirstDiff(ref); diff {
+			t.Errorf("trip %d: emulated memory differs from the reference at %#x", n, addr)
+		}
+	}
+}
+
 func TestSummariseAmdahl(t *testing.T) {
 	mk := func(v compiler.Verdict, sp, w float64) WeightedLoop {
 		return WeightedLoop{Profile: LoopProfile{Verdict: v, IdealSpeedup: sp}, Weight: w}
