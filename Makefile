@@ -23,10 +23,11 @@ fmt-check:
 # fault-injection drill, the service, fleet and tenant drills, the srvperf
 # benchmark's own tests (so a change that stops bench/ building fails here,
 # not only in CI), plus the race detector over the packages with
-# concurrency (harness worker pool) and the rewritten LSU hot path.
+# concurrency (harness worker pool; obsv's sync histograms, which serve
+# scrapes while workers observe) and the rewritten LSU hot path.
 check: fmt-check chaos-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke bench-smoke
 	$(GO) vet ./...
-	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/serve ./internal/gateway
+	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/obsv ./internal/serve ./internal/gateway
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/lsu ./internal/pipeline

@@ -47,7 +47,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "budget for finishing in-flight jobs on SIGTERM/SIGINT before they are cancelled")
 	queueDeadline := flag.Duration("queue-deadline", 0, "shed submissions with 429 when the predicted queue wait exceeds this (0 = never shed)")
 	maxInflight := flag.Int64("max-inflight-bytes", serve.DefaultMaxInflightBytes, "largest accepted request body in bytes (0 = unbounded)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "additionally bound the result cache by total payload bytes (0 = entry count only)")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "bound the result cache by total payload bytes (0 = default 256MiB, negative = entry count only)")
 	tenantQueue := flag.Int("tenant-queue", 0, "max queued jobs per tenant before that tenant's submissions get 429 (0 = whole-queue bound only)")
 	tenantRate := flag.Float64("tenant-rate", 0, "uniform per-tenant submissions/sec quota (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "uniform per-tenant submission burst absorbed on top of -tenant-rate")

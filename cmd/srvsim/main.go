@@ -19,6 +19,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"srvsim/internal/compiler"
 	"srvsim/internal/harness"
@@ -277,39 +279,18 @@ func writeObservability(p *pipeline.Pipeline) error {
 }
 
 // printRegionDurations summarises the per-region cycle counts of a run.
-func printRegionDurations(durs []int64) {
-	if len(durs) == 0 {
+func printRegionDurations(h *obsv.Histogram) {
+	n := h.Total()
+	if n == 0 {
 		fmt.Println("regions: none recorded")
 		return
 	}
-	min, max, sum := durs[0], durs[0], int64(0)
-	for _, d := range durs {
-		if d < min {
-			min = d
+	fmt.Printf("regions: %d recorded, duration mean=%.1f max=%d cycles\n", n, h.Mean(), h.Max())
+	for _, b := range h.Buckets() {
+		hi := strconv.FormatInt(b.Hi, 10)
+		if b.Hi < 0 {
+			hi = "inf"
 		}
-		if d > max {
-			max = d
-		}
-		sum += d
-	}
-	fmt.Printf("regions: %d recorded, duration min=%d mean=%.1f max=%d cycles\n",
-		len(durs), min, float64(sum)/float64(len(durs)), max)
-	// Compact histogram over eight buckets.
-	span := max - min + 1
-	var buckets [8]int
-	for _, d := range durs {
-		buckets[int((d-min)*8/span)]++
-	}
-	for i, n := range buckets {
-		lo := min + int64(i)*span/8
-		hi := min + int64(i+1)*span/8 - 1
-		if hi < lo {
-			hi = lo
-		}
-		bar := ""
-		for j := 0; j < n*40/len(durs); j++ {
-			bar += "#"
-		}
-		fmt.Printf("  %4d..%-4d %5d %s\n", lo, hi, n, bar)
+		fmt.Printf("  %6d..%-6s %7d %s\n", b.Lo, hi, b.Count, strings.Repeat("#", int(b.Count*40/n)))
 	}
 }

@@ -215,15 +215,6 @@ func Overlaps(a, b *Set) bool {
 	return false
 }
 
-// Each calls fn for every non-empty region mask in the set.
-func (s *Set) Each(fn func(RegionMask)) {
-	for base, m := range s.regions {
-		if m != 0 {
-			fn(RegionMask{Base: base, Mask: m})
-		}
-	}
-}
-
 // EachByte calls fn with the absolute address of every marked byte.
 func (s *Set) EachByte(fn func(addr uint64)) {
 	for base, m := range s.regions {
@@ -238,9 +229,4 @@ func (s *Set) EachByte(fn func(addr uint64)) {
 // Contains reports whether the byte at addr is marked.
 func (s *Set) Contains(addr uint64) bool {
 	return s.regions[Base(addr)].Test(Offset(addr))
-}
-
-// MarkByte marks the single byte at addr.
-func (s *Set) MarkByte(addr uint64) {
-	s.regions[Base(addr)] = s.regions[Base(addr)].Set(Offset(addr))
 }

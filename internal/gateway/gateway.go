@@ -29,11 +29,6 @@ const DefaultStealThreshold = 2 * time.Second
 // eligibility, work-stealing and drain rescue.
 const DefaultHealthInterval = time.Second
 
-// DefaultCacheMaxBytes bounds the gateway-tier result cache payload: entry
-// count alone lets a few multi-MB benchmark Results blow any sensible memory
-// budget, so the byte bound is on by default at the edge.
-const DefaultCacheMaxBytes = 256 << 20
-
 // DefaultHandoffBudget caps how many ring successors beyond the owner a
 // submission may be handed off to. The caller's X-Srv-Retry-Budget can lower
 // it further — never raise it — so client retries and gateway hand-offs
@@ -54,7 +49,7 @@ type Config struct {
 	// negative disables it (node caches still apply).
 	CacheSize int
 	// CacheMaxBytes bounds the gateway-tier cache by total payload bytes.
-	// 0 selects DefaultCacheMaxBytes; negative leaves bytes unbounded.
+	// 0 selects serve.DefaultCacheMaxBytes; negative leaves bytes unbounded.
 	CacheMaxBytes int64
 	// HandoffBudget caps hand-off attempts beyond the shard owner. 0 selects
 	// DefaultHandoffBudget; negative disables hand-off entirely (owner only).
@@ -81,11 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
-	}
-	if c.CacheMaxBytes == 0 {
-		c.CacheMaxBytes = DefaultCacheMaxBytes
-	} else if c.CacheMaxBytes < 0 {
-		c.CacheMaxBytes = 0
 	}
 	if c.HandoffBudget == 0 {
 		c.HandoffBudget = DefaultHandoffBudget

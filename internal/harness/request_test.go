@@ -378,3 +378,35 @@ func TestMalformedShapeContained(t *testing.T) {
 		t.Fatalf("runLimit = %v, want a panic SimError", err)
 	}
 }
+
+// TestLimitAndFlexVecPanicsAttributed passes a negative-Range entry, which
+// panics while seeding, straight to the limit study and the FlexVec
+// comparison: each failure must name the benchmark, loop, variant and
+// instantiation seed that reproduce it.
+func TestLimitAndFlexVecPanicsAttributed(t *testing.T) {
+	type where struct {
+		kind                 FailKind
+		bench, loop, variant string
+		seed                 int64
+	}
+	e := &Env{}
+	good := testLoopSpec()
+	b := workloads.Benchmark{Name: "api",
+		Loops: []workloads.LoopSpec{good, {Weight: 1, Shape: poisonShape()}},
+		Limit: []workloads.LimitLoop{{Shape: good.Shape, Weight: 1}, {Shape: poisonShape(), Weight: 1}}}
+	check := func(variant string, err error) {
+		t.Helper()
+		var se *SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a *SimError", variant, err)
+		}
+		got := where{se.Kind, se.Bench, se.Loop, se.Variant, se.Seed}
+		if want := (where{KindPanic, "api", poisonShape().Name, variant, 7 + 1}); got != want {
+			t.Errorf("%s failure attributed to %+v, want %+v (%v)", variant, got, want, se)
+		}
+	}
+	_, err := e.runLimit(b, 7)
+	check("limit", err)
+	_, _, err = e.runFlexVec(context.Background(), b, 7)
+	check("flexvec", err)
+}

@@ -185,16 +185,8 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 			res.Estimated = compiler.DefaultCostModel().Estimate(l)
 			res.Regions = vp.Ctrl.Stats.Regions
 			res.LSUHighWater = vp.LSU.Stats.MaxOccupancy
-			if durs := vp.RegionDurations(); len(durs) > 0 {
-				sum := int64(0)
-				for _, d := range durs {
-					sum += d
-					if d > res.RegionDurMax {
-						res.RegionDurMax = d
-					}
-				}
-				res.RegionDurMean = float64(sum) / float64(len(durs))
-			}
+			durs := vp.RegionDurations()
+			res.RegionDurMean, res.RegionDurMax = durs.Mean(), durs.Max()
 			res.MemAccesses, res.GatherScatter = l.MemAccessCount()
 			res.GatherLoads, res.TotalLoads = countLoads(l)
 		}},
@@ -390,13 +382,13 @@ func (e *Env) runFlexVec(ctx context.Context, b workloads.Benchmark, seed int64)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		l, im := b.Loops[i].Instantiate(seed + int64(i))
-		r, err := flexvec.Compare(l, im)
-		if err != nil {
+		ls := b.Loops[i]
+		a := attribution{bench: b.Name, loop: ls.Shape.Name, variant: "flexvec", seed: seed + int64(i)}
+		return a.guard(func() (err error) {
+			l, im := ls.Instantiate(a.seed)
+			results[i], err = flexvec.Compare(l, im)
 			return err
-		}
-		results[i] = r
-		return nil
+		})
 	})
 	if err != nil {
 		return agg, 0, err
@@ -444,13 +436,16 @@ func (e *Env) runLimit(b workloads.Benchmark, seed int64) (trace.Study, error) {
 	wls := make([]trace.WeightedLoop, len(b.Limit))
 	err := e.parMap(len(b.Limit), func(i int) error {
 		ll := b.Limit[i]
-		l, im := workloads.LoopSpec{Shape: ll.Shape}.Instantiate(seed + int64(i))
-		p := trace.ProfileLoop(l, im)
-		if ll.Safe {
-			p.Verdict = compiler.VerdictSafe
-		}
-		wls[i] = trace.WeightedLoop{Profile: p, Weight: ll.Weight}
-		return nil
+		a := attribution{bench: b.Name, loop: ll.Shape.Name, variant: "limit", seed: seed + int64(i)}
+		return a.guard(func() error {
+			l, im := workloads.LoopSpec{Shape: ll.Shape}.Instantiate(a.seed)
+			p := trace.ProfileLoop(l, im)
+			if ll.Safe {
+				p.Verdict = compiler.VerdictSafe
+			}
+			wls[i] = trace.WeightedLoop{Profile: p, Weight: ll.Weight}
+			return nil
+		})
 	})
 	if err != nil {
 		return trace.Study{}, err

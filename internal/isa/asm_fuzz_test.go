@@ -151,51 +151,3 @@ func splitLines(s string) []string {
 	}
 	return out
 }
-
-// TestEncodeDecodeRoundTrip: binary encoding reproduces random programs
-// exactly (modulo label names, which are not preserved).
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	for trial := 0; trial < 30; trial++ {
-		b := NewBuilder()
-		n := 3 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			b.Emit(randInst(rng))
-		}
-		b.Halt()
-		p := b.MustBuild()
-		q, err := Decode(Encode(p))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if q.Len() != p.Len() {
-			t.Fatalf("trial %d: length %d -> %d", trial, p.Len(), q.Len())
-		}
-		for i := 0; i < p.Len(); i++ {
-			a, c := *p.At(i), *q.At(i)
-			a.Lbl, c.Lbl = "", ""
-			if a != c {
-				t.Fatalf("trial %d inst %d: %+v != %+v", trial, i, a, c)
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	p := MustAssemble("\tmovi s0, 1\n\thalt")
-	data := Encode(p)
-	if _, err := Decode(data[:len(data)-1]); err == nil {
-		t.Error("truncated program must be rejected")
-	}
-	bad := append([]byte{}, data...)
-	bad[0] = 'X'
-	if _, err := Decode(bad); err == nil {
-		t.Error("bad magic must be rejected")
-	}
-	bad2 := append([]byte{}, data...)
-	bad2[8] = 0xFF // opcode low byte -> invalid
-	bad2[9] = 0xFF
-	if _, err := Decode(bad2); err == nil {
-		t.Error("invalid opcode must be rejected")
-	}
-}

@@ -106,12 +106,6 @@ func (e *Entry) footprint() int {
 	return e.Elem
 }
 
-// laneBoundsAt returns the lanes attributed to byte addr, restricted to
-// architecturally active lanes for broadcast entries.
-func (e *Entry) laneBoundsAt(addr uint64) (int, int) {
-	return e.Access().LaneBounds(addr)
-}
-
 // sizeBuffers (re)sizes the SDQ byte buffer to fp zeroed bytes, reusing the
 // capacity a recycled entry carries, and clears the validity vector.
 func (e *Entry) sizeBuffers(fp int) {

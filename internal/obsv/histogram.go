@@ -17,6 +17,7 @@ type Histogram struct {
 	counts []int64
 	total  int64
 	sum    int64
+	max    int64 // largest observation; 0 while empty
 }
 
 // NewHistogram builds a histogram whose i-th bucket holds observations
@@ -76,6 +77,9 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[lo]++
 	h.total++
 	h.sum += v
+	if h.total == 1 || v > h.max {
+		h.max = v
+	}
 	h.unlock()
 }
 
@@ -91,6 +95,13 @@ func (h *Histogram) Sum() int64 {
 	h.lock()
 	defer h.unlock()
 	return h.sum
+}
+
+// Max returns the largest observation (0 when empty).
+func (h *Histogram) Max() int64 {
+	h.lock()
+	defer h.unlock()
+	return h.max
 }
 
 // Mean returns the arithmetic mean of the observations (0 when empty).
@@ -143,4 +154,39 @@ func (h *Histogram) Cumulative() (bounds []int64, cum []int64, total, sum int64)
 		cum[i] = run
 	}
 	return bounds, cum, h.total, h.sum
+}
+
+// HistogramState is the serialisable state of a Histogram, captured into
+// the pipeline checkpoint: the region-duration histogram is machine
+// statistics that DumpStats prints.
+type HistogramState struct {
+	Bounds []int64 `json:"bounds"`
+	Counts []int64 `json:"counts"`
+	Total  int64   `json:"total"`
+	Sum    int64   `json:"sum"`
+	Max    int64   `json:"max"`
+}
+
+// State captures the histogram's buckets and totals.
+func (h *Histogram) State() HistogramState {
+	h.lock()
+	defer h.unlock()
+	return HistogramState{
+		Bounds: append([]int64(nil), h.bounds...),
+		Counts: append([]int64(nil), h.counts...),
+		Total:  h.total,
+		Sum:    h.sum,
+		Max:    h.max,
+	}
+}
+
+// SetState replaces the histogram's contents with a captured state.
+func (h *Histogram) SetState(st HistogramState) {
+	h.lock()
+	defer h.unlock()
+	h.bounds = append(h.bounds[:0], st.Bounds...)
+	h.counts = append(h.counts[:0], st.Counts...)
+	h.total = st.Total
+	h.sum = st.Sum
+	h.max = st.Max
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,6 +129,47 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 	if m := h.Mean(); m != 127.0/8 {
 		t.Fatalf("mean = %v", m)
+	}
+	if m := h.Max(); m != 100 {
+		t.Fatalf("max = %d, want 100", m)
+	}
+	// The maximum survives a state round trip, so a restored pipeline
+	// reports the same region-duration max as the uninterrupted run.
+	h2 := NewHistogram(PowersOfTwo(4)...)
+	h2.SetState(h.State())
+	if h2.Max() != 100 || h2.Total() != 8 || h2.Sum() != 127 {
+		t.Fatalf("restored max=%d total=%d sum=%d", h2.Max(), h2.Total(), h2.Sum())
+	}
+}
+
+// TestSyncHistogramConcurrent observes from several goroutines while another
+// reads, as serve's workers and /v1/metrics scrapes do; -race checks that
+// every field, the maximum included, is read and written under the lock.
+func TestSyncHistogramConcurrent(t *testing.T) {
+	const workers, per = 4, 500
+	h := NewSyncHistogram(PowersOfTwo(8)...)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= per; i++ {
+				h.Observe(i)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for h.Total() < workers*per {
+			_, _, _, _ = h.Cumulative()
+			_, _ = h.Max(), h.Mean()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if h.Total() != workers*per || h.Max() != per || h.Sum() != workers*per*(per+1)/2 {
+		t.Fatalf("total=%d max=%d sum=%d", h.Total(), h.Max(), h.Sum())
 	}
 }
 

@@ -76,9 +76,6 @@ func (m *Metric) Float() float64 {
 	return float64(m.Int())
 }
 
-// Hist returns the backing histogram (nil for scalar metrics).
-func (m *Metric) Hist() *Histogram { return m.hist }
-
 // live reports whether the metric should appear in exports right now.
 func (m *Metric) live() bool { return m.when == nil || m.when() }
 

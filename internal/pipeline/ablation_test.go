@@ -233,12 +233,52 @@ func TestRegionDurations(t *testing.T) {
 	warmLines(p, aBase, xBase, n)
 	run(t, p)
 	ds := p.RegionDurations()
-	if len(ds) != 4 {
-		t.Fatalf("region durations = %d, want 4", len(ds))
+	if ds.Total() != 4 {
+		t.Fatalf("region durations = %d, want 4", ds.Total())
 	}
-	for i, d := range ds {
-		if d <= 0 || d > 500 {
-			t.Errorf("region %d duration %d out of range", i, d)
+	if m := ds.Max(); m <= 0 || m > 500 {
+		t.Errorf("max region duration %d out of range", m)
+	}
+	if m := ds.Mean(); m <= 0 || m > float64(ds.Max()) {
+		t.Errorf("mean region duration %v out of range (max %d)", m, ds.Max())
+	}
+}
+
+// TestRegionDurationsCoverEveryRegion: the duration record covers every
+// region of a long run, not a capped prefix. Two runs of more than
+// TimelineCap regions differ only in their last region, which replays in
+// one of them; that run's maximum and mean must both be higher.
+func TestRegionDurationsCoverEveryRegion(t *testing.T) {
+	const n = 16 * (TimelineCap + 64)
+	durations := func(lateConflict bool) (*Pipeline, int64) {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(i)
 		}
+		if lateConflict {
+			i := int64(n - 16) // the paper's pattern in the last group: one RAW
+			xs[i], xs[i+1], xs[i+2], xs[i+3] = i+3, i, i+1, i+2
+		}
+		im, aBase, xBase, _ := setupListing1(n, xs)
+		p := New(testConfig(), listing1Prog(aBase, xBase, n), im)
+		run(t, p)
+		return p, p.Ctrl.Stats.Replays
+	}
+	clean, cleanReplays := durations(false)
+	late, lateReplays := durations(true)
+	if cleanReplays != 0 || lateReplays == 0 {
+		t.Fatalf("replays: clean run %d, late-conflict run %d; want 0 and > 0", cleanReplays, lateReplays)
+	}
+	for _, p := range []*Pipeline{clean, late} {
+		if got, want := p.RegionDurations().Total(), p.Ctrl.Stats.Regions; got != want || want <= TimelineCap {
+			t.Fatalf("recorded %d region durations over %d regions, want all of more than %d", got, want, TimelineCap)
+		}
+	}
+	c, l := clean.RegionDurations(), late.RegionDurations()
+	if l.Max() <= c.Max() {
+		t.Errorf("max duration with a replay in the last region %d, without %d: the last region is not covered", l.Max(), c.Max())
+	}
+	if l.Mean() <= c.Mean() {
+		t.Errorf("mean duration with a replay in the last region %v, without %v: the last region is not covered", l.Mean(), c.Mean())
 	}
 }

@@ -12,14 +12,19 @@ import (
 	"srvsim/internal/predictor"
 )
 
-// Checkpoint/restore of the full machine state (ISSUE 7). A Checkpoint is a
-// versioned, JSON-serialisable capture of everything a Pipeline has
-// accumulated mid-run — architectural state, the ROB/rename/active windows,
-// the fetch deque (packed and compressed: see FetchQState — it can run
-// millions of slots deep), the SRV controller, the LSU, both predictors, the cache
-// hierarchy, the memory image, and the observability cursors — sufficient
-// to rebuild a pipeline that continues bit-identically: Stats, DumpStats,
-// sampler rows and trace bytes all match an uninterrupted run.
+// Checkpoint/restore of the simulated machine. A Checkpoint is a versioned,
+// JSON-serialisable capture of everything the machine has accumulated
+// mid-run — architectural state, the ROB and rename windows, the fetch
+// deque (packed and compressed: see FetchQState — it can run millions of
+// slots deep), the SRV controller, the LSU, both predictors, the cache
+// hierarchy, the memory image and the region-duration histogram —
+// sufficient to rebuild a pipeline that continues bit-identically: Stats,
+// DumpStats, registers and memory all match an uninterrupted run.
+//
+// Observers and debug checks are not machine state. The tracer, sampler,
+// pipeview timeline and paranoid mode stay as the caller set them on the
+// restored pipeline; Restore only re-derives their cursors from the
+// restored machine, so their output covers the run from the restore on.
 //
 // Pointer graphs serialise by identity, not address: robEntry references
 // (rename table, operand producers, previous writers, the in-flight window)
@@ -35,15 +40,16 @@ import (
 // and wake chains are rebuilt from the ROB (relinkScheduler), the issue
 // scan's fullMask cache and stepQuiet are recomputed every step, and the
 // lazily-built metrics registry re-registers against the restored counters
-// on next use. The captured in-flight window (Checkpoint.Active) is
-// likewise derived from the ROB.
+// on next use. The issue-queue population is counted from the ROB while
+// relinkScheduler walks it.
 
 // CheckpointSchemaVersion is the schema version of Checkpoint. Bump on any
 // incompatible change to the serialised form; Restore rejects mismatches so
 // a stale journal cannot silently resurrect wrong state. Version 3 dropped
-// the store-set predictor's LFST; a version-2 build would restore an empty
-// set-ID modulus from a version-3 checkpoint.
-const CheckpointSchemaVersion = 3
+// the store-set predictor's LFST; version 4 dropped the observer buffers,
+// the paranoid flag, the capped region-duration log and the derived
+// in-flight window and issue-queue count, and added the histogram maximum.
+const CheckpointSchemaVersion = 4
 
 // SrcState is one captured operand link (robEntry.src).
 type SrcState struct {
@@ -102,8 +108,6 @@ type Checkpoint struct {
 	Pr    [isa.NumPredReg]isa.Pred `json:"pr"`
 
 	ROB          []ROBEntryState    `json:"rob"`
-	Active       []int64            `json:"active"`
-	IQCount      int                `json:"iqCount"`
 	Rename       [renameSlots]int64 `json:"rename"`
 	NextSeq      int64              `json:"nextSeq"`
 	CommittedSeq int64              `json:"committedSeq"`
@@ -127,23 +131,9 @@ type Checkpoint struct {
 	FaultAddrs         []uint64   `json:"faultAddrs,omitempty"`
 	FaultServiceCycles int64      `json:"faultServiceCycles"`
 	WedgeAt            int64      `json:"wedgeAt"`
-	Paranoid           bool       `json:"paranoid"`
-
-	RecordTimeline  bool            `json:"recordTimeline"`
-	Timeline        []TimelineEntry `json:"timeline,omitempty"`
-	TimelineDropped int64           `json:"timelineDropped"`
 
 	RegionHist       obsv.HistogramState `json:"regionHist"`
 	RegionStartCycle int64               `json:"regionStartCycle"`
-	RegionDurations  []int64             `json:"regionDurations,omitempty"`
-
-	Tracer         *obsv.TracerState `json:"tracer,omitempty"`
-	TracePassStart int64             `json:"tracePassStart"`
-	TracePassNum   int               `json:"tracePassNum"`
-
-	Sampler             *obsv.SamplerState `json:"sampler,omitempty"`
-	SampleEvery         int64              `json:"sampleEvery"`
-	LastSampleCommitted int64              `json:"lastSampleCommitted"`
 
 	// LastProgress is the forward-progress watchdog's anchor at capture, so
 	// a restored run trips (or does not trip) the watchdog at the exact
@@ -188,7 +178,6 @@ func (p *Pipeline) checkpoint(lastProgress int64) *Checkpoint {
 		Vr:            p.Vr,
 		Pr:            p.Pr,
 
-		IQCount:      p.iqCount,
 		NextSeq:      p.nextSeq,
 		CommittedSeq: p.committedSeq,
 
@@ -209,20 +198,9 @@ func (p *Pipeline) checkpoint(lastProgress int64) *Checkpoint {
 		Resuming:           p.resuming,
 		FaultServiceCycles: p.FaultServiceCycles,
 		WedgeAt:            p.wedgeAt,
-		Paranoid:           p.paranoid,
-
-		RecordTimeline:  p.recordTimeline,
-		TimelineDropped: p.timelineDropped,
 
 		RegionHist:       p.regionHist.State(),
 		RegionStartCycle: p.regionStartCycle,
-		RegionDurations:  append([]int64(nil), p.regionDurations...),
-
-		TracePassStart: p.tracePassStart,
-		TracePassNum:   p.tracePassNum,
-
-		SampleEvery:         p.sampleEvery,
-		LastSampleCommitted: p.lastSampleCommitted,
 
 		LastProgress: lastProgress,
 
@@ -264,15 +242,6 @@ func (p *Pipeline) checkpoint(lastProgress int64) *Checkpoint {
 		cp.ROB[i] = es
 	}
 
-	// The in-flight window: every entry not done, or done with a fault
-	// still to deliver.
-	cp.Active = make([]int64, 0, len(win))
-	for _, e := range win {
-		if e.state != sDone || e.faulted {
-			cp.Active = append(cp.Active, e.seq)
-		}
-	}
-
 	for i, e := range p.rename {
 		if e != nil {
 			cp.Rename[i] = e.seq
@@ -288,32 +257,19 @@ func (p *Pipeline) checkpoint(lastProgress int64) *Checkpoint {
 		}
 		sort.Slice(cp.FaultAddrs, func(i, j int) bool { return cp.FaultAddrs[i] < cp.FaultAddrs[j] })
 	}
-
-	if p.recordTimeline {
-		cp.Timeline = append([]TimelineEntry(nil), p.timeline...)
-	}
-
-	if p.tracer != nil {
-		ts, err := p.tracer.State()
-		if err != nil {
-			// Trace args are maps of strings and ints; marshal cannot fail.
-			panic(fmt.Sprintf("pipeline: tracer state capture: %v", err))
-		}
-		cp.Tracer = &ts
-	}
-	if p.sampler != nil {
-		ss := p.sampler.State()
-		cp.Sampler = &ss
-	}
 	return cp
 }
 
-// Restore replaces the pipeline's entire mutable state with a checkpoint,
-// the rollback half of the commit/rollback pair. The pipeline must have
-// been built (New) over the same program and configuration the checkpoint
-// was captured from; preparation the harness reapplies on construction
-// (cache warming, chaos latency perturbation) is overwritten wholesale, so
-// the restored machine equals the original at the captured cycle exactly.
+// Restore replaces the pipeline's machine state with a checkpoint, the
+// rollback half of the commit/rollback pair. The pipeline must have been
+// built (New) over the same program and configuration the checkpoint was
+// captured from; preparation the harness reapplies on construction (cache
+// warming, chaos latency perturbation) is overwritten wholesale, so the
+// restored machine equals the original at the captured cycle exactly.
+// Attached observers and paranoid mode are left as the caller set them:
+// the tracer's pass cursor restarts at the restored cycle and the
+// sampler's interval-IPC base at the restored committed count, so the
+// first sampled interval counts only commits made after the restore.
 func (p *Pipeline) Restore(cp *Checkpoint) error {
 	if cp.SchemaVersion != CheckpointSchemaVersion {
 		return fmt.Errorf("pipeline: checkpoint schema v%d, this build reads v%d",
@@ -339,7 +295,6 @@ func (p *Pipeline) Restore(cp *Checkpoint) error {
 	p.cycle = cp.Cycle
 	p.Stats = cp.Stats
 	p.S, p.Vr, p.Pr = cp.S, cp.Vr, cp.Pr
-	p.iqCount = cp.IQCount
 	p.nextSeq = cp.NextSeq
 	p.committedSeq = cp.CommittedSeq
 	p.fetchPC = cp.FetchPC
@@ -357,7 +312,6 @@ func (p *Pipeline) Restore(cp *Checkpoint) error {
 	p.resuming = cp.Resuming
 	p.FaultServiceCycles = cp.FaultServiceCycles
 	p.wedgeAt = cp.WedgeAt
-	p.paranoid = cp.Paranoid
 	if cp.FaultAddrs == nil {
 		p.FaultAddrs = nil
 	} else {
@@ -464,11 +418,6 @@ func (p *Pipeline) Restore(cp *Checkpoint) error {
 			e.prevWriter = w
 		}
 	}
-	for _, seq := range cp.Active {
-		if seqMap[seq] == nil {
-			return fmt.Errorf("pipeline: checkpoint active window references missing seq %d", seq)
-		}
-	}
 	p.relinkScheduler()
 	for i, seq := range cp.Rename {
 		if seq == 0 {
@@ -485,38 +434,16 @@ func (p *Pipeline) Restore(cp *Checkpoint) error {
 		return err
 	}
 
-	// Observability: timeline, histogram, tracer and sampler contents.
-	p.recordTimeline = cp.RecordTimeline
-	p.timeline = append(p.timeline[:0], cp.Timeline...)
-	p.timelineDropped = cp.TimelineDropped
 	p.regionHist.SetState(cp.RegionHist)
 	p.regionStartCycle = cp.RegionStartCycle
-	p.regionDurations = append(p.regionDurations[:0], cp.RegionDurations...)
-	p.tracePassStart = cp.TracePassStart
-	p.tracePassNum = cp.TracePassNum
-	if cp.Tracer != nil {
-		if p.tracer == nil {
-			p.tracer = obsv.NewTracer()
-		}
-		if err := p.tracer.SetState(*cp.Tracer); err != nil {
-			return err
-		}
-	} else {
-		p.tracer = nil
-	}
-	p.sampleEvery = cp.SampleEvery
-	p.lastSampleCommitted = cp.LastSampleCommitted
-	if cp.Sampler != nil {
-		if p.sampler == nil {
-			p.sampler = obsv.NewSampler(cp.Sampler.Every, cp.Sampler.Columns...)
-		}
-		p.sampler.SetState(*cp.Sampler)
-	} else {
-		p.sampler = nil
-	}
 
-	// The metrics registry holds closures over state that just changed shape
-	// (e.g. the conditional region-duration gauge): rebuild lazily.
+	// Observer cursors, re-derived from the restored machine.
+	p.tracePassStart = cp.Cycle
+	p.tracePassNum = 0
+	p.lastSampleCommitted = cp.Stats.Committed
+
+	// The metrics registry holds views over state the restore just replaced:
+	// rebuild it lazily.
 	p.metrics = nil
 
 	// Continue the checkpoint cadence and the watchdog window from where the

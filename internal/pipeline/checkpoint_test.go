@@ -5,23 +5,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"srvsim/internal/compiler"
 	"srvsim/internal/isa"
 	"srvsim/internal/mem"
+	"srvsim/internal/obsv"
 )
 
 // Checkpoint/restore equivalence suite. Every scenario of the cross-core
 // matrix (equiv_test.go) runs three ways: uninterrupted, with periodic
 // checkpointing enabled, and restored-from-checkpoint at several capture
-// points — and all of them must produce bit-identical digests (Stats,
-// DumpStats, architectural state, sampler rows, trace bytes) and memory
-// images. Checkpoints cross the JSON boundary before every restore, and
-// restores alternate between the event-driven and reference tick cores, so
-// the suite also proves serialisation fidelity and that emission cycles are
-// core-independent.
+// points. Checkpointing must not change the run at all (digest including
+// sampler rows and trace bytes); every restored run must reproduce the
+// machine digest (Stats, DumpStats, architectural state) and memory image,
+// and its sampler — which records only from the restore on — the
+// uninterrupted run's rows past the restore cycle (see sampleRowsAfter for
+// the first row's interval IPC). Checkpoints cross the
+// JSON boundary before every restore, and restores alternate between the
+// event-driven and reference tick cores, so the suite also proves
+// serialisation fidelity and that emission cycles are core-independent.
 
 // collectCheckpoints runs p with periodic checkpointing enabled and returns
 // the digest plus the captured checkpoints (capped; long runs keep the first
@@ -53,12 +58,41 @@ func jsonRoundTrip(t *testing.T, cp *Checkpoint) *Checkpoint {
 	return out
 }
 
+// sampleRowsAfter renders the sampler rows recorded past cycle. A restored
+// sampler's first interval counts commits from the restored Stats.Committed
+// on, not from the previous row: what the capture cycle itself committed is
+// not machine state. So with base >= 0 the first row's interval IPC is
+// recomputed from base, as the restored sampler computes it; every other
+// value must match the uninterrupted run exactly.
+func sampleRowsAfter(s *obsv.Sampler, cycle, base int64) []string {
+	var rows []string
+	for i := 0; i < s.Len(); i++ {
+		c, vals := s.Row(i)
+		if c <= cycle {
+			continue
+		}
+		if len(rows) == 0 && base >= 0 {
+			vals = append([]float64{(vals[1] - float64(base)) / float64(s.Every)}, vals[1:]...)
+		}
+		rows = append(rows, fmt.Sprint(c, vals))
+	}
+	return rows
+}
+
+func first(rows []string) string {
+	if len(rows) == 0 {
+		return ""
+	}
+	return rows[0]
+}
+
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			pRef, imRef := sc.build()
-			dRef := equivDigest(pRef)
+			errRef := pRef.Run()
+			dRef, mRef := runDigest(pRef, errRef), machineDigest(pRef, errRef)
 
 			pCkpt, imCkpt := sc.build()
 			dCkpt, cps := collectCheckpoints(pCkpt, 2000)
@@ -93,10 +127,17 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				if p2.cycle != cp.Cycle {
 					t.Fatalf("restored cycle %d, want %d", p2.cycle, cp.Cycle)
 				}
-				d2 := runDigest(p2, p2.Run())
-				if d2 != dRef {
+				d2 := machineDigest(p2, p2.Run())
+				if d2 != mRef {
 					t.Errorf("restore at cycle %d diverged:\n--- uninterrupted ---\n%s\n--- restored ---\n%s",
-						cp.Cycle, dRef, d2)
+						cp.Cycle, mRef, d2)
+				}
+				if pRef.sampler != nil {
+					want, got := sampleRowsAfter(pRef.sampler, cp.Cycle, cp.Stats.Committed), sampleRowsAfter(p2.sampler, cp.Cycle, -1)
+					if !slices.Equal(got, want) {
+						t.Errorf("restore at cycle %d: %d sampler rows past the restore, want %d (first %q, want %q)",
+							cp.Cycle, len(got), len(want), first(got), first(want))
+					}
 				}
 				if addr, diff := imRef.FirstDiff(im2); diff {
 					t.Errorf("restore at cycle %d diverged in memory at %#x", cp.Cycle, addr)

@@ -281,9 +281,14 @@ func equivDigest(p *Pipeline) string {
 	return runDigest(p, p.Run())
 }
 
-// runDigest renders the digest for a pipeline whose run already returned err
-// (the checkpoint suite runs restored pipelines itself before digesting).
-func runDigest(p *Pipeline, err error) string {
+// runDigest renders the digest for a pipeline whose run already returned err.
+func runDigest(p *Pipeline, err error) string { return digest(p, err, true) }
+
+// machineDigest is runDigest without the observers' output: what a restored
+// pipeline must reproduce, since observers record only from the restore on.
+func machineDigest(p *Pipeline, err error) string { return digest(p, err, false) }
+
+func digest(p *Pipeline, err error, observers bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "err: %v\n", err)
 	if de, ok := err.(*DeadlockError); ok {
@@ -292,25 +297,27 @@ func runDigest(p *Pipeline, err error) string {
 	fmt.Fprintf(&b, "stats: %+v\n", p.Stats)
 	fmt.Fprintf(&b, "ctrl: %+v\n", p.Ctrl.Stats)
 	fmt.Fprintf(&b, "arch: %s\n", fnvHash(fmt.Sprintf("%v %v %v", p.S, p.Vr, p.Pr)))
-	if p.sampler != nil {
-		var csv bytes.Buffer
-		if err := p.sampler.WriteCSV(&csv); err != nil {
-			fmt.Fprintf(&b, "sampler: error %v\n", err)
-		} else {
-			fmt.Fprintf(&b, "sampler: rows=%d hash=%s\n", p.sampler.Len(), fnvHash(csv.String()))
+	if observers {
+		if p.sampler != nil {
+			var csv bytes.Buffer
+			if err := p.sampler.WriteCSV(&csv); err != nil {
+				fmt.Fprintf(&b, "sampler: error %v\n", err)
+			} else {
+				fmt.Fprintf(&b, "sampler: rows=%d hash=%s\n", p.sampler.Len(), fnvHash(csv.String()))
+			}
 		}
-	}
-	if p.tracer != nil {
-		var js bytes.Buffer
-		if err := p.tracer.WriteJSON(&js); err != nil {
-			fmt.Fprintf(&b, "tracer: error %v\n", err)
-		} else {
-			fmt.Fprintf(&b, "tracer: events=%d dropped=%d hash=%s\n", p.tracer.Len(), p.tracer.Dropped(), fnvHash(js.String()))
+		if p.tracer != nil {
+			var js bytes.Buffer
+			if err := p.tracer.WriteJSON(&js); err != nil {
+				fmt.Fprintf(&b, "tracer: error %v\n", err)
+			} else {
+				fmt.Fprintf(&b, "tracer: events=%d dropped=%d hash=%s\n", p.tracer.Len(), p.tracer.Dropped(), fnvHash(js.String()))
+			}
 		}
-	}
-	if p.recordTimeline {
-		fmt.Fprintf(&b, "timeline: entries=%d dropped=%d hash=%s\n",
-			len(p.Timeline()), p.TimelineDropped(), fnvHash(fmt.Sprintf("%+v", p.Timeline())))
+		if p.recordTimeline {
+			fmt.Fprintf(&b, "timeline: entries=%d dropped=%d hash=%s\n",
+				len(p.Timeline()), p.TimelineDropped(), fnvHash(fmt.Sprintf("%+v", p.Timeline())))
+		}
 	}
 	b.WriteString(p.DumpStats())
 	return b.String()

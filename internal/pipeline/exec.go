@@ -208,9 +208,6 @@ func (p *Pipeline) execute(e *robEntry, loadSlots, storeSlots *int) bool {
 		case core.EndCommit:
 			p.LSU.CommitRegion(e.regionIdx)
 			p.curInstance = -1
-			if len(p.regionDurations) < TimelineCap {
-				p.regionDurations = append(p.regionDurations, p.cycle-p.regionStartCycle)
-			}
 			p.regionHist.Observe(p.cycle - p.regionStartCycle)
 			p.profEndCommit()
 			p.traceRegionPass("commit", 0)

@@ -48,15 +48,9 @@ func (p *Pipeline) buildRegistry() *obsv.Registry {
 	srv.Counter("srv.viol.waw", "horizontal WAW violations (selective write-back)", &st.WAWViol)
 	srv.Counter("srv.fallbacks", "regions demoted to sequential execution", &st.Fallbacks)
 	srv.Counter("srv.excReplays", "exception-lane re-markings", &st.ExcReplays)
-	srv.If(func() bool { return len(p.regionDurations) > 0 }).
+	srv.If(func() bool { return p.regionHist.Total() > 0 }).
 		Gauge("srv.regionDurMean", "mean region duration in cycles (start execution to commit)", "%.2f",
-			func() float64 {
-				sum := int64(0)
-				for _, d := range p.regionDurations {
-					sum += d
-				}
-				return float64(sum) / float64(len(p.regionDurations))
-			})
+			p.regionHist.Mean)
 	srv.Histogram("srv.regionDuration", "region duration distribution in cycles", p.regionHist)
 
 	// Replay-attribution aggregates, exported only while the per-PC profile

@@ -313,9 +313,8 @@ type Pipeline struct {
 	gatherAddrs []uint64
 
 	// Region durations: cycles from srv_start execution to region commit
-	// (including replays), capped at TimelineCap entries.
+	// (including replays), observed into regionHist at each commit.
 	regionStartCycle int64
-	regionDurations  []int64
 
 	// Paranoid mode: check structural invariants after every cycle.
 	paranoid bool

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"strings"
+
+	"srvsim/internal/obsv"
 )
 
 // TimelineEntry records one committed instruction's movement through the
@@ -46,9 +48,10 @@ func (p *Pipeline) RenderTimeline(from, to int) string {
 	return s
 }
 
-// RegionDurations returns the recorded per-region cycle counts (from
-// srv_start execution to region commit, including replay rounds).
-func (p *Pipeline) RegionDurations() []int64 { return p.regionDurations }
+// RegionDurations returns the distribution of per-region cycle counts (from
+// srv_start execution to region commit, including replay rounds) over every
+// committed region of the run.
+func (p *Pipeline) RegionDurations() *obsv.Histogram { return p.regionHist }
 
 // RenderTimeline draws a gem5-pipeview-style ASCII chart of the entries in
 // [from, to): one row per instruction, one column per cycle, with

@@ -1,9 +1,7 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -301,15 +299,4 @@ func (p *Pipeline) RenderReplayProfile() string {
 		"", "total", t.RAWViolations, t.ExcMarks, t.ReplayRounds,
 		t.SquashedLanes, t.Fallbacks, t.WastedCycles)
 	return b.String()
-}
-
-// WriteReplayProfileJSON writes the profile rows as an indented JSON array.
-func (p *Pipeline) WriteReplayProfileJSON(w io.Writer) error {
-	rows := p.ReplayProfile()
-	if rows == nil {
-		rows = []PCReplayStats{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }

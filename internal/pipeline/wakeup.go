@@ -153,10 +153,11 @@ func removeEntry(list []*robEntry, e *robEntry) []*robEntry {
 }
 
 // relinkScheduler rebuilds the operand counts, the wake chains and the
-// scheduler lists from a restored ROB window whose producer links are set.
-// Walking the window oldest-first and linking at each chain's head gives the
-// youngest-first chains dispatch builds.
+// scheduler lists and the issue-queue count from a restored ROB window whose
+// producer links are set. Walking the window oldest-first and linking at
+// each chain's head gives the youngest-first chains dispatch builds.
 func (p *Pipeline) relinkScheduler() {
+	p.iqCount = 0
 	for _, e := range p.robWin() {
 		srcs := e.srcs()
 		for i := range srcs {
@@ -174,6 +175,7 @@ func (p *Pipeline) relinkScheduler() {
 		}
 		switch e.state {
 		case sDispatched:
+			p.iqCount++
 			if e.pending == 0 || e.inst.Op == isa.OpSRVEnd {
 				p.readyList = append(p.readyList, e)
 			}

@@ -20,6 +20,12 @@ type ResultCache struct {
 	order   *list.List // front = most recently used
 }
 
+// DefaultCacheMaxBytes bounds a result cache's payload when its byte bound
+// is left at 0: entry count alone lets a few multi-MB benchmark Results blow
+// any sensible memory budget, so the byte bound is on by default at both the
+// node and the gateway tier.
+const DefaultCacheMaxBytes = 256 << 20
+
 type cacheEntry struct {
 	key  string
 	data []byte
@@ -29,9 +35,16 @@ type cacheEntry struct {
 // payload; max < 1 disables caching entirely (every Get misses, every Put is
 // dropped). Eviction runs while either bound is exceeded, so a handful of
 // multi-MB benchmark Results cannot blow past the memory budget that the
-// entry count alone would allow. maxBytes ≤ 0 leaves bytes unbounded (entry
-// count only); a single entry larger than maxBytes is never admitted.
+// entry count alone would allow. maxBytes 0 selects DefaultCacheMaxBytes and
+// a negative maxBytes leaves bytes unbounded (entry count only); a single
+// entry larger than the byte bound is never admitted.
 func NewResultCache(max int, maxBytes int64) *ResultCache {
+	switch {
+	case maxBytes == 0:
+		maxBytes = DefaultCacheMaxBytes
+	case maxBytes < 0:
+		maxBytes = 0
+	}
 	return &ResultCache{max: max, maxByte: maxBytes, entries: make(map[string]*list.Element), order: list.New()}
 }
 

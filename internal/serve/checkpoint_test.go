@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"srvsim/internal/harness"
+	"srvsim/internal/pipeline"
 	"srvsim/internal/workloads"
 )
 
@@ -81,18 +82,21 @@ func TestJournalCheckpointReplay(t *testing.T) {
 	cpSRV := testCkpt(t, "l1", "srv", 7000)
 	cpForeign := testCkpt(t, "l1", "srv", 8000)
 	cpForeign.CodeVersion = "srvsim-0.0.0"
+	cpStale := testCkpt(t, "l1", "srv", 8500)
+	cpStale.Machine.SchemaVersion = pipeline.CheckpointSchemaVersion - 1
 	cpDone := testCkpt(t, "l1", "scalar", 1000)
 	cpFailed := testCkpt(t, "l1", "scalar", 2000)
 
 	appendAll(t, dir,
 		// Key a: pending with checkpoints; the later scalar one wins, the
-		// foreign-build one is dropped.
+		// foreign-build and stale-schema ones are dropped.
 		journalRecord{Op: opSubmit, Key: "a", At: now, Req: &req},
 		journalRecord{Op: opStart, Key: "a", At: now},
 		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpOld},
 		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpSRV},
 		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpNew},
 		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpForeign},
+		journalRecord{Op: opCkpt, Key: "a", At: now, Checkpoint: &cpStale},
 		journalRecord{Op: opPreempt, Key: "a", At: now, Error: "drain"},
 		// Key b: done absorbs its checkpoints — nothing left to resume.
 		journalRecord{Op: opSubmit, Key: "b", At: now, Req: &req},
@@ -123,7 +127,7 @@ func TestJournalCheckpointReplay(t *testing.T) {
 		t.Errorf("scalar checkpoint cycle = %d, want the latest (9000)", byV["scalar"].Cycle)
 	}
 	if byV["srv"].Cycle != 7000 {
-		t.Errorf("srv checkpoint cycle = %d, want 7000 (foreign-build 8000 dropped)", byV["srv"].Cycle)
+		t.Errorf("srv checkpoint cycle = %d, want 7000 (foreign-build 8000 and stale-schema 8500 dropped)", byV["srv"].Cycle)
 	}
 	if len(st.completed) != 1 || len(st.completed[0].ckpts) != 0 {
 		t.Fatalf("completed = %+v", st.completed)

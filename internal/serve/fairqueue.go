@@ -275,18 +275,3 @@ func (q *fairQueue) Snapshot() []TenantSnapshot {
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
-
-// maxWeight returns the largest weight among tenants seen so far (floored at
-// the default weight): the brownout shed-low step refuses tenants strictly
-// below it.
-func (q *fairQueue) maxWeight() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	max := DefaultTenantWeight
-	for _, t := range q.subs {
-		if t.weight > max {
-			max = t.weight
-		}
-	}
-	return max
-}

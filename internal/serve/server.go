@@ -80,8 +80,8 @@ type Config struct {
 	CacheSize int
 	// CacheMaxBytes additionally bounds the result cache by total payload
 	// bytes, so a few multi-MB benchmark Results cannot blow the memory
-	// budget the entry count alone would allow. 0 leaves bytes unbounded
-	// (entry count only — the seed's behaviour).
+	// budget the entry count alone would allow. 0 selects
+	// DefaultCacheMaxBytes; negative leaves bytes unbounded.
 	CacheMaxBytes int64
 	// JobTimeout bounds each job's wall clock (0 = unbounded). Timed-out
 	// jobs fail with an ErrCancelled-derived record and HTTP 504.

@@ -610,12 +610,23 @@ func TestCacheByteBound(t *testing.T) {
 		t.Fatalf("after overwrite bytes=%d, want 50", c.Bytes())
 	}
 	// Entry-count bound still applies independently of bytes.
-	tiny := NewResultCache(2, 0)
+	tiny := NewResultCache(2, -1)
 	tiny.Put("a", val(1))
 	tiny.Put("b", val(1))
 	tiny.Put("c", val(1))
 	if tiny.Len() != 2 {
 		t.Fatalf("entry bound ignored: len=%d", tiny.Len())
+	}
+	// Node and gateway share one rule: 0 selects the default byte bound,
+	// negative leaves bytes unbounded.
+	for _, tc := range []struct{ cfg, want int64 }{{0, DefaultCacheMaxBytes}, {-1, 0}, {100, 100}} {
+		s, err := New(Config{CacheMaxBytes: tc.cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.cache.maxByte; got != tc.want {
+			t.Errorf("Config.CacheMaxBytes %d: cache byte bound %d, want %d", tc.cfg, got, tc.want)
+		}
 	}
 }
 
