@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check loc fmt-check bench bench-speed timing bench-gate bench-smoke equiv-golden chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+.PHONY: build test check loc fmt-check bench bench-speed timing bench-gate bench-smoke equiv-golden chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -121,15 +121,23 @@ fleet-smoke: build
 # tenant-smoke is the multi-tenant isolation drill, run under the race
 # detector. At the node: a weight-4 interactive tenant finishes, byte-identical
 # to local execution, while a 40-job flood queued ahead of it is still
-# backlogged, and every job completes; the rate and in-flight-bytes quotas
-# refuse with an honest retry hint; each brownout step sheds what it should
-# while cache hits are still served. Through the gateway, which enforces no
-# quotas of its own: each node's quota refusal hands off to the next node and
-# the last one reaches the client untouched, a finished job returns its node
-# byte charge with nobody polling the gateway, and /v1/healthz reports the
+# backlogged, every job completes and no tenant record is left; the tenant
+# table's DRR order, bounds and share properties hold; the rate and
+# in-flight-bytes quotas refuse with an honest retry hint; idle tenants leave
+# the table, whose sweeps cost O(1) per record; the name "default" is the
+# default tenant; each brownout step sheds what it should while cache hits
+# are still served. Through the gateway, which enforces no quotas of its own:
+# each node's quota refusal hands off to the next node and the last one
+# reaches the client untouched, a finished job returns its node byte charge
+# with nobody polling the gateway, and /v1/healthz reports the
 # least-degraded eligible node's step.
 tenant-smoke: build
-	$(GO) test -race -timeout 15m -run '^(TestMultiTenantChaos|TestBrownoutSteps|TestQuotasRate|TestQuotasInflightBytes|TestGatewayTenantQuota|TestGatewayBrownoutAggregate)$$' ./internal/serve ./internal/gateway
+	$(GO) test -race -timeout 15m -run '^(TestMultiTenantChaos|TestBrownoutSteps|TestFairQueue[A-Za-z]*|TestQuotasRate|TestQuotasInflightBytes|TestIdleTenantsReclaimed|TestTenantSweepAmortised|TestDefaultTenantAlias|TestGatewayTenantQuota|TestGatewayBrownoutAggregate)$$' ./internal/serve ./internal/gateway
+
+# fuzz runs each fuzz target for 30s on two workers (go test fuzzes one
+# target per invocation); its seed corpus runs in every plain `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -parallel 2 ./internal/serve
 
 # serve-chaos is the service-layer resilience drill, run under the race
 # detector: remote submissions through a seeded fault-injecting transport

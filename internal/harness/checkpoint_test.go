@@ -307,7 +307,7 @@ func TestReplayArtifactStepsWedgeCheckpoint(t *testing.T) {
 		Tool: "harness", Bench: b.Name, Loop: ls.Shape.Name, Variant: "srv",
 		Seed: 7, Shape: &ls.Shape, Weight: ls.Weight, PredTail: ls.PredTail,
 		Config: &pcfg,
-		Failure: ArtifactFailure{
+		Failure: FailureRecord{
 			Kind: KindDeadlock.String(), Message: "synthetic wedge",
 			Checkpoint: cpBytes,
 		},
@@ -349,19 +349,19 @@ func TestArtifactValidation(t *testing.T) {
 		want string
 	}{
 		"missing shape": {
-			CrashArtifact{Tool: "harness", Failure: ArtifactFailure{Kind: KindPanic.String()}},
+			CrashArtifact{Tool: "harness", Failure: FailureRecord{Kind: KindPanic.String()}},
 			`missing required field "shape"`,
 		},
 		"missing kind": {
-			CrashArtifact{Tool: "harness", Shape: shape, Failure: ArtifactFailure{}},
+			CrashArtifact{Tool: "harness", Shape: shape, Failure: FailureRecord{}},
 			`missing required field "failure.kind"`,
 		},
 		"unknown kind": {
-			CrashArtifact{Tool: "harness", Shape: shape, Failure: ArtifactFailure{Kind: "nonsense"}},
+			CrashArtifact{Tool: "harness", Shape: shape, Failure: FailureRecord{Kind: "nonsense"}},
 			`unknown failure.kind "nonsense"`,
 		},
 		"unknown tool": {
-			CrashArtifact{Tool: "mystery", Shape: shape, Failure: ArtifactFailure{Kind: KindPanic.String()}},
+			CrashArtifact{Tool: "mystery", Shape: shape, Failure: FailureRecord{Kind: KindPanic.String()}},
 			`unknown tool "mystery"`,
 		},
 	}
@@ -384,7 +384,7 @@ func TestArtifactValidation(t *testing.T) {
 
 	// A future-schema artifact is refused outright, pointing at the build gap.
 	future := CrashArtifact{SchemaVersion: SchemaVersion + 10, Tool: "harness",
-		Shape: shape, Failure: ArtifactFailure{Kind: KindPanic.String()}}
+		Shape: shape, Failure: FailureRecord{Kind: KindPanic.String()}}
 	data, err := json.Marshal(future)
 	if err != nil {
 		t.Fatal(err)

@@ -43,27 +43,8 @@ type CrashArtifact struct {
 	Affine     bool `json:"affine,omitempty"`
 	Interrupts bool `json:"interrupts,omitempty"`
 
-	Failure   ArtifactFailure `json:"failure"`
-	Diagnosis string          `json:"diagnosis,omitempty"`
-}
-
-// ArtifactFailure captures the observed failure inside a CrashArtifact.
-type ArtifactFailure struct {
-	Kind     string `json:"kind"`
-	Message  string `json:"message"`
-	Cycle    int64  `json:"cycle,omitempty"`
-	Snapshot string `json:"snapshot,omitempty"`
-	Stack    string `json:"stack,omitempty"`
-	// Checkpoint is the serialised pipeline.Checkpoint of the wedged machine
-	// (deadlocks): -repro restores it and single-steps from the wedge.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-}
-
-func artifactFailure(se *SimError) ArtifactFailure {
-	return ArtifactFailure{
-		Kind: se.Kind.String(), Message: se.Msg, Cycle: se.Cycle,
-		Snapshot: se.Snapshot, Stack: se.Stack, Checkpoint: se.Checkpoint,
-	}
+	Failure   FailureRecord `json:"failure"`
+	Diagnosis string        `json:"diagnosis,omitempty"`
 }
 
 // sanitize maps an artifact name onto the filename-safe alphabet.
@@ -120,7 +101,7 @@ func (e *Env) diagnose(se *SimError, pcfg pipeline.Config, bench string, ls work
 	art := CrashArtifact{
 		Tool: "harness", Bench: bench, Loop: ls.Shape.Name, Variant: se.Variant,
 		Seed: seed, Shape: &ls.Shape, Weight: ls.Weight, PredTail: ls.PredTail,
-		Config: &pcfg, Failure: artifactFailure(se), Diagnosis: diagnosis,
+		Config: &pcfg, Failure: se.Record(), Diagnosis: diagnosis,
 	}
 	name := fmt.Sprintf("%s_%s_%s_%s", bench, ls.Shape.Name, se.Variant, se.Kind)
 	if path, err := writeArtifact(e.CrashDir, name, art); err == nil {
@@ -135,7 +116,7 @@ func WriteFuzzArtifact(dir string, seed int64, trial int, affine, interrupts boo
 	art := CrashArtifact{
 		Tool: "srvfuzz", Bench: se.Bench, Loop: se.Loop, Variant: se.Variant,
 		Seed: seed, Trial: trial, Affine: affine, Interrupts: interrupts,
-		Failure: artifactFailure(se),
+		Failure: se.Record(),
 	}
 	path, err := writeArtifact(dir, fmt.Sprintf("srvfuzz_trial%d_%s", trial, se.Kind), art)
 	if err == nil {

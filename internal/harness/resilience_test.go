@@ -342,7 +342,7 @@ func TestReplayArtifactReproduces(t *testing.T) {
 		Tool: "harness", Bench: b.Name, Loop: ls.Shape.Name, Variant: "srv",
 		Seed: 7, Shape: &ls.Shape, Weight: ls.Weight, PredTail: ls.PredTail,
 		Config:  &pcfg,
-		Failure: ArtifactFailure{Kind: KindCycleBudget.String(), Message: "synthetic budget blowout"},
+		Failure: FailureRecord{Kind: KindCycleBudget.String(), Message: "synthetic budget blowout"},
 	}
 	path, err := writeArtifact(t.TempDir(), "repro_positive", art)
 	if err != nil {

@@ -39,7 +39,7 @@ const (
 	opSubmit journalOp = "submit" // admitted to the queue (Req recorded)
 	opStart  journalOp = "start"  // picked up by a worker
 	opDone   journalOp = "done"   // finished successfully (Result recorded)
-	opFail   journalOp = "fail"   // finished with a failure, or shed post-submit
+	opFail   journalOp = "fail"   // finished with a failure
 	// opCkpt records one periodic machine checkpoint (Checkpoint recorded).
 	// Replay keeps only the latest per simulation, so an interrupted job
 	// resumes from where it was instead of cycle 0.

@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,7 +109,8 @@ type Config struct {
 	// TenantQuota is the per-tenant quota applied to every tenant without an
 	// override in TenantQuotas: submission-rate token bucket, in-flight body
 	// bytes, and fair-queue weight. The zero value means no quotas and the
-	// default weight (seed behaviour).
+	// default weight (seed behaviour). New refuses a NaN, infinite or
+	// negative limit here or in TenantQuotas.
 	TenantQuota TenantLimits
 	// TenantQuotas overrides TenantQuota for named tenants (the empty-string
 	// key configures the default tenant).
@@ -174,11 +176,7 @@ type Server struct {
 	mu   sync.RWMutex
 	jobs map[string]*job
 
-	fq     *fairQueue
-	quotas *Quotas
-	// maxTenantWeight is the largest weight in the quota config; the brownout
-	// shed-low step refuses tenants strictly below it.
-	maxTenantWeight int
+	tenants *tenantTable
 
 	state    atomic.Int32
 	draining chan struct{} // closed when Drain begins: workers stop dequeuing
@@ -197,6 +195,14 @@ type Server struct {
 // to the live state before new records are appended.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.TenantQuota.validate(); err != nil {
+		return nil, fmt.Errorf("serve: tenant quota: %w", err)
+	}
+	for name, l := range cfg.TenantQuotas {
+		if err := l.validate(); err != nil {
+			return nil, fmt.Errorf("serve: tenant %s quota: %w", tenantName(name), err)
+		}
+	}
 	s := &Server{
 		cfg:      cfg,
 		cache:    NewResultCache(cfg.CacheSize, cfg.CacheMaxBytes),
@@ -209,14 +215,7 @@ func New(cfg Config) (*Server, error) {
 		s.logger = obsv.DiscardLogger()
 	}
 	s.met.initHistograms()
-	s.quotas = NewQuotas(cfg.TenantQuota, cfg.TenantQuotas)
-	s.fq = newFairQueue(cfg.QueueSize, cfg.TenantQueueSize, s.quotas.WeightFor)
-	s.maxTenantWeight = cfg.TenantQuota.weight()
-	for _, l := range cfg.TenantQuotas {
-		if w := l.weight(); w > s.maxTenantWeight {
-			s.maxTenantWeight = w
-		}
-	}
+	s.tenants = newTenantTable(cfg.TenantQuota, cfg.TenantQuotas, cfg.QueueSize, cfg.TenantQueueSize)
 
 	var recovered []*job
 	if cfg.JournalDir != "" {
@@ -245,10 +244,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		for _, e := range st.pending {
 			j := newJob(e.key, *e.req, time.Now())
-			j.tenant = e.tenant
-			if j.tenant == "" {
-				j.tenant = e.req.Tenant
-			}
+			j.tenant = canonicalTenant(cmp.Or(e.tenant, e.req.Tenant))
 			// Interrupted jobs resume from their journaled checkpoints; a
 			// pending job without any (checkpointing off, or killed before
 			// the first emission) re-runs from cycle 0 as before.
@@ -266,11 +262,11 @@ func New(cfg Config) (*Server, error) {
 			"completed", len(st.completed), "requeued", len(st.pending), "truncated", st.truncated)
 	}
 
-	// Recovered jobs bypass the queue bounds (pushRecovered) rather than
-	// dropping journaled work on the floor.
+	// Recovered jobs bypass the queue bounds rather than dropping journaled
+	// work on the floor.
 	for _, j := range recovered {
 		s.jobs[j.id] = j
-		s.fq.pushRecovered(j)
+		s.tenants.push(j)
 		s.met.queued.Add(1)
 	}
 
@@ -352,12 +348,12 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // worker drains the fair queue until the server shuts down or drains
-// (fairQueue.Pop checks shutdown/drain before dequeuing, so a worker never
+// (tenantTable.pop checks shutdown/drain before dequeuing, so a worker never
 // picks up new queued work once draining has begun, even if both are ready).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.fq.Pop(s.ctx, s.draining)
+		j, ok := s.tenants.pop(s.ctx, s.draining)
 		if !ok {
 			return
 		}
@@ -528,13 +524,12 @@ func (s *Server) runJob(j *job) {
 }
 
 // Outcomes of a job. A job that ran ends done, failed or preempted, and its
-// execute span carries the outcome; the other two never ran.
+// execute span carries the outcome; an expired one never ran.
 const (
 	outcomeDone      = "done"
 	outcomeFailed    = "failed"
 	outcomePreempted = "preempted" // cancelled by drain or shutdown: resumable
 	outcomeExpired   = "expired"   // its deadline passed while it was queued
-	outcomeRefused   = "refused"   // the queue refused it at submission
 )
 
 // jobEnd is how one job ends: its outcome, and what its waiters are handed.
@@ -581,9 +576,7 @@ func (s *Server) end(j *job, e jobEnd) {
 			Attrs: map[string]string{"job": j.id, "cache_key": j.id, "outcome": e.outcome},
 		})
 	}
-	if e.outcome != outcomeRefused {
-		s.met.e2eMS.Observe(now.Sub(j.submitted).Milliseconds())
-	}
+	s.met.e2eMS.Observe(now.Sub(j.submitted).Milliseconds())
 	lg := s.jobLogger(j)
 	ms := now.Sub(j.started).Milliseconds()
 	switch e.outcome {
@@ -602,7 +595,7 @@ func (s *Server) end(j *job, e jobEnd) {
 		s.met.jobsExpired.Add(1)
 		lg.Warn("job expired in queue", "queue_wait_ms", now.Sub(j.submitted).Milliseconds())
 	}
-	s.quotas.ReleaseBytes(j.tenant, j.bodyBytes)
+	s.tenants.release(j)
 	j.finish(e, now)
 }
 
@@ -723,13 +716,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bodyBytes := int64(len(body))
-	// Tenant identity: the header overrides the body's tenant field, and the
-	// resolved identity rides the canonical request into the journal so a
-	// crash-recovered job re-enqueues on the right subqueue.
+	// Tenant identity: the header overrides the body's tenant field, the
+	// name "default" is the default tenant, and the resolved identity rides
+	// the canonical request into the journal so a crash-recovered job
+	// re-enqueues on the right subqueue.
 	tenant := req.Tenant
 	if h := r.Header.Get(HeaderTenant); h != "" {
 		tenant = h
 	}
+	tenant = canonicalTenant(tenant)
 	req.Tenant = tenant
 	if !validTenant(tenant) {
 		s.met.invalid.Add(1)
@@ -741,7 +736,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Submission-rate quota, before any hashing work: a tenant over its rate
 	// is refused with the honest time until its bucket next holds a token.
-	if ok, wait := s.quotas.AdmitRate(tenant); !ok {
+	if ok, wait := s.tenants.rate(tenant); !ok {
 		s.met.shedQuota.Add(1)
 		refused("quota-rate", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, wait,
@@ -821,7 +816,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// served above, at any step). Step 1 sheds tenants below the maximum
 	// configured weight; step 2+ refuses all fresh work.
 	if step := s.brownoutStep(); step > 0 {
-		shed := step >= 2 || s.quotas.WeightFor(tenant) < s.maxTenantWeight
+		shed := step >= 2 || s.tenants.lowWeight(tenant)
 		if shed {
 			s.met.shedBrownout.Add(1)
 			refused("brownout", BrownoutNames[step])
@@ -851,32 +846,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Worker-side stage spans parent to the admission span.
 	j.trace = obsv.SpanContext{Trace: parent.Trace, Span: adm.Span}
 
-	// The record check, the in-flight-bytes charge, the journal and the queue
+	// The record check, the quota and queue checks, the journal and the push
 	// move together under s.mu, so two racing creators of one key queue and
-	// charge it once. The submit record is journaled before a worker can see
-	// the job, so the journal's per-key record order always starts with
-	// submit. A refused push ends the job, which journals its fail record
-	// (replay must not resurrect a job the client was told to retry) and
-	// returns the charge; a queued job returns it when it ends.
+	// charge it once, and a check holds until its push. A refused submission
+	// leaves no trace: no job, no journal record. The submit record is
+	// journaled before a worker can see the job, so the journal's per-key
+	// record order always starts with submit.
 	s.mu.Lock()
 	if live := s.jobs[key]; live != nil && live.live() {
 		s.mu.Unlock()
 		s.coalesce(w, r, live, deadline, admitted)
 		return
 	}
-	if !s.quotas.AdmitBytes(tenant, bodyBytes) {
-		s.mu.Unlock()
-		s.met.shedQuota.Add(1)
-		refused("quota-bytes", tenant)
-		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
-			"tenant %q over in-flight bytes quota", tenantName(tenant))
-		return
-	}
-	s.journal.append(journalRecord{Op: opSubmit, Key: key, At: time.Now(), Req: &creq, Tenant: tenant})
-	if err = s.fq.Push(j); err == nil {
+	if err = s.tenants.check(tenant, bodyBytes); err == nil {
+		s.journal.append(journalRecord{Op: opSubmit, Key: key, At: time.Now(), Req: &creq, Tenant: tenant})
+		s.tenants.push(j)
 		s.jobs[key] = j
-	} else {
-		s.end(j, jobEnd{outcome: outcomeRefused, err: err.Error(), code: CodeOverCapacity})
 	}
 	s.mu.Unlock()
 
@@ -887,11 +872,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		admitted("queued", key)
 		s.jobLogger(j).Info("job admitted", "bench", creq.Bench, "mode", string(creq.Mode),
 			"propagated", propagated)
+	case errBytesQuota:
+		s.met.shedQuota.Add(1)
+		refused("quota-bytes", tenant)
+		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
+			"tenant %q over in-flight bytes quota", tenantName(tenant))
+		return
 	case errTenantFull:
 		s.met.shedTenantFull.Add(1)
 		refused("tenant-queue-full", tenant)
 		WriteErrorRetry(w, CodeOverCapacity, s.retryAfterHint(),
-			"tenant %q queue full (%d jobs waiting)", tenantName(tenant), s.fq.TenantDepth(tenant))
+			"tenant %q queue full (%d jobs waiting)", tenantName(tenant), s.tenants.depth(tenant))
 		return
 	default:
 		s.met.rejectedFull.Add(1)
@@ -1029,8 +1020,9 @@ type Health struct {
 	// Multi-tenant overload state (additive, PR 10). Brownout is the current
 	// degradation step name ("" serving normally, then "shed-low" →
 	// "no-new-work" → "cached-only"); Tenants lists per-tenant queue depth,
-	// weight and in-flight bytes, sorted by tenant name (absent until any
-	// tenant has queued work).
+	// weight and in-flight bytes, sorted by tenant name: one row per tenant
+	// holding queued jobs, in-flight bytes or a partly spent rate bucket
+	// (absent when none does).
 	Brownout string           `json:"brownout,omitempty"`
 	Tenants  []TenantSnapshot `json:"tenants,omitempty"`
 }
@@ -1039,14 +1031,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	state := "serving"
 	if s.state.Load() != stateServing {
 		state = "draining"
-	}
-	tenants := s.fq.Snapshot()
-	for i := range tenants {
-		name := tenants[i].Tenant
-		if name == "default" {
-			name = ""
-		}
-		tenants[i].InflightBytes = s.quotas.InflightBytes(name)
 	}
 	WriteJSON(w, http.StatusOK, Health{
 		Status:          "ok",
@@ -1061,7 +1045,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PredictedWaitMS: float64(s.estimatedWait().Nanoseconds()) / 1e6,
 		JournalLag:      s.met.journalRecords.Load(),
 		Brownout:        BrownoutNames[s.brownoutStep()],
-		Tenants:         tenants,
+		Tenants:         s.tenants.snapshot(),
 	})
 }
 

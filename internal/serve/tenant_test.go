@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,77 +132,61 @@ func TestTenantStamping(t *testing.T) {
 	}
 }
 
-// TestQuotasRate: deterministic token-bucket behaviour under an injected
-// clock — burst, refusal, honest millisecond retry hint, refill.
-func TestQuotasRate(t *testing.T) {
-	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	q := NewQuotas(TenantLimits{}, map[string]TenantLimits{
-		"metered": {SubmitRate: 2, SubmitBurst: 2},
-	})
-	q.now = func() time.Time { return now }
+// TestDefaultTenantAlias: X-Srv-Tenant: default names the default tenant,
+// the one a header-less submission belongs to, so `-tenant default:...`
+// configures both and healthz shows one row for them.
+func TestDefaultTenantAlias(t *testing.T) {
+	// Workers never start: both jobs stay queued.
+	s, err := New(Config{Workers: 1, TenantQuotas: map[string]TenantLimits{"": {Weight: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	// The unlimited default tenant always passes.
-	for i := 0; i < 100; i++ {
-		if ok, _ := q.AdmitRate(""); !ok {
-			t.Fatal("unlimited tenant refused")
-		}
+	req := testLoopReq()
+	body, _ := json.Marshal(req)
+	if resp, _, _ := rawSubmit(t, ts.URL, req, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("header-less submit: HTTP %d", resp.StatusCode)
 	}
-	// Burst of 2, then refusal with the exact time to the next whole token:
-	// at 2 tokens/s a fully spent bucket refills one token in 500ms.
-	for i := 0; i < 2; i++ {
-		if ok, _ := q.AdmitRate("metered"); !ok {
-			t.Fatalf("burst admit %d refused", i)
-		}
+	req.Seed = 8
+	resp, st, _ := rawSubmit(t, ts.URL, req, map[string]string{HeaderTenant: "default"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("default-header submit: HTTP %d", resp.StatusCode)
 	}
-	ok, wait := q.AdmitRate("metered")
-	if ok {
-		t.Fatal("over-burst admit succeeded")
+	if st.Tenant != "" {
+		t.Fatalf("status tenant = %q, want the default tenant (omitted)", st.Tenant)
 	}
-	if wait != 500*time.Millisecond {
-		t.Fatalf("retry hint = %s, want exactly 500ms", wait)
+
+	var h Health
+	hresp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sleeping exactly the hint must find a whole token.
-	now = now.Add(wait)
-	if ok, _ := q.AdmitRate("metered"); !ok {
-		t.Fatal("admit after honest wait refused")
+	defer hresp.Body.Close()
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
 	}
-	// And the bucket never banks beyond its burst.
-	now = now.Add(time.Hour)
-	for i := 0; i < 2; i++ {
-		if ok, _ := q.AdmitRate("metered"); !ok {
-			t.Fatalf("post-idle admit %d refused", i)
-		}
-	}
-	if ok, _ := q.AdmitRate("metered"); ok {
-		t.Fatal("idle hour banked more than the burst")
+	want := []TenantSnapshot{{Tenant: "default", Weight: 4, Queued: 2, InflightBytes: 2 * int64(len(body))}}
+	if fmt.Sprint(h.Tenants) != fmt.Sprint(want) {
+		t.Fatalf("healthz tenants = %+v, want %+v", h.Tenants, want)
 	}
 }
 
-// TestQuotasInflightBytes: the byte allowance charges, refuses at the cap,
-// and releases idempotently at zero.
-func TestQuotasInflightBytes(t *testing.T) {
-	q := NewQuotas(TenantLimits{MaxInflightBytes: 100}, nil)
-	if !q.AdmitBytes("a", 60) || !q.AdmitBytes("a", 40) {
-		t.Fatal("admits within the cap refused")
-	}
-	if q.AdmitBytes("a", 1) {
-		t.Fatal("admit beyond the cap succeeded")
-	}
-	// Another tenant has its own allowance.
-	if !q.AdmitBytes("b", 100) {
-		t.Fatal("tenant b refused by tenant a's usage")
-	}
-	q.ReleaseBytes("a", 40)
-	if got := q.InflightBytes("a"); got != 60 {
-		t.Fatalf("inflight after release = %d, want 60", got)
-	}
-	if !q.AdmitBytes("a", 40) {
-		t.Fatal("admit after release refused")
-	}
-	// Over-release clamps at zero rather than going negative.
-	q.ReleaseBytes("a", 1000)
-	if got := q.InflightBytes("a"); got != 0 {
-		t.Fatalf("inflight after over-release = %d, want 0", got)
+// TestNewRefusesBadTenantLimits: a NaN, infinite or negative limit in the
+// uniform quota or an override is refused when the server is built, the
+// same limits the -tenant grammar refuses.
+func TestNewRefusesBadTenantLimits(t *testing.T) {
+	for _, l := range []TenantLimits{
+		{SubmitRate: math.NaN()}, {SubmitRate: math.Inf(1)}, {SubmitRate: -1},
+		{SubmitBurst: -1}, {MaxInflightBytes: -1}, {Weight: -1},
+	} {
+		if _, err := New(Config{TenantQuota: l}); err == nil {
+			t.Errorf("TenantQuota %+v accepted", l)
+		}
+		if _, err := New(Config{TenantQuotas: map[string]TenantLimits{"x": l}}); err == nil {
+			t.Errorf("TenantQuotas x: %+v accepted", l)
+		}
 	}
 }
 
@@ -227,6 +212,13 @@ func TestParseTenantOverride(t *testing.T) {
 		{spec: "a b:weight=2", wantErr: true},
 		{spec: "a/b:weight=2", wantErr: true},
 		{spec: "équipe:weight=2", wantErr: true},
+		{spec: "x:rate=NaN", wantErr: true},
+		{spec: "x:rate=Inf", wantErr: true},
+		{spec: "x:rate=-Inf", wantErr: true},
+		{spec: "x:rate=-0.5", wantErr: true},
+		{spec: "x:burst=-1", wantErr: true},
+		{spec: "x:bytes=-1", wantErr: true},
+		{spec: "x:weight=-2", wantErr: true},
 	} {
 		tenant, got, err := ParseTenantOverride(tc.spec)
 		if tc.wantErr {
@@ -711,7 +703,7 @@ func TestMultiTenantChaos(t *testing.T) {
 		}
 	}
 	// The flood must still be backlogged when the interactive tenant is done.
-	if d := s.fq.TenantDepth("flood"); d == 0 {
+	if d := s.tenants.depth("flood"); d == 0 {
 		t.Fatal("flood backlog already drained — the drill proved nothing about isolation")
 	}
 
@@ -758,7 +750,8 @@ func TestMultiTenantChaos(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	if got := fmt.Sprint(s.fq.Tenants()); got != "2" {
-		t.Fatalf("queue saw %s tenants, want 2", got)
+	// The drained tenants hold nothing, so no record is left.
+	if n := records(s.tenants); n != 0 {
+		t.Fatalf("%d tenant records left after the flood drained, want 0", n)
 	}
 }
