@@ -167,27 +167,28 @@ func (r Request) Canonical() (Request, error) {
 // outside them rather than let one request build or run an outsized
 // machine. The evaluation's largest sweep points sit far inside them.
 const (
-	MaxConfigWidth  = 64   // Config.Width
-	MaxConfigQueue  = 4096 // Config.IQSize, ROBSize and LSQSize
-	MaxConfigCycles = defaultMaxCycles
+	MaxConfigWidth         = 64   // Config.Width
+	MaxConfigFrontEndDelay = 64   // Config.FrontEndDelay; with Width it sizes the fetch queue
+	MaxConfigQueue         = 4096 // Config.IQSize, ROBSize and LSQSize
+	MaxConfigCycles        = defaultMaxCycles
 )
 
 // checkConfig validates a request's pipeline configuration against the
 // bounds above.
 func checkConfig(c *pipeline.Config) error {
-	sizes := []struct {
-		name string
-		v    int
-		max  int
+	sizes := [...]struct {
+		name      string
+		v, lo, hi int
 	}{
-		{"Width", c.Width, MaxConfigWidth},
-		{"IQSize", c.IQSize, MaxConfigQueue},
-		{"ROBSize", c.ROBSize, MaxConfigQueue},
-		{"LSQSize", c.LSQSize, MaxConfigQueue},
+		{"Width", c.Width, 1, MaxConfigWidth},
+		{"FrontEndDelay", c.FrontEndDelay, 0, MaxConfigFrontEndDelay},
+		{"IQSize", c.IQSize, 1, MaxConfigQueue},
+		{"ROBSize", c.ROBSize, 1, MaxConfigQueue},
+		{"LSQSize", c.LSQSize, 1, MaxConfigQueue},
 	}
 	for _, s := range sizes {
-		if s.v < 1 || s.v > s.max {
-			return fmt.Errorf("harness: %w: config %s %d outside [1, %d]", ErrInvalidRequest, s.name, s.v, s.max)
+		if s.v < s.lo || s.v > s.hi {
+			return fmt.Errorf("harness: %w: config %s %d outside [%d, %d]", ErrInvalidRequest, s.name, s.v, s.lo, s.hi)
 		}
 	}
 	if c.MaxCycles > MaxConfigCycles {

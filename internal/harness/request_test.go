@@ -223,6 +223,8 @@ func TestCanonicalBoundsConfig(t *testing.T) {
 	}{
 		{"default", func(c *pipeline.Config) {}, true},
 		{"width at cap", func(c *pipeline.Config) { c.Width = MaxConfigWidth }, true},
+		{"front-end delay at cap", func(c *pipeline.Config) { c.FrontEndDelay = MaxConfigFrontEndDelay }, true},
+		{"front-end delay zero", func(c *pipeline.Config) { c.FrontEndDelay = 0 }, true},
 		{"sizes at cap", func(c *pipeline.Config) {
 			c.IQSize, c.ROBSize, c.LSQSize = MaxConfigQueue, MaxConfigQueue, MaxConfigQueue
 		}, true},
@@ -230,6 +232,9 @@ func TestCanonicalBoundsConfig(t *testing.T) {
 		{"budget default", func(c *pipeline.Config) { c.MaxCycles = 0 }, true},
 		{"width zero", func(c *pipeline.Config) { c.Width = 0 }, false},
 		{"width over cap", func(c *pipeline.Config) { c.Width = MaxConfigWidth + 1 }, false},
+		{"front-end delay negative", func(c *pipeline.Config) { c.FrontEndDelay = -1 }, false},
+		{"front-end delay over cap", func(c *pipeline.Config) { c.FrontEndDelay = MaxConfigFrontEndDelay + 1 }, false},
+		{"front-end delay huge", func(c *pipeline.Config) { c.FrontEndDelay = 1 << 40 }, false},
 		{"iq negative", func(c *pipeline.Config) { c.IQSize = -1 }, false},
 		{"iq over cap", func(c *pipeline.Config) { c.IQSize = MaxConfigQueue + 1 }, false},
 		{"rob zero", func(c *pipeline.Config) { c.ROBSize = 0 }, false},

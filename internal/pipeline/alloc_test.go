@@ -27,10 +27,10 @@ const maxNewAllocs = 38
 const maxNewBytes = 4 << 20
 
 // maxGatherAllocsPerKCycle bounds a gather/scatter-heavy SRV run. Dispatch,
-// the LSU line index and the scratch buffers allocate nothing once built;
-// what remains is the fetch queue growing to its deepest point and the
-// region-duration log. Reserving a gather's 16 lane entries from a growing
-// slice again would cost thousands per kcycle.
+// the LSU line index, the scratch buffers and the fetch ring allocate
+// nothing once built (Go 1.24 counts one allocation in 60 435 cycles).
+// Reserving a gather's 16 lane entries from a growing slice again would
+// cost thousands per kcycle.
 const maxGatherAllocsPerKCycle = 16
 
 func compileLoop(t *testing.T, bench string, loop int, mode compiler.Mode) (*isa.Program, *mem.Image) {
@@ -65,9 +65,10 @@ func newBytes(cfg pipeline.Config, prog *isa.Program, im *mem.Image) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestNewOversizedConfig pins that configured sizes only limit the ROB and
-// LSU: a request asking for a huge ROB or LSQ must not make New commit
-// memory in proportion, since a request's configuration is untrusted.
+// TestNewOversizedConfig pins that configured sizes only limit the ROB, the
+// LSU and the fetch queue: a request asking for a huge ROB, LSQ or front
+// end must not make New commit memory in proportion, since a request's
+// configuration is untrusted.
 func TestNewOversizedConfig(t *testing.T) {
 	prog, im := compileLoop(t, "h264ref", 0, compiler.ModeSRV)
 	def := newBytes(pipeline.DefaultConfig(), prog, im)
@@ -80,6 +81,13 @@ func TestNewOversizedConfig(t *testing.T) {
 	if big > maxNewBytes {
 		t.Errorf("pipeline.New with a 64K-entry ROB and LSQ allocated %d bytes, want <= %d", big, maxNewBytes)
 	}
+	cfg = pipeline.DefaultConfig()
+	cfg.Width, cfg.FrontEndDelay = 1<<20, 1<<20
+	if wide := newBytes(cfg, prog, im); wide > maxNewBytes {
+		t.Errorf("pipeline.New at width and front-end delay 1<<20 allocated %d bytes, want <= %d", wide, maxNewBytes)
+	}
+	cfg.Width, cfg.FrontEndDelay = -1, -1
+	pipeline.New(cfg, prog, im) // an empty fetch queue, not a panic
 }
 
 func TestGatherRunAllocs(t *testing.T) {

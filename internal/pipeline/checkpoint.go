@@ -15,8 +15,7 @@ import (
 // Checkpoint/restore of the simulated machine. A Checkpoint is a versioned,
 // JSON-serialisable capture of everything the machine has accumulated
 // mid-run — architectural state, the ROB and rename windows, the fetch
-// deque (packed and compressed: see FetchQState — it can run millions of
-// slots deep), the SRV controller, the LSU, both predictors, the cache
+// queue's slots, the SRV controller, the LSU, both predictors, the cache
 // hierarchy, the memory image and the region-duration histogram —
 // sufficient to rebuild a pipeline that continues bit-identically: Stats,
 // DumpStats, registers and memory all match an uninterrupted run.
@@ -48,8 +47,10 @@ import (
 // a stale journal cannot silently resurrect wrong state. Version 3 dropped
 // the store-set predictor's LFST; version 4 dropped the observer buffers,
 // the paranoid flag, the capped region-duration log and the derived
-// in-flight window and issue-queue count, and added the histogram maximum.
-const CheckpointSchemaVersion = 4
+// in-flight window and issue-queue count, and added the histogram maximum;
+// version 5 stores the bounded fetch queue's slots literally instead of a
+// compressed stream.
+const CheckpointSchemaVersion = 5
 
 // SrcState is one captured operand link (robEntry.src).
 type SrcState struct {
@@ -114,7 +115,7 @@ type Checkpoint struct {
 
 	FetchPC      int         `json:"fetchPC"`
 	FetchStalled bool        `json:"fetchStalled"`
-	FetchQ       FetchQState `json:"fetchq"`
+	FetchQ       []FetchSlot `json:"fetchq,omitempty"`
 
 	DispRegionCounter int   `json:"dispRegionCounter"`
 	DispInRegion      bool  `json:"dispInRegion"`

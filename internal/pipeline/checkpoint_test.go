@@ -241,6 +241,19 @@ func TestRestoreValidation(t *testing.T) {
 	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "program") {
 		t.Errorf("program-length mismatch not rejected: %v", err)
 	}
+
+	// A journal is untrusted: a fetch queue deeper than the ring, or a slot
+	// pc outside the program, must be refused rather than restored.
+	bad = *cp
+	bad.FetchQ = make([]FetchSlot, len(p.fetchq.buf)+1)
+	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "fetch queue holds") {
+		t.Errorf("overfull fetch queue not rejected: %v", err)
+	}
+	bad = *cp
+	bad.FetchQ = []FetchSlot{{PC: 0}, {PC: cp.ProgLen}}
+	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "fetch queue slot 1 pc") {
+		t.Errorf("out-of-range fetch queue pc not rejected: %v", err)
+	}
 }
 
 // TestSnapshotElision: the forensics dump must say how many ROB entries it
@@ -302,74 +315,4 @@ func BenchmarkStepCheckpointOff(b *testing.B) {
 		p.step()
 	}
 	benchSink = p.cycle
-}
-
-// TestFetchQStateRoundTrip drives the packed fetch-queue codec directly: a
-// deep, loop-shaped queue (the case the encoding exists for) survives a
-// state/setState round trip slot for slot, and a corrupt or truncated packed
-// stream is rejected instead of restoring garbage.
-func TestFetchQStateRoundTrip(t *testing.T) {
-	var q fetchQueue
-	const loopLen, depth = 7, 3 * fetchChunkSize
-	for i := 0; i < depth; i++ {
-		pc := i % loopLen
-		q.push(fetchSlot{pc: pc, readyAt: int64(40 + i/4),
-			predTaken: pc == loopLen-1, predTarget: 0})
-	}
-	st := q.state()
-	if st.N != depth {
-		t.Fatalf("state.N = %d, want %d", st.N, depth)
-	}
-	if len(st.Packed) == 0 || len(st.Packed) > depth {
-		t.Fatalf("packed %d slots into %d bytes, want a compressed stream well under 1 byte/slot", depth, len(st.Packed))
-	}
-
-	var r fetchQueue
-	if err := r.setState(st, loopLen); err != nil {
-		t.Fatal(err)
-	}
-	if r.len() != depth {
-		t.Fatalf("restored %d slots, want %d", r.len(), depth)
-	}
-	var got []fetchSlot
-	r.each(func(s *fetchSlot) { got = append(got, *s) })
-	i := 0
-	q.each(func(s *fetchSlot) {
-		if got[i] != *s {
-			t.Fatalf("slot %d = %+v, want %+v", i, got[i], *s)
-		}
-		i++
-	})
-
-	// Empty queue round-trips to an empty state.
-	var e fetchQueue
-	est := e.state()
-	if est.N != 0 || est.Packed != nil {
-		t.Fatalf("empty queue state = %+v", est)
-	}
-	if err := r.setState(est, loopLen); err != nil {
-		t.Fatal(err)
-	}
-	if r.len() != 0 {
-		t.Fatalf("restore of empty state left %d slots", r.len())
-	}
-
-	// A pc outside the program must be rejected (the packed form is opaque
-	// on the wire).
-	var bad fetchQueue
-	if err := bad.setState(st, loopLen-1); err == nil {
-		t.Fatal("out-of-range pc restored without error")
-	}
-	// Truncated compressed stream.
-	trunc := st
-	trunc.Packed = st.Packed[:len(st.Packed)/2]
-	if err := bad.setState(trunc, loopLen); err == nil {
-		t.Fatal("truncated packed stream restored without error")
-	}
-	// Slot count larger than the stream carries.
-	short := st
-	short.N = depth + 1
-	if err := bad.setState(short, loopLen); err == nil {
-		t.Fatal("oversized slot count restored without error")
-	}
 }

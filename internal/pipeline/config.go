@@ -25,9 +25,10 @@
 // the reorder buffer window (wakeup.go). Across cycles, a step that changes
 // no state lets the run jump to the next wake event (scheduler.go). The
 // per-cycle reference tick core (UseReferenceTickCore) shares every stage
-// and differs only in never jumping. The fetch queue stores one run per
-// fetch cycle (fetchq.go), and ROB entries keep their bulky operands,
-// results and LSU pointers in a payload carved from the entry slab.
+// and differs only in never jumping. The fetch queue is a fixed ring of
+// 2 x Width x FrontEndDelay slots (fetchq.go), and ROB entries keep their
+// bulky operands, results and LSU pointers in a payload carved from the
+// entry slab.
 package pipeline
 
 // Config holds the structural and latency parameters of the core.

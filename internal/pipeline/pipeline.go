@@ -237,8 +237,7 @@ type Pipeline struct {
 
 	fetchPC      int
 	fetchStalled bool // stop fetching (after halt or program end)
-	// The fetch queue: a chunked deque (fetchq.go), since fetch can run
-	// millions of slots ahead of a stalled dispatcher.
+	// The fetch queue: a fixed ring of fetchQueueCap(Cfg) slots (fetchq.go).
 	fetchq fetchQueue
 
 	// decode holds the dispatch-time decoding of each program instruction.
@@ -367,6 +366,7 @@ func New(cfg Config, prog *isa.Program, image *mem.Image) *Pipeline {
 	image.IndexPages()
 	p.LSU = lsu.New(cfg.LSQSize, image, ctrl)
 	p.decode = decodeProgram(prog)
+	p.fetchq = newFetchQueue(fetchQueueCap(cfg))
 	p.lineScratch = make([]uint64, 0, 8*isa.NumLanes)
 	p.gatherAddrs = make([]uint64, 0, 8*isa.NumLanes)
 	// One pointer array backs the ROB, the entry pool and the scheduler
@@ -433,8 +433,6 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 	if wd == 0 {
 		wd = DefaultWatchdogCycles
 	}
-	// Hand the fetch queue's spare chunks to later pipelines.
-	defer p.fetchq.release()
 	committed := p.Stats.Committed
 	lastProgress := p.cycle
 	if p.restoredProgress {
@@ -657,26 +655,20 @@ func (p *Pipeline) deliverFault() {
 // ---- Fetch ----
 
 // fetch follows the predicted path for up to Width instructions, stopping
-// after a predicted-taken branch or a halt. Each slot but the last continues
-// sequentially without a prediction or past a not-taken branch, so the
-// cycle's slots form one fetch-queue run (fetchq.go), built here and pushed
-// whole.
+// after a predicted-taken branch or a halt, or once the fetch queue is full.
 func (p *Pipeline) fetch() {
 	if p.fetchStalled {
 		return
 	}
 	p.stepQuiet = false
-	r := fetchRun{readyAt: p.cycle + int64(p.Cfg.FrontEndDelay), pc: int32(p.fetchPC)}
-	for n := 0; n < p.Cfg.Width; n++ {
+	readyAt := p.cycle + int64(p.Cfg.FrontEndDelay)
+	for n := 0; n < p.Cfg.Width && !p.fetchq.full(); n++ {
 		if p.fetchPC < 0 || p.fetchPC >= p.Prog.Len() {
 			p.fetchStalled = true
 			break
 		}
-		if r.n == maxRunSlots {
-			p.fetchq.pushRun(r)
-			r = fetchRun{readyAt: r.readyAt, pc: int32(p.fetchPC)}
-		}
-		in := p.Prog.At(p.fetchPC)
+		pc := p.fetchPC
+		in := p.Prog.At(pc)
 		taken, target, stop := false, 0, false
 		switch {
 		case in.Op == isa.OpHalt:
@@ -701,17 +693,10 @@ func (p *Pipeline) fetch() {
 		default:
 			p.fetchPC++
 		}
-		if r.n == 0 {
-			r.n, r.lastTaken, r.lastTarget = 1, taken, target
-		} else {
-			r.add(taken, target)
-		}
+		p.fetchq.push(FetchSlot{PC: pc, ReadyAt: readyAt, PredTaken: taken, PredTarget: target})
 		if stop {
 			break
 		}
-	}
-	if r.n > 0 {
-		p.fetchq.pushRun(r)
 	}
 }
 
@@ -733,18 +718,18 @@ func (p *Pipeline) dispatch() {
 			return
 		}
 		slot := p.fetchq.front()
-		in := p.Prog.At(slot.pc)
+		in := p.Prog.At(slot.PC)
 
 		e := p.allocEntry()
 		e.seq = p.nextSeq + 1
-		d := &p.decode[slot.pc]
-		e.pc = slot.pc
+		d := &p.decode[slot.PC]
+		e.pc = slot.PC
 		e.inst = in
 		e.cls, e.fu = d.cls, d.fu
 		e.regionIdx = -1
-		e.predTaken = slot.predTaken
-		e.predTarget = slot.predTarget
-		e.fetchAt = slot.readyAt - int64(p.Cfg.FrontEndDelay)
+		e.predTaken = slot.PredTaken
+		e.predTarget = slot.PredTarget
+		e.fetchAt = slot.ReadyAt - int64(p.Cfg.FrontEndDelay)
 		e.dispatchAt = p.cycle
 		e.lsuEntries = e.pay.lsuBuf[:0]
 		if p.dispInRegion {
@@ -1455,7 +1440,7 @@ func (p *Pipeline) takeInterrupt() {
 	if p.robLen() > 0 {
 		archPC = p.rob[p.robHead].pc
 	} else if p.fetchLen() > 0 {
-		archPC = p.fetchq.front().pc
+		archPC = p.fetchq.front().PC
 	}
 	var committedSeq int64
 	if p.robLen() > 0 {

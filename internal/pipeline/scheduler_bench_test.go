@@ -23,7 +23,7 @@ func quietBenchPipeline(tb testing.TB) *Pipeline {
 	p := New(testConfig(), prog, mem.NewImage())
 	p.cycle = 1000
 	p.fetchStalled = true
-	p.fetchq.push(fetchSlot{pc: 0, readyAt: p.cycle + 40})
+	p.fetchq.push(FetchSlot{PC: 0, ReadyAt: p.cycle + 40})
 	e := p.allocEntry()
 	e.seq = 1
 	e.pc = 0
