@@ -135,9 +135,10 @@ tenant-smoke: build
 	$(GO) test -race -timeout 15m -run '^(TestMultiTenantChaos|TestBrownoutSteps|TestFairQueue[A-Za-z]*|TestQuotasRate|TestQuotasInflightBytes|TestIdleTenantsReclaimed|TestTenantSweepAmortised|TestDefaultTenantAlias|TestGatewayTenantQuota|TestGatewayBrownoutAggregate)$$' ./internal/serve ./internal/gateway
 
 # fuzz runs each fuzz target for 30s on two workers (go test fuzzes one
-# target per invocation); its seed corpus runs in every plain `go test`.
+# target per invocation); their seed corpora run in every plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -parallel 2 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileBlock$$' -fuzztime 30s -parallel 2 ./internal/compiler
 
 # serve-chaos is the service-layer resilience drill, run under the race
 # detector: remote submissions through a seeded fault-injecting transport

@@ -60,15 +60,8 @@ type Compiled struct {
 // them — replay would serialise every group).
 func Compile(l *Loop, im *mem.Image, mode Mode) (*Compiled, error) {
 	rep := Analyse(l)
-	switch mode {
-	case ModeSVE:
-		if rep.Verdict != VerdictSafe {
-			return nil, fmt.Errorf("compiler: loop %s not provably safe (%s); SVE vectorisation illegal", l.Name, rep.Reason)
-		}
-	case ModeSRV:
-		if rep.Verdict == VerdictDependent {
-			return nil, fmt.Errorf("compiler: loop %s has a proven dependence (%s); SRV unprofitable", l.Name, rep.Reason)
-		}
+	if err := legal(l, rep, mode); err != nil {
+		return nil, fmt.Errorf("compiler: %w", err)
 	}
 	l.Bind(im)
 	b := isa.NewBuilder()
@@ -96,16 +89,8 @@ type Phase struct {
 func CompileProgram(phases []Phase, im *mem.Image) (*isa.Program, error) {
 	b := isa.NewBuilder()
 	for i, ph := range phases {
-		rep := Analyse(ph.Loop)
-		switch ph.Mode {
-		case ModeSVE:
-			if rep.Verdict != VerdictSafe {
-				return nil, fmt.Errorf("compiler: phase %d (%s) not provably safe: %s", i, ph.Loop.Name, rep.Reason)
-			}
-		case ModeSRV:
-			if rep.Verdict == VerdictDependent {
-				return nil, fmt.Errorf("compiler: phase %d (%s) provably dependent: %s", i, ph.Loop.Name, rep.Reason)
-			}
+		if err := legal(ph.Loop, Analyse(ph.Loop), ph.Mode); err != nil {
+			return nil, fmt.Errorf("compiler: phase %d: %w", i, err)
 		}
 		ph.Loop.Bind(im)
 		g := &gen{l: ph.Loop, mode: ph.Mode, b: b, prefix: fmt.Sprintf("P%d_", i)}
@@ -115,6 +100,19 @@ func CompileProgram(phases []Phase, im *mem.Image) (*isa.Program, error) {
 	}
 	b.Halt()
 	return b.Build()
+}
+
+// legal applies the mode's legality rule to the loop's dependence report:
+// SVE needs a provably safe loop, and SRV refuses a provably dependent one
+// (the compiler would never pick it — replay would serialise every group).
+func legal(l *Loop, rep DepReport, mode Mode) error {
+	switch {
+	case mode == ModeSVE && rep.Verdict != VerdictSafe:
+		return fmt.Errorf("loop %s not provably safe (%s); SVE vectorisation illegal", l.Name, rep.Reason)
+	case mode == ModeSRV && rep.Verdict == VerdictDependent:
+		return fmt.Errorf("loop %s has a proven dependence (%s); SRV unprofitable", l.Name, rep.Reason)
+	}
+	return nil
 }
 
 // MustCompile is Compile that panics on error (workload tables).
@@ -156,9 +154,25 @@ const (
 	regI       = 0
 	regBound   = 1
 	firstFixed = 2
+	// maxFixed is the most fixed scalar registers a loop may take, leaving
+	// the rest as per-statement temporaries.
+	maxFixed = isa.NumSclRegs - 6
 )
 
+// fixedRegs lists what gen.run keeps in fixed scalar registers for the
+// whole loop — base registers, moving pointers and hoisted constants — and
+// counts the registers they take together with the induction variable and
+// the bound.
+func fixedRegs(l *Loop) (bases, ptrs []*Array, consts []int64, n int) {
+	bases, ptrs, consts = needBases(l), needPointers(l), collectConsts(l)
+	return bases, ptrs, consts, firstFixed + len(bases) + len(ptrs) + len(consts)
+}
+
 func (g *gen) run() error {
+	bases, ptrs, consts, n := fixedRegs(g.l)
+	if n > maxFixed {
+		return fmt.Errorf("compiler: loop %s needs %d fixed scalar registers, leaving too few temporaries", g.l.Name, n)
+	}
 	g.base = make(map[*Array]int)
 	g.ptr = make(map[*Array]int)
 	g.constReg = make(map[int64]int)
@@ -169,29 +183,23 @@ func (g *gen) run() error {
 	// Base registers only for arrays addressed through them (gather and
 	// scatter targets, non-unit or invariant strides); unit-stride streams
 	// use a moving pointer instead, halving scalar register pressure.
-	for _, a := range g.needBases() {
+	for _, a := range bases {
 		r := g.alloc()
 		g.base[a] = r
 		g.b.MovI(r, int64(a.Base))
 	}
-	for _, a := range g.needPointers() {
-		if _, ok := g.ptr[a]; ok {
-			continue
-		}
+	for _, a := range ptrs {
 		r := g.alloc()
 		g.ptr[a] = r
 		g.b.MovI(r, int64(a.Base))
 	}
 	// Hoist constants.
-	for _, c := range g.collectConsts() {
+	for _, c := range consts {
 		r := g.alloc()
 		g.constReg[c] = r
 		g.b.MovI(r, c)
 	}
 	g.tmpBase = g.nextFixed
-	if g.tmpBase > isa.NumSclRegs-6 {
-		return fmt.Errorf("compiler: loop %s needs %d fixed scalar registers, leaving too few temporaries", g.l.Name, g.tmpBase)
-	}
 
 	if g.mode == ModeScalar {
 		if g.l.Down {
@@ -204,11 +212,7 @@ func (g *gen) run() error {
 
 	// Hoist loop-invariant splats out of the vector loop (sorted for
 	// deterministic code emission).
-	consts := make([]int64, 0, len(g.constReg))
-	for c := range g.constReg {
-		consts = append(consts, c)
-	}
-	sort.Slice(consts, func(i, j int) bool { return consts[i] < consts[j] })
+	slices.Sort(consts)
 	for _, c := range consts {
 		g.vconstTop--
 		g.vconstReg[c] = g.vconstTop
@@ -350,7 +354,7 @@ func (g *gen) vtmp() int {
 
 // needBases lists arrays addressed through a base register: indirect
 // (gather/scatter) targets and non-unit-stride or loop-invariant subscripts.
-func (g *gen) needBases() []*Array {
+func needBases(l *Loop) []*Array {
 	var out []*Array
 	seen := make(map[*Array]bool)
 	add := func(a *Array) {
@@ -359,7 +363,7 @@ func (g *gen) needBases() []*Array {
 			out = append(out, a)
 		}
 	}
-	for _, a := range g.l.accesses() {
+	for _, a := range l.accesses() {
 		if a.idx.Indirect != nil || a.idx.Scale != 1 {
 			add(a.arr)
 		}
@@ -372,10 +376,10 @@ func (g *gen) needBases() []*Array {
 
 // needPointers lists arrays accessed with a unit-stride affine subscript
 // (directly or as an index array), which get a moving pointer.
-func (g *gen) needPointers() []*Array {
+func needPointers(l *Loop) []*Array {
 	var out []*Array
 	seen := make(map[*Array]bool)
-	for _, a := range g.l.accesses() {
+	for _, a := range l.accesses() {
 		if a.idx.Indirect == nil && a.idx.Scale == 1 && !seen[a.arr] {
 			seen[a.arr] = true
 			out = append(out, a.arr)
@@ -390,14 +394,14 @@ func (g *gen) needPointers() []*Array {
 
 // collectConsts gathers literal values used by value expressions so they can
 // be hoisted into registers.
-func (g *gen) collectConsts() []int64 {
+func collectConsts(l *Loop) []int64 {
 	var out []int64
 	lit := func(e Expr) {
 		if c, ok := e.(Const); ok && !slices.Contains(out, c.V) {
 			out = append(out, c.V)
 		}
 	}
-	for _, s := range g.l.Body {
+	for _, s := range l.Body {
 		walkLeaves(s.Val, lit)
 	}
 	return out

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"srvsim/internal/isa"
@@ -13,16 +14,20 @@ import (
 // dependences, through the SLP algorithm" (superword-level parallelism,
 // Larsen & Amarasinghe). The packer groups runs of isomorphic straight-line
 // statements — same expression shape over the same arrays, constant
-// subscripts — into packs of up to 16 lanes and emits ONE SRV region per
-// pack: the statements execute as vector lanes, and any memory dependence
-// between them (unknown to the compiler when the arrays may alias) is
-// caught and repaired by selective replay, lane k being statement k.
+// subscripts — into packs of up to 16 lanes. A pack is exactly what the loop
+// generator emits for one vector group, so it compiles as a loop of
+// len(pack) iterations whose lane k runs statement k, through index tables
+// of the statements' subscripts: ONE SRV region per pack, in which any
+// memory dependence between the statements (unknown to the compiler when
+// the arrays may alias) is caught and repaired by selective replay. The
+// block has no code generator of its own.
 
-// SLPStmt is one straight-line statement Dst[DstIdx] = Val, where every Ref
-// inside Val uses a constant subscript (Index with Scale == 0). An optional
-// Guard makes the store conditional; guarded statements pack with
-// same-shaped guarded statements and the comparison is if-converted into
-// the pack's governing predicate.
+// SLPStmt is one straight-line statement Dst[DstIdx] = Val. It executes
+// with the induction variable 0. A statement packs only when every Ref in
+// it uses a constant subscript (Index with Scale == 0); any other subscript,
+// a Via one included, leaves it scalar. An optional Guard makes the store
+// conditional; guarded statements pack with same-shaped guarded statements
+// and the comparison is if-converted into the pack's governing predicate.
 type SLPStmt struct {
 	Dst    *Array
 	DstIdx int64
@@ -41,7 +46,7 @@ func (b *Block) Arrays() []*Array {
 	var out []*Array
 	ref := func(e Expr) {
 		if x, ok := e.(Ref); ok {
-			out = addArray(out, x.Arr)
+			out = addArray(addArray(out, x.Arr), x.Idx.Indirect)
 		}
 	}
 	for _, s := range b.Stmts {
@@ -79,6 +84,11 @@ func (s SLPStmt) signature() string {
 			fmt.Fprintf(&sb, "r%p;", x.Arr)
 		case Bin:
 			fmt.Fprintf(&sb, "b%d(", x.Op)
+			if c, ok := x.R.(Const); ok && x.Op == OpShr {
+				// The generator shifts by an immediate, so every lane of a
+				// pack must shift by the same amount.
+				fmt.Fprintf(&sb, "%d;", c.V)
+			}
 			walk(x.L)
 			walk(x.R)
 			if x.C != nil {
@@ -121,35 +131,108 @@ func PackBlock(b *Block) []Pack {
 	return packs
 }
 
-// CompileBlock lowers the block. ModeScalar executes the statements one by
-// one; ModeSRV vectorises each multi-statement pack inside an SRV region,
-// materialising each operand position's constant subscripts as a
-// compiler-generated index table in memory (the analogue of SLP's literal
-// vectors). ModeSVE is rejected: the packs exist precisely because the
-// arrays may alias.
+// CompileBlock lowers the block through the loop generator, as a sequence
+// of loops compiled by CompileProgram. In ModeSRV each multi-statement pack
+// becomes a one-group SRV loop (packLoop) whose lane k runs statement k;
+// the remaining statements, and in ModeScalar every statement, run as
+// single-iteration scalar loops (scalarLoops). ModeSVE is rejected: the
+// packs exist precisely because the arrays may alias.
 func CompileBlock(b *Block, im *mem.Image, mode Mode) (*isa.Program, error) {
 	if mode == ModeSVE {
 		return nil, fmt.Errorf("compiler: block %s packs may-alias statements; SVE-style packing is illegal (use SRV)", b.Name)
 	}
 	b.Bind(im)
-	bld := isa.NewBuilder()
-	g := &slpGen{b: bld, im: im}
-	if mode == ModeScalar {
-		for _, s := range b.Stmts {
-			g.scalarStmt(s)
-		}
-		bld.Halt()
-		return bld.Build()
-	}
+	var phases []Phase
+	var run []SLPStmt
 	for pi, pack := range PackBlock(b) {
-		if len(pack.Stmts) == 1 {
-			g.scalarStmt(pack.Stmts[0])
+		if mode == ModeScalar || len(pack.Stmts) == 1 {
+			run = append(run, pack.Stmts...)
 			continue
 		}
-		g.vectorPack(fmt.Sprintf("%s_p%d", b.Name, pi), pack)
+		phases = scalarLoops(phases, b.Name, run)
+		run = nil
+		l := packLoop(fmt.Sprintf("%s_p%d", b.Name, pi), pack, im)
+		phases = append(phases, Phase{Loop: l, Mode: ModeSRV})
 	}
-	bld.Halt()
-	return bld.Build()
+	return CompileProgram(scalarLoops(phases, b.Name, run), im)
+}
+
+// scalarLoops appends a run of statements to phases as single-iteration
+// scalar loops (the induction variable is 0, as in EvalBlock), starting a
+// new loop wherever one more statement would overrun the generator's
+// fixed-register budget.
+func scalarLoops(phases []Phase, name string, run []SLPStmt) []Phase {
+	var l *Loop
+	for _, s := range run {
+		st := Stmt{Dst: s.Dst, Idx: Affine(0, s.DstIdx), Val: s.Val, Mask: s.Guard}
+		if l != nil {
+			l.Body = append(l.Body, st)
+			if _, _, _, n := fixedRegs(l); n <= maxFixed {
+				continue
+			}
+			l.Body = l.Body[:len(l.Body)-1]
+		}
+		l = &Loop{Name: fmt.Sprintf("%s_s%d", name, len(phases)), Trip: 1, Body: []Stmt{st}}
+		phases = append(phases, Phase{Loop: l, Mode: ModeScalar})
+	}
+	return phases
+}
+
+// packLoop turns a pack into a loop of len(pack) iterations, one predicated
+// vector group, whose single statement is the leader's with every operand
+// that differs between lanes read from a table in im (the analogue of SLP's
+// literal vectors): each Ref position gathers through a 16-entry index
+// table of the statements' constant subscripts there, the destination
+// scatters through one, and a constant that differs between statements
+// loads from a table of its values. The induction variable, 0 in every
+// statement, becomes the constant 0.
+func packLoop(name string, p Pack, im *mem.Image) *Loop {
+	table := func(tag string, elem int, val func(SLPStmt) int64) *Array {
+		t := &Array{Name: name + "_" + tag, Elem: elem, Len: isa.NumLanes,
+			Base: im.Alloc(isa.NumLanes*elem, 64)}
+		for lane, s := range p.Stmts {
+			im.WriteInt(t.Addr(int64(lane)), elem, val(s))
+		}
+		return t
+	}
+	var lanes func(e Expr, role, path string, sel func(SLPStmt) Expr) Expr
+	lanes = func(e Expr, role, path string, sel func(SLPStmt) Expr) Expr {
+		at := func(s SLPStmt) Expr { return leafAt(sel(s), path) }
+		switch x := e.(type) {
+		case IV:
+			return Const{V: 0}
+		case Const:
+			val := func(s SLPStmt) int64 { return at(s).(Const).V }
+			if !slices.ContainsFunc(p.Stmts, func(s SLPStmt) bool { return val(s) != x.V }) {
+				return x
+			}
+			return Ref{Arr: table(role+path, 8, val), Idx: Affine(1, 0)}
+		case Ref:
+			off := func(s SLPStmt) int64 { return at(s).(Ref).Idx.Offset }
+			return Ref{Arr: x.Arr, Idx: Via(table(role+path, 4, off), 1, 0)}
+		case Bin:
+			x.L = lanes(x.L, role, path+"L", sel)
+			x.R = lanes(x.R, role, path+"R", sel)
+			if x.C != nil {
+				x.C = lanes(x.C, role, path+"C", sel)
+			}
+			return x
+		}
+		panic("compiler: slp expression unsupported")
+	}
+	lead := p.Stmts[0]
+	st := Stmt{
+		Dst: lead.Dst,
+		Idx: Via(table("d", 4, func(s SLPStmt) int64 { return s.DstIdx }), 1, 0),
+		Val: lanes(lead.Val, "v", "", func(s SLPStmt) Expr { return s.Val }),
+	}
+	if g := lead.Guard; g != nil {
+		st.Mask = &Mask{Op: g.Op,
+			L: lanes(g.L, "l", "", func(s SLPStmt) Expr { return s.Guard.L }),
+			R: lanes(g.R, "r", "", func(s SLPStmt) Expr { return s.Guard.R }),
+		}
+	}
+	return &Loop{Name: name, Trip: len(p.Stmts), PredTail: true, Body: []Stmt{st}}
 }
 
 // EvalBlock executes the block sequentially over the image (reference).
@@ -163,212 +246,8 @@ func EvalBlock(b *Block, im *mem.Image) {
 	}
 }
 
-// slpGen is a tiny code generator for blocks (registers are plentiful:
-// everything is reloaded per statement/pack).
-type slpGen struct {
-	b  *isa.Builder
-	im *mem.Image
-
-	sTmp int
-	vTmp int
-}
-
-func (g *slpGen) stmp() int {
-	g.sTmp++
-	if g.sTmp >= isa.NumSclRegs {
-		panic("compiler: slp scalar registers exhausted")
-	}
-	return g.sTmp
-}
-
-func (g *slpGen) vtmp() int {
-	r := g.vTmp
-	g.vTmp++
-	if r >= isa.NumVecRegs {
-		panic("compiler: slp vector registers exhausted")
-	}
-	return r
-}
-
-// scalarStmt emits one statement's scalar code; a guard becomes a branch
-// over the store.
-func (g *slpGen) scalarStmt(s SLPStmt) {
-	g.sTmp = 0
-	skip := ""
-	if s.Guard != nil {
-		l := g.scalarExpr(s.Guard.L)
-		r := g.scalarExpr(s.Guard.R)
-		skip = fmt.Sprintf("slpskip%d", g.b.Len())
-		branchUnless(g.b, s.Guard.Op, l, r, skip)
-	}
-	v := g.scalarExpr(s.Val)
-	addr := g.stmp()
-	g.b.MovI(addr, int64(s.Dst.Addr(s.DstIdx)))
-	g.b.Store(addr, 0, s.Dst.Elem, v)
-	if skip != "" {
-		g.b.Label(skip)
-	}
-}
-
-func (g *slpGen) scalarExpr(e Expr) int {
-	switch x := e.(type) {
-	case Const:
-		t := g.stmp()
-		g.b.MovI(t, x.V)
-		return t
-	case IV:
-		t := g.stmp()
-		g.b.MovI(t, 0)
-		return t
-	case Ref:
-		t := g.stmp()
-		g.b.MovI(t, int64(x.Arr.Addr(x.Idx.Offset)))
-		g.b.Load(t, t, 0, x.Arr.Elem)
-		return t
-	case Bin:
-		l := g.scalarExpr(x.L)
-		r := g.scalarExpr(x.R)
-		t := g.stmp()
-		switch x.Op {
-		case OpAdd:
-			g.b.Add(t, l, r)
-		case OpSub:
-			g.b.Sub(t, l, r)
-		case OpMul:
-			g.b.Mul(t, l, r)
-		case OpMulAdd:
-			g.b.Mul(t, l, r)
-			c := g.scalarExpr(x.C)
-			g.b.Add(t, t, c)
-		case OpAnd:
-			g.b.And(t, l, r)
-		case OpXor:
-			g.b.Xor(t, l, r)
-		default:
-			panic("compiler: slp operator unsupported")
-		}
-		return t
-	}
-	panic("compiler: slp expression unsupported")
-}
-
-// vectorPack emits one SRV region executing the pack's statements as lanes.
-func (g *slpGen) vectorPack(name string, p Pack) {
-	lanes := len(p.Stmts)
-	g.sTmp, g.vTmp = 0, 0
-
-	// Lane predicate for partial packs: lanes [0, lanes).
-	pg := isa.NoPred
-	if lanes < isa.NumLanes {
-		zero := g.stmp()
-		limit := g.stmp()
-		g.b.MovI(zero, 0)
-		g.b.MovI(limit, int64(lanes))
-		iv := g.vtmp()
-		lim := g.vtmp()
-		g.b.VIota(iv, zero)
-		g.b.VSplat(lim, limit)
-		g.b.VCmpLT(0, iv, lim, isa.NoPred)
-		pg = 0
-	}
-
-	g.b.SRVStart(isa.DirUp)
-	// If-convert the pack's guards: each lane's comparison result ANDs into
-	// the governing predicate (p1 holds the guard, p0 the partial-pack
-	// lanes when present).
-	if gu := p.Stmts[0].Guard; gu != nil {
-		gl := g.vecExpr(name+"_gl", p, gu.L, func(s SLPStmt) Expr { return s.Guard.L }, pg)
-		gr := g.vecExpr(name+"_gr", p, gu.R, func(s SLPStmt) Expr { return s.Guard.R }, pg)
-		vcmp(g.b, gu.Op, 1, gl, gr)
-		if pg == isa.NoPred {
-			pg = 1
-		} else {
-			g.b.PAnd(0, 0, 1)
-		}
-	}
-	val := g.vecExpr(name, p, p.Stmts[0].Val, func(s SLPStmt) Expr { return s.Val }, pg)
-	// Scatter through the destination index table.
-	dstIdx := g.indexTable(name+"_dst", p, func(s SLPStmt) int64 { return s.DstIdx })
-	base := g.stmp()
-	g.b.MovI(base, int64(p.Stmts[0].Dst.Base))
-	g.b.VScatter(base, dstIdx, val, 0, p.Stmts[0].Dst.Elem, pg)
-	g.b.SRVEnd()
-}
-
-// indexTable materialises a per-lane constant table in memory and loads it.
-func (g *slpGen) indexTable(name string, p Pack, f func(SLPStmt) int64) int {
-	base := g.im.Alloc(isa.NumLanes*4, 64)
-	for lane, s := range p.Stmts {
-		g.im.WriteInt(base+uint64(lane*4), 4, f(s))
-	}
-	r := g.stmp()
-	g.b.MovI(r, int64(base))
-	v := g.vtmp()
-	g.b.VLoad(v, r, 0, 4, isa.NoPred)
-	return v
-}
-
-// vecExpr walks the pack leader's expression tree; at each Ref it gathers
-// using a per-lane index table built from the corresponding Ref of every
-// statement in the pack (isomorphism guarantees the same tree positions).
-func (g *slpGen) vecExpr(name string, p Pack, leader Expr, sel func(SLPStmt) Expr, pg int) int {
-	// Walk leader and per-statement expressions in lockstep via positional
-	// paths.
-	var walk func(path string, leaf Expr) int
-	walk = func(path string, leaf Expr) int {
-		switch x := leaf.(type) {
-		case Const:
-			s := g.stmp()
-			t := g.vtmp()
-			g.b.MovI(s, x.V)
-			g.b.VSplat(t, s)
-			return t
-		case IV:
-			s := g.stmp()
-			t := g.vtmp()
-			g.b.MovI(s, 0)
-			g.b.VSplat(t, s)
-			return t
-		case Ref:
-			idx := g.indexTable(fmt.Sprintf("%s_%s", name, path), p, func(s SLPStmt) int64 {
-				return refAt(sel(s), path).Idx.Offset
-			})
-			base := g.stmp()
-			t := g.vtmp()
-			g.b.MovI(base, int64(x.Arr.Base))
-			g.b.VGather(t, base, idx, 0, x.Arr.Elem, pg)
-			return t
-		case Bin:
-			l := walk(path+"L", x.L)
-			r := walk(path+"R", x.R)
-			t := g.vtmp()
-			switch x.Op {
-			case OpAdd:
-				g.b.VAdd(t, l, r, pg)
-			case OpSub:
-				g.b.VSub(t, l, r, pg)
-			case OpMul:
-				g.b.VMul(t, l, r, pg)
-			case OpMulAdd:
-				c := walk(path+"C", x.C)
-				g.b.VMov(t, c, isa.NoPred)
-				g.b.VMulAdd(t, l, r, pg)
-			case OpAnd:
-				g.b.VAnd(t, l, r, pg)
-			case OpXor:
-				g.b.VXor(t, l, r, pg)
-			default:
-				panic("compiler: slp operator unsupported")
-			}
-			return t
-		}
-		panic("compiler: slp expression unsupported")
-	}
-	return walk("", leader)
-}
-
-// refAt returns the Ref at a positional path within an expression tree.
-func refAt(e Expr, path string) Ref {
+// leafAt returns the leaf at a positional path within an expression tree.
+func leafAt(e Expr, path string) Expr {
 	cur := e
 	for _, c := range path {
 		b, ok := cur.(Bin)
@@ -384,9 +263,5 @@ func refAt(e Expr, path string) Ref {
 			cur = b.C
 		}
 	}
-	r, ok := cur.(Ref)
-	if !ok {
-		panic("compiler: slp path does not end at a Ref")
-	}
-	return r
+	return cur
 }

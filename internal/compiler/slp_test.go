@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"srvsim/internal/isa"
@@ -333,4 +335,247 @@ func packLens(ps []Pack) []int {
 		out = append(out, len(p.Stmts))
 	}
 	return out
+}
+
+// checkBlock compiles and runs the block in scalar and SRV mode, each on a
+// clone of the seeded image, and requires memory equal to EvalBlock's.
+func checkBlock(t *testing.T, b *Block, im *mem.Image) {
+	t.Helper()
+	for _, mode := range []Mode{ModeScalar, ModeSRV} {
+		run := im.Clone()
+		prog, ref := compileAndRef(t, b, run, mode)
+		pl := runBlockProg(t, prog, run)
+		if addr, diff := run.FirstDiff(ref); diff {
+			t.Fatalf("%s: block %s diverges at %#x: got %d, want %d (replays=%d)", mode, b.Name,
+				addr, run.ReadInt(addr, 4), ref.ReadInt(addr, 4), pl.Ctrl.Stats.Replays)
+		}
+	}
+}
+
+// TestSLPViaSubscript: a statement that reads through an index array
+// (p[x[k]]) cannot pack; it must still read the element the index array
+// names, not p[k].
+func TestSLPViaSubscript(t *testing.T) {
+	p := &Array{Name: "p", Elem: 4, Len: 64}
+	q := &Array{Name: "q", Elem: 4, Len: 64}
+	x := &Array{Name: "x", Elem: 4, Len: 16}
+	b := &Block{Name: "via"}
+	for k := 0; k < 4; k++ {
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: q, DstIdx: int64(k),
+			Val: Bin{Op: OpAdd, L: Ref{Arr: p, Idx: Via(x, 0, int64(k))}, R: Const{V: 1000}}})
+	}
+	for k := 4; k < 12; k++ { // a packable run after the Via statements
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: q, DstIdx: int64(k),
+			Val: Bin{Op: OpAdd, L: Ref{Arr: p, Idx: Affine(0, int64(k))}, R: Const{V: 1000}}})
+	}
+	im := mem.NewImage()
+	b.Bind(im)
+	for k := 0; k < 64; k++ {
+		im.WriteInt(p.Addr(int64(k)), 4, int64(k))
+	}
+	for k := 0; k < 16; k++ {
+		im.WriteInt(x.Addr(int64(k)), 4, int64(42-k))
+	}
+	ref := im.Clone()
+	EvalBlock(b, ref)
+	if got := ref.ReadInt(q.Addr(0), 4); got != 1042 {
+		t.Fatalf("reference q[0] = %d, want 1042", got)
+	}
+	checkBlock(t, b, im)
+}
+
+// TestSLPShr: shifts pack when every lane shifts by the same amount, and a
+// different amount starts a new pack.
+func TestSLPShr(t *testing.T) {
+	p := &Array{Name: "p", Elem: 4, Len: 64, AliasGroup: 1}
+	q := &Array{Name: "q", Elem: 4, Len: 64, AliasGroup: 1}
+	b := &Block{Name: "shr"}
+	for k := 0; k < 12; k++ {
+		shift := int64(2)
+		if k >= 8 {
+			shift = 5
+		}
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: q, DstIdx: int64(k),
+			Val: Bin{Op: OpShr, L: Ref{Arr: p, Idx: Affine(0, int64(k))}, R: Const{V: shift}}})
+	}
+	if got := packLens(PackBlock(b)); len(got) != 2 || got[0] != 8 || got[1] != 4 {
+		t.Fatalf("packs = %v, want [8 4] (the shift amount splits the run)", got)
+	}
+	im := mem.NewImage()
+	p.Base = im.Alloc(4*64, 64)
+	q.Base = p.Base + 4 // genuine overlap
+	for k := 0; k < 64; k++ {
+		im.WriteInt(p.Addr(int64(k)), 4, int64(k*1000+999))
+	}
+	checkBlock(t, b, im)
+}
+
+// TestSLPConstLanes: statements that differ only in their constants pack,
+// and each lane adds its own constant.
+func TestSLPConstLanes(t *testing.T) {
+	p := &Array{Name: "p", Elem: 4, Len: 64}
+	b := &Block{Name: "consts"}
+	for k := 0; k < 10; k++ {
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: p, DstIdx: int64(k),
+			Val: Bin{Op: OpAdd, L: Ref{Arr: p, Idx: Affine(0, int64(k+1))}, R: Const{V: int64(100 * k)}}})
+	}
+	if got := packLens(PackBlock(b)); len(got) != 1 {
+		t.Fatalf("packs = %v, want one pack of 10", got)
+	}
+	im := mem.NewImage()
+	b.Bind(im)
+	for k := 0; k < 64; k++ {
+		im.WriteInt(p.Addr(int64(k)), 4, int64(k))
+	}
+	checkBlock(t, b, im)
+}
+
+// TestSLPManyArrays: 40 statements over 30 arrays with 40 distinct
+// constants pack nowhere and need more fixed registers than one loop has,
+// so the scalar run splits into several loops.
+func TestSLPManyArrays(t *testing.T) {
+	b := manyArrayBlock()
+	im := mem.NewImage()
+	for _, a := range b.Bind(im) {
+		for k := 0; k < a.Len; k++ {
+			im.WriteInt(a.Addr(int64(k)), a.Elem, int64(k*31+a.Len))
+		}
+	}
+	checkBlock(t, b, im)
+}
+
+// manyArrayBlock builds a[k%30][k] = a[(7k+3)%30][k+1] + (1000+k) for
+// k = 0..39.
+func manyArrayBlock() *Block {
+	arrs := make([]*Array, 30)
+	for i := range arrs {
+		arrs[i] = &Array{Name: fmt.Sprintf("a%02d", i), Elem: 4, Len: 64}
+	}
+	b := &Block{Name: "many"}
+	for k := 0; k < 40; k++ {
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: arrs[k%30], DstIdx: int64(k),
+			Val: Bin{Op: OpAdd, L: Ref{Arr: arrs[(7*k+3)%30], Idx: Affine(0, int64(k+1))}, R: Const{V: int64(1000 + k)}}})
+	}
+	return b
+}
+
+// Feature bits of a FuzzCompileBlock input.
+const (
+	fuzzGuard = 1 << iota // guarded runs
+	fuzzIV                // IV leaves
+	fuzzShr               // OpShr runs
+	fuzzVia               // Via subscripts (never packed)
+	fuzzMany              // the 40-statement, 30-array block instead
+)
+
+// FuzzCompileBlock compiles a random block in scalar and SRV mode, runs it
+// on the pipeline and requires memory equal to EvalBlock's. The block is
+// runs of isomorphic statements over p and q, which may alias: q sits off
+// elements after p. The seed corpus is in testdata/fuzz/FuzzCompileBlock.
+func FuzzCompileBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, feat uint8, off int8) {
+		for _, mode := range []Mode{ModeScalar, ModeSRV} {
+			b, im := randomBlock(rand.New(rand.NewSource(seed)), feat, int64(off)%21)
+			prog, ref := compileAndRef(t, b, im, mode)
+			runBlockProg(t, prog, im)
+			if addr, diff := im.FirstDiff(ref); diff {
+				t.Fatalf("%s: block diverges at %#x: got %d, want %d", mode, addr, im.ReadInt(addr, 4), ref.ReadInt(addr, 4))
+			}
+		}
+	})
+}
+
+// randomBlock builds and seeds a FuzzCompileBlock block. p and q hold 4-byte
+// elements, q starting off elements after p; subscripts stay in [0, 24], so
+// every access lands in p's 128-element allocation.
+func randomBlock(rng *rand.Rand, feat uint8, off int64) (*Block, *mem.Image) {
+	im := mem.NewImage()
+	if feat&fuzzMany != 0 {
+		b := manyArrayBlock()
+		for _, a := range b.Bind(im) {
+			for k := 0; k < a.Len; k++ {
+				im.WriteInt(a.Addr(int64(k)), a.Elem, rng.Int63n(1<<20))
+			}
+		}
+		return b, im
+	}
+	p := &Array{Name: "p", Elem: 4, Len: 64, AliasGroup: 1}
+	q := &Array{Name: "q", Elem: 4, Len: 64, AliasGroup: 1}
+	m := &Array{Name: "m", Elem: 4, Len: 32}
+	x := &Array{Name: "x", Elem: 4, Len: 32}
+	p.Base = im.Alloc(4*128, 64) + 4*40
+	q.Base = uint64(int64(p.Base) + 4*off)
+	for k := int64(-40); k < 88; k++ {
+		im.WriteInt(p.Addr(k), 4, rng.Int63n(1<<20)-(1<<19))
+	}
+	pick := func(n int) int64 { return int64(rng.Intn(n)) }
+	b := &Block{Name: "fuzz"}
+	for n := 1 + rng.Intn(40); len(b.Stmts) < n; {
+		dst, src := []*Array{p, q}[rng.Intn(2)], []*Array{p, q}[rng.Intn(2)]
+		ops := []BinOp{OpAdd, OpSub, OpMul, OpMulAdd, OpAnd, OpXor}
+		if feat&fuzzShr != 0 {
+			ops = append(ops, OpShr, OpShr)
+		}
+		op := ops[rng.Intn(len(ops))]
+		c, shift, varyC := pick(100), pick(8), rng.Intn(2) == 0
+		d0, s0, via := pick(9), pick(9), feat&fuzzVia != 0 && rng.Intn(3) == 0
+		iv := feat&fuzzIV != 0 && rng.Intn(3) == 0
+		guard := feat&fuzzGuard != 0 && rng.Intn(2) == 0
+		cmp := CmpOp(rng.Intn(4))
+		for k, run := int64(0), 1+rng.Intn(isa.NumLanes); k < int64(run); k++ {
+			var l Expr = Ref{Arr: src, Idx: Affine(0, s0+k)}
+			if via {
+				l = Ref{Arr: src, Idx: Via(x, 0, k)}
+			}
+			if iv {
+				l = Bin{Op: OpAdd, L: l, R: IV{}}
+			}
+			if varyC {
+				c = pick(100)
+			}
+			v := Bin{Op: op, L: l, R: Const{V: c}}
+			switch op {
+			case OpShr:
+				v.R = Const{V: shift}
+			case OpMulAdd:
+				v.C = Ref{Arr: dst, Idx: Affine(0, d0+k)}
+			}
+			s := SLPStmt{Dst: dst, DstIdx: d0 + k, Val: v}
+			if guard {
+				s.Guard = &Mask{Op: cmp, L: Ref{Arr: m, Idx: Affine(0, k)}, R: Const{V: 5}}
+			}
+			b.Stmts = append(b.Stmts, s)
+		}
+	}
+	b.Bind(im)
+	for k := int64(0); k < 32; k++ {
+		im.WriteInt(m.Addr(k), 4, pick(10))
+		im.WriteInt(x.Addr(k), 4, pick(25))
+	}
+	return b, im
+}
+
+// TestSLPRegionAfterVerticalSquash: the scalar statements before a pack
+// store q[10] and then load it back as p[23] (q = p + 13 elements). The
+// load runs ahead of the store, and the squash that repairs it also dooms
+// the pack's srv_start, which had already opened the region; the machine
+// must leave that region rather than wait for it forever.
+func TestSLPRegionAfterVerticalSquash(t *testing.T) {
+	p := &Array{Name: "p", Elem: 4, Len: 64, AliasGroup: 1}
+	q := &Array{Name: "q", Elem: 4, Len: 64, AliasGroup: 1}
+	b := &Block{Name: "squash", Stmts: []SLPStmt{
+		{Dst: q, DstIdx: 10, Val: Bin{Op: OpSub, L: Ref{Arr: p, Idx: Affine(0, 5)}, R: Const{V: 7}}},
+		{Dst: q, DstIdx: 11, Val: Bin{Op: OpXor, L: Ref{Arr: p, Idx: Affine(0, 23)}, R: Const{V: 7}}},
+	}}
+	for k := 0; k < 16; k++ {
+		b.Stmts = append(b.Stmts, SLPStmt{Dst: q, DstIdx: int64(8 + k),
+			Val: Bin{Op: OpAdd, L: Ref{Arr: p, Idx: Affine(0, int64(7+k))}, R: Const{V: 60}}})
+	}
+	im := mem.NewImage()
+	p.Base = im.Alloc(4*64, 64)
+	q.Base = p.Base + 4*13
+	for k := int64(0); k < 64; k++ {
+		im.WriteInt(p.Addr(k), 4, k*77)
+	}
+	checkBlock(t, b, im)
 }

@@ -66,8 +66,6 @@ type Config struct {
 	MaxInflightBytes int64
 	// Logger receives the gateway's structured logs. nil silences them.
 	Logger *slog.Logger
-	// SpanCap bounds the gateway's span buffer (0 = obsv.DefaultSpanCap).
-	SpanCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -162,7 +160,7 @@ func New(cfg Config) (*Gateway, error) {
 		nodes:  make(map[string]*node, len(cfg.Nodes)),
 		cache:  serve.NewResultCache(cfg.CacheSize, cfg.CacheMaxBytes),
 		jobs:   make(map[string]*rescueRecord),
-		spans:  obsv.NewSpanRecorder(cfg.SpanCap),
+		spans:  obsv.NewSpanRecorder(obsv.DefaultSpanCap),
 		logger: cfg.Logger,
 	}
 	if g.logger == nil {

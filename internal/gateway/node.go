@@ -18,7 +18,6 @@ type node struct {
 	mu       sync.Mutex
 	healthy  bool // last health poll succeeded
 	draining bool // node reported state=draining, or answered a submit with 503
-	failures int  // consecutive failed health polls
 	health   serve.Health
 	lastSeen time.Time
 }
@@ -48,11 +47,9 @@ func (n *node) poll(ctx context.Context, timeout time.Duration) {
 	defer n.mu.Unlock()
 	if err != nil {
 		n.healthy = false
-		n.failures++
 		return
 	}
 	n.healthy = true
-	n.failures = 0
 	n.draining = h.State == "draining"
 	n.health = h
 	n.lastSeen = time.Now()

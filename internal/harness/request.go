@@ -158,6 +158,13 @@ func (r Request) Canonical() (Request, error) {
 		if err := checkConfig(r.Config); err != nil {
 			return r, err
 		}
+		if r.Config.MaxCycles == 0 {
+			// The pipeline reads a zero budget as its own, four times larger
+			// fallback; the request means the harness default.
+			c := *r.Config
+			c.MaxCycles = MaxConfigCycles
+			r.Config = &c
+		}
 	}
 	return r, nil
 }

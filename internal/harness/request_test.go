@@ -249,12 +249,28 @@ func TestCanonicalBoundsConfig(t *testing.T) {
 			c := cfg()
 			tc.mut(&c)
 			req := Request{Mode: ModeBenchmark, Bench: "is", Seed: 7, Config: &c}
-			_, err := req.Canonical()
+			in := c
+			canon, err := req.Canonical()
 			if tc.ok && err != nil {
 				t.Fatalf("valid config refused: %v", err)
 			}
 			if !tc.ok && !errors.Is(err, ErrInvalidRequest) {
 				t.Fatalf("config accepted or refused untyped: %v", err)
+			}
+			if !tc.ok {
+				return
+			}
+			// The canonical budget is the one the run honours: 0 selects
+			// the harness default, not the pipeline's larger fallback.
+			want := in.MaxCycles
+			if want == 0 {
+				want = MaxConfigCycles
+			}
+			if canon.Config.MaxCycles != want {
+				t.Fatalf("canonical MaxCycles = %d, want %d", canon.Config.MaxCycles, want)
+			}
+			if c != in {
+				t.Fatal("Canonical modified the caller's config")
 			}
 		})
 	}

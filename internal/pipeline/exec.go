@@ -292,6 +292,13 @@ func (p *Pipeline) verticalSquash(st *robEntry, res lsu.StoreResult) bool {
 	}
 	p.Stats.VerticalSquashes++
 	p.SS.Assign(res.SquashPC, st.pc)
+	if p.Ctrl.InRegion() && p.curStartSeq > res.SquashSeq {
+		// srv_start does not wait for older stores, so the squash can doom
+		// the srv_start that opened the current region: the surviving path
+		// has not entered it, and the re-fetched srv_start opens it again.
+		p.Ctrl.Abort()
+		p.curInstance = -1
+	}
 	p.squashAfter(res.SquashSeq - 1)
 	p.redirect(res.SquashPC)
 	return true

@@ -37,7 +37,7 @@ type journalOp string
 
 const (
 	opSubmit journalOp = "submit" // admitted to the queue (Req recorded)
-	opStart  journalOp = "start"  // picked up by a worker
+	opStart  journalOp = "start"  // picked up by a worker; only older builds wrote it
 	opDone   journalOp = "done"   // finished successfully (Result recorded)
 	opFail   journalOp = "fail"   // finished with a failure
 	// opCkpt records one periodic machine checkpoint (Checkpoint recorded).
@@ -223,7 +223,7 @@ func replayJournal(dir string) (replayedState, error) {
 					e.tenant = rec.Tenant
 				}
 			case opStart:
-				// informational: pending either way
+				// Older journals mark worker pickup; pending either way.
 			case opDone:
 				e.state = replayDone
 				e.result = rec.Result
@@ -306,5 +306,16 @@ func compactJournal(dir string, st replayedState, now time.Time) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("replacing journal: %w", err)
 	}
-	return nil
+	// The rename is an entry of the directory: until the directory is
+	// synced, a crash can bring the old file back and lose every record
+	// appended (and fsynced) to the new one since.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("syncing journal directory: %w", err)
+	}
+	return d.Close()
 }

@@ -323,9 +323,10 @@ func TestTerminalRecordBeforeWake(t *testing.T) {
 		waited <- string(st.State)
 	}()
 
-	// Take the journal lock once the job's start record is written and
-	// before its last loop reports progress. Holding j.mu while checking
-	// pauses the simulation: a loop's progress report needs j.mu.
+	// Take the journal lock once the job runs (its submit record, the only
+	// one before the terminal record, is written) and before its last loop
+	// reports progress. Holding j.mu while checking pauses the simulation:
+	// a loop's progress report needs j.mu.
 	held := false
 	t.Cleanup(func() {
 		if held {
@@ -344,7 +345,7 @@ func TestTerminalRecordBeforeWake(t *testing.T) {
 			continue
 		}
 		j.mu.Lock()
-		if j.state == StateRunning && s.met.journalRecords.Load() == 2 && len(j.events) < loops {
+		if j.state == StateRunning && s.met.journalRecords.Load() == 1 && len(j.events) < loops {
 			s.journal.mu.Lock()
 			held = true
 		}

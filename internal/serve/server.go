@@ -131,10 +131,6 @@ type Config struct {
 	// journal replay), each line carrying trace_id/job/cache_key correlation
 	// fields. nil silences logging.
 	Logger *slog.Logger
-	// SpanCap bounds the in-memory request-span buffer served at /v1/trace;
-	// spans beyond it are dropped and counted. 0 selects
-	// obsv.DefaultSpanCap.
-	SpanCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -208,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 		cache:    NewResultCache(cfg.CacheSize, cfg.CacheMaxBytes),
 		jobs:     make(map[string]*job),
 		draining: make(chan struct{}),
-		spans:    obsv.NewSpanRecorder(cfg.SpanCap),
+		spans:    obsv.NewSpanRecorder(obsv.DefaultSpanCap),
 		logger:   cfg.Logger,
 	}
 	if s.logger == nil {
@@ -459,7 +455,6 @@ func (s *Server) runJob(j *job) {
 	exec := j.trace.Child().Span
 	s.jobLogger(j).Info("job started", "bench", j.req.Bench, "mode", string(j.req.Mode),
 		"queue_wait_ms", start.Sub(j.submitted).Milliseconds())
-	s.journal.append(journalRecord{Op: opStart, Key: j.id, At: start})
 
 	ctx := s.ctx
 	cancel := func() {}
