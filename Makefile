@@ -138,6 +138,7 @@ tenant-smoke: build
 # target per invocation); their seed corpora run in every plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -parallel 2 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCachedStatus$$' -fuzztime 30s -parallel 2 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileBlock$$' -fuzztime 30s -parallel 2 ./internal/compiler
 
 # serve-chaos is the service-layer resilience drill, run under the race

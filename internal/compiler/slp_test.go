@@ -559,7 +559,9 @@ func randomBlock(rng *rand.Rand, feat uint8, off int64) (*Block, *mem.Image) {
 // store q[10] and then load it back as p[23] (q = p + 13 elements). The
 // load runs ahead of the store, and the squash that repairs it also dooms
 // the pack's srv_start, which had already opened the region; the machine
-// must leave that region rather than wait for it forever.
+// must leave that region rather than wait for it forever. The doomed pass
+// is not a region pass: the pack runs one region with one replay, two passes
+// in all (Fig 9's denominator).
 func TestSLPRegionAfterVerticalSquash(t *testing.T) {
 	p := &Array{Name: "p", Elem: 4, Len: 64, AliasGroup: 1}
 	q := &Array{Name: "q", Elem: 4, Len: 64, AliasGroup: 1}
@@ -578,4 +580,10 @@ func TestSLPRegionAfterVerticalSquash(t *testing.T) {
 		im.WriteInt(p.Addr(k), 4, k*77)
 	}
 	checkBlock(t, b, im)
+	run := im.Clone()
+	prog, _ := compileAndRef(t, b, run, ModeSRV)
+	st := runBlockProg(t, prog, run).Ctrl.Stats
+	if st.VectorIters != 2 || st.Regions != 1 || st.Replays != 1 {
+		t.Fatalf("regions=%d replays=%d vector passes=%d, want 1/1/2", st.Regions, st.Replays, st.VectorIters)
+	}
 }

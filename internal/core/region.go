@@ -208,10 +208,12 @@ func (c *Controller) EnterFallback() {
 func (c *Controller) FallbackLane() int { return c.fallbackLane }
 
 // Abort discards a speculatively entered region without counting a
-// completion: used when an interrupt arrives after srv_start executed but
-// before it committed, so the region never architecturally began and will be
-// re-entered from scratch.
+// completion: used when an interrupt or a vertical squash arrives after
+// srv_start executed but before it committed, so the region never
+// architecturally began and will be re-entered from scratch. The pass Start
+// counted is taken back: the re-entry counts it again.
 func (c *Controller) Abort() {
+	c.Stats.VectorIters--
 	c.mode = ModeOff
 	c.startPC = 0
 	c.replay = isa.Pred{}

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -302,7 +303,7 @@ func (g *Gateway) Handler() http.Handler {
 // which in turn parents the owning node's admission span.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
-	parent, propagated := obsv.ParseTraceparent(r.Header.Get("traceparent"))
+	parent, propagated := obsv.ParseTraceparent(r.Header.Get(obsv.HeaderTraceparent))
 	if !propagated {
 		parent = obsv.NewTrace()
 	}
@@ -318,10 +319,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	if g.cfg.MaxInflightBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxInflightBytes)
-	}
-	body, err := io.ReadAll(r.Body)
+	body, err := serve.ReadBody(w, r, g.cfg.MaxInflightBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -335,12 +333,21 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.CodeInvalidRequest, "reading request: %v", err)
 		return
 	}
+	// A body this gateway has already resolved to a cached key is answered
+	// by its digest alone. The alias memoises decode → Canonical → CacheKey
+	// of these exact bytes, so it names the key, mode and bench the slow path
+	// would; and a body it names is known to decode, so refusals below keep
+	// their order.
+	digest := sha256.Sum256(body)
+	hit, aliased := g.cache.GetBody(digest)
 	var req harness.Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.met.invalid.Add(1)
-		routed("invalid", nil)
-		serve.WriteError(w, serve.CodeInvalidRequest, "decoding request: %v", err)
-		return
+	if !aliased {
+		if err := json.Unmarshal(body, &req); err != nil {
+			g.met.invalid.Add(1)
+			routed("invalid", nil)
+			serve.WriteError(w, serve.CodeInvalidRequest, "decoding request: %v", err)
+			return
+		}
 	}
 
 	// The caller's deadline (relative ms) becomes absolute here; each forward
@@ -357,6 +364,23 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline = arrived.Add(in)
 	}
 
+	// Tier 1: the gateway's own LRU answers repeats without a network hop,
+	// and keeps no record of them.
+	serveHit := func(h serve.CachedReply) {
+		g.met.cacheHits.Add(1)
+		h.Trace, h.Node = parent.Trace, g.cfg.NodeID
+		routed("cache-hit", map[string]string{"cache_key": h.Key})
+		if g.logger.Enabled(r.Context(), slog.LevelInfo) {
+			g.logger.Info("job served from gateway cache",
+				"trace_id", parent.Trace.String(), "job", h.Key, "cache_key", h.Key)
+		}
+		serve.WriteCachedStatus(w, h, time.Now())
+	}
+	if aliased {
+		serveHit(hit)
+		return
+	}
+
 	creq, err := req.Canonical()
 	if err != nil {
 		g.met.invalid.Add(1)
@@ -370,18 +394,10 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.CodeInternal, "hashing request: %v", err)
 		return
 	}
-
-	// Tier 1: the gateway's own LRU answers repeats without a network hop,
-	// and keeps no record of them.
 	if data, ok := g.cache.Get(key); ok {
-		g.met.cacheHits.Add(1)
-		st := serve.CachedStatus(key, data, time.Now())
-		st.Mode, st.Bench, st.Node = creq.Mode, creq.Bench, g.cfg.NodeID
-		st.TraceID = parent.Trace.String()
-		routed("cache-hit", map[string]string{"cache_key": key})
-		g.logger.Info("job served from gateway cache",
-			"trace_id", st.TraceID, "job", key, "cache_key", key)
-		serve.WriteJSON(w, http.StatusOK, st)
+		modeBench := serve.AppendModeBench(nil, creq.Mode, creq.Bench)
+		g.cache.Alias(key, digest, modeBench)
+		serveHit(serve.CachedReply{Key: key, ModeBench: modeBench, Result: data})
 		return
 	}
 	g.met.cacheMisses.Add(1)
@@ -587,7 +603,7 @@ func (g *Gateway) handOff(ctx context.Context, rec *rescueRecord, exclude string
 func (rec *rescueRecord) header() http.Header {
 	header := http.Header{}
 	header.Set("Content-Type", "application/json")
-	header.Set("traceparent", rec.trace.Traceparent())
+	header.Set(obsv.HeaderTraceparent, rec.trace.Traceparent())
 	if rec.tenant != "" {
 		header.Set(serve.HeaderTenant, rec.tenant)
 	}
@@ -612,9 +628,7 @@ func (g *Gateway) forwardRaw(w http.ResponseWriter, resp *serve.APIResponse) {
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("id")
 	if data, ok := g.cache.Get(key); ok {
-		st := serve.CachedStatus(key, data, time.Now())
-		st.Node = g.cfg.NodeID
-		serve.WriteJSON(w, http.StatusOK, st)
+		serve.WriteCachedStatus(w, serve.CachedReply{Key: key, Node: g.cfg.NodeID, Result: data}, time.Now())
 		return
 	}
 	resp, err := g.refresh(r.Context(), key, g.record(key))

@@ -20,6 +20,11 @@ import (
 // or as Chrome trace events through the existing Tracer, so a request's life
 // opens in Perfetto next to the simulator's region spans.
 
+// HeaderTraceparent is the W3C trace-context header in its canonical
+// net/http spelling, so Header.Get and Header.Set need not canonicalise
+// (and allocate) the key on every request.
+const HeaderTraceparent = "Traceparent"
+
 // TraceID identifies one end-to-end request across processes.
 type TraceID [16]byte
 

@@ -269,7 +269,7 @@ func (c *Client) post(ctx context.Context, req harness.Request, wait bool) (JobS
 	err = c.do(ctx, retryable, func(n int) error {
 		header := http.Header{}
 		header.Set("Content-Type", "application/json")
-		header.Set("traceparent", sc.Traceparent())
+		header.Set(obsv.HeaderTraceparent, sc.Traceparent())
 		// Deadline rides the caller's context (not the per-attempt poll
 		// timeout, which is transport plumbing, not the caller's intent), as
 		// relative milliseconds so fleet nodes need no clock agreement.

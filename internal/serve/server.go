@@ -645,6 +645,40 @@ func ParseDeadlineMS(h string) (time.Duration, bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
+// ReadBody reads a request body of at most limit bytes (limit <= 0: no
+// bound) for the node and the gateway alike. Past the limit it fails with
+// the *http.MaxBytesError http.MaxBytesReader reports. The buffer is sized
+// from Content-Length when that is known and within the limit, so a body
+// arrives in one allocation rather than a doubling series from 512 bytes.
+// The header only sizes the first allocation up to 64 KiB: a client that
+// claims a large body must send it before the buffer grows to hold it.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	const maxPresize = 64 << 10
+	body := r.Body
+	if limit > 0 {
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 && (limit <= 0 || n <= limit) {
+		// One spare byte, so the read that meets EOF needs no growth.
+		size = min(n, maxPresize) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 // handleSubmit admits one harness.Request under its CacheKey, which is also
 // the job ID: cache hits complete immediately with the byte-identical cached
 // Result (always, even under brownout), a key with a live job joins it
@@ -661,7 +695,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Adopt the caller's trace (W3C traceparent) or start a fresh one for
 	// bare submissions; either way the whole admission decision is one span,
 	// recorded with its outcome on every exit path.
-	parent, propagated := obsv.ParseTraceparent(r.Header.Get("traceparent"))
+	parent, propagated := obsv.ParseTraceparent(r.Header.Get(obsv.HeaderTraceparent))
 	if !propagated {
 		parent = obsv.NewTrace()
 	}
@@ -689,10 +723,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteErrorRetry(w, CodeDraining, s.retryAfterHint(), "draining: not accepting new jobs")
 		return
 	}
-	if s.cfg.MaxInflightBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxInflightBytes)
-	}
-	body, err := io.ReadAll(r.Body)
+	body, err := ReadBody(w, r, s.cfg.MaxInflightBytes)
 	var req harness.Request
 	if err == nil {
 		err = json.Unmarshal(body, &req)
@@ -766,13 +797,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		// A hit is answered from the cache alone: no job record is kept.
 		s.met.cacheHits.Add(1)
-		st := CachedStatus(key, data, time.Now())
-		st.Mode, st.Bench, st.Tenant, st.Node = creq.Mode, creq.Bench, tenant, s.cfg.NodeID
-		st.TraceID = parent.Trace.String()
 		s.met.e2eMS.Observe(time.Since(arrived).Milliseconds())
 		admitted("cache-hit", key)
-		s.logger.Info("job served from cache", "trace_id", st.TraceID, "job", key, "cache_key", key)
-		WriteJSON(w, http.StatusOK, st)
+		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
+			s.logger.Info("job served from cache", "trace_id", parent.Trace.String(), "job", key, "cache_key", key)
+		}
+		var modeBench [128]byte
+		WriteCachedStatus(w, CachedReply{
+			Key: key, ModeBench: AppendModeBench(modeBench[:0], creq.Mode, creq.Bench),
+			Trace: parent.Trace, Node: s.cfg.NodeID, Tenant: tenant, Result: data,
+		}, time.Now())
 		return
 	}
 	s.met.cacheMisses.Add(1)
@@ -939,7 +973,12 @@ func (s *Server) statusOf(w http.ResponseWriter, id string) (*job, JobStatus, bo
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if _, st, ok := s.statusOf(w, r.PathValue("id")); ok {
+	j, st, ok := s.statusOf(w, r.PathValue("id"))
+	switch {
+	case !ok:
+	case j == nil: // answered from the cache
+		WriteCachedStatus(w, CachedReply{Key: st.ID, Node: st.Node, Result: st.Result}, st.SubmittedAt)
+	default:
 		WriteJSON(w, http.StatusOK, st)
 	}
 }

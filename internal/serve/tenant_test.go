@@ -565,11 +565,14 @@ func TestClientRetryAfterPreference(t *testing.T) {
 }
 
 // TestCacheByteBound is the satellite test for the byte-bounded LRU: total
-// payload bytes evict beyond the cap, oversized entries are refused, and
+// rendered bytes evict beyond the cap, oversized entries are refused, and
 // overwrites re-account.
 func TestCacheByteBound(t *testing.T) {
 	c := NewResultCache(10, 100)
-	val := func(n int) json.RawMessage { return json.RawMessage(bytes.Repeat([]byte("x"), n)) }
+	// An n-digit JSON number renders to the same n bytes.
+	val := func(n int) json.RawMessage {
+		return json.RawMessage(strings.Repeat("1", n))
+	}
 
 	c.Put("a", val(40))
 	c.Put("b", val(40))
@@ -595,6 +598,11 @@ func TestCacheByteBound(t *testing.T) {
 	}
 	if c.Bytes() != 80 {
 		t.Fatalf("oversized put changed accounting: bytes=%d", c.Bytes())
+	}
+	// Bytes no reply could embed are refused too.
+	c.Put("junk", json.RawMessage("xxxx"))
+	if _, ok := c.Get("junk"); ok || c.Bytes() != 80 {
+		t.Fatalf("non-JSON entry cached (bytes=%d)", c.Bytes())
 	}
 	// Overwrites re-account rather than double-count.
 	c.Put("b", val(10))
