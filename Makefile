@@ -33,15 +33,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/lsu ./internal/pipeline
 
 # bench-speed is the simulator-throughput check: the core hot-path
-# microbenchmarks with allocation reporting (the scheduler pop path, the
-# observability hooks, the bitvec disambiguation kernels, the LSU's
+# microbenchmarks with allocation reporting (the observability hooks, the
+# bitvec disambiguation kernels, the LSU's
 # reservation paths outside and inside regions, and whole-pipeline
 # cycles/sec, including the gather/scatter path), then a fresh timing report
 # (BENCH_harness.json) carrying informational cycles_per_sec deltas against
 # the previous run. Wall-clock
 # numbers are machine-relative: eyeball them, gate on `make bench-gate`.
 bench-speed: build
-	$(GO) test -run '^$$' -bench 'QuietTarget|AdvanceQuiet|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench 'ObserveCycle|Pipeline' -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'Mask128' -benchmem ./internal/bitvec
 	$(GO) test -run '^$$' -bench 'Reserve' -benchmem ./internal/lsu
 	$(GO) run ./cmd/srvbench -timing BENCH_harness.json
@@ -136,10 +136,12 @@ tenant-smoke: build
 
 # fuzz runs each fuzz target for 30s on two workers (go test fuzzes one
 # target per invocation); their seed corpora run in every plain `go test`.
+# -fuzzminimizetime 1x bounds minimisation of each new interesting input to
+# one run: at the default (60s) minimisation stalls a 30s run at 0 execs/s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -parallel 2 ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzCachedStatus$$' -fuzztime 30s -parallel 2 ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzCompileBlock$$' -fuzztime 30s -parallel 2 ./internal/compiler
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCachedStatus$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileBlock$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/compiler
 
 # serve-chaos is the service-layer resilience drill, run under the race
 # detector: remote submissions through a seeded fault-injecting transport

@@ -52,7 +52,6 @@ func main() {
 	failfast := flag.Bool("failfast", false, "abort on the first simulation failure instead of containing it")
 	crashdir := flag.String("crashdir", "crashes", "directory for crash artifacts and diagnostic re-runs (empty = disabled)")
 	simTimeout := flag.Duration("sim-timeout", 0, "wall-clock budget per simulation, e.g. 2m (0 = unbounded)")
-	tickCore := flag.Bool("tick-core", false, "run simulations on the per-cycle reference tick core instead of the event-driven scheduler (recorded in -timing reports)")
 	chaos := flag.Float64("chaos", 0, "fault-injection probability per simulation in [0,1] (resilience drill)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "decision seed for -chaos fault injection")
 	netChaos := flag.Float64("net-chaos", 0, "with -remote: drop/delay/black-hole this fraction of HTTP calls in [0,1] (network resilience drill)")
@@ -66,7 +65,6 @@ func main() {
 		FailFast:    *failfast,
 		CrashDir:    *crashdir,
 		SimTimeout:  *simTimeout,
-		RefTickCore: *tickCore,
 		ChaosProb:   *chaos,
 		ChaosSeed:   *chaosSeed,
 	}

@@ -205,7 +205,9 @@ func runOne(bench string, ls workloads.LoopSpec, mode compiler.Mode, seed int64,
 	if dis {
 		fmt.Printf("--- %s/%s (%v) ---\n%s\n", bench, ls.Shape.Name, mode, c.Prog)
 	}
-	p := pipeline.New(pipeline.DefaultConfig(), c.Prog, im)
+	// The harness's configuration and cache warm-up, so the cycles printed
+	// are the ones -mode compare and the figures report.
+	p := harness.LoopPipeline(l, c.Prog, im)
 	if pipeview > 0 {
 		p.EnableTimeline()
 	}

@@ -40,11 +40,10 @@ type checkpointKey struct{}
 
 // WithCheckpoints derives a context whose loop simulations emit a machine
 // checkpoint through sink roughly every `every` cycles (at the pipeline's
-// cancellation-poll boundaries, so emission cycles are scheduler-
-// independent). sink may be called concurrently from the scalar and SRV
-// variant goroutines. Checkpointing is execution-side: it does not change
-// the request's cache key, and the emitted Result is bit-identical to an
-// un-checkpointed run.
+// cancellation-poll boundaries). sink may be called concurrently from the
+// scalar and SRV variant goroutines. Checkpointing is execution-side: it
+// does not change the request's cache key, and the emitted Result is
+// bit-identical to an un-checkpointed run.
 func WithCheckpoints(ctx context.Context, every int64, sink func(RunCheckpoint)) context.Context {
 	if every <= 0 || sink == nil {
 		return ctx
@@ -95,9 +94,8 @@ func resumeFor(ctx context.Context, a attribution) *RunCheckpoint {
 // chaos), whose effects a restore overwrites wholesale.
 func armCheckpoints(ctx context.Context, p *pipeline.Pipeline, a attribution) error {
 	if cc, ok := ctx.Value(checkpointKey{}).(checkpointCfg); ok {
-		p.Cfg.CheckpointEvery = cc.every
 		variant := a.variant
-		p.SetCheckpointSink(func(cp *pipeline.Checkpoint) {
+		p.SetCheckpointSink(cc.every, func(cp *pipeline.Checkpoint) {
 			cc.sink(RunCheckpoint{
 				SchemaVersion: SchemaVersion, CodeVersion: CodeVersion,
 				Bench: a.bench, Loop: a.loop, Variant: variant, Seed: a.seed,

@@ -35,9 +35,12 @@ func Parallelism() int { return defaultEnv.workers() }
 // Deprecated: build an Env and call its TraceTo.
 func SetSpanRecorder(rec *obsv.SpanRecorder) obsv.SpanContext { return defaultEnv.TraceTo(rec) }
 
-// RefTickCore reports whether the package default Env simulates on the
-// reference tick core.
-func RefTickCore() bool { return defaultEnv.RefTickCore }
+// RefTickCore reports false: the simulator has one core, which steps every
+// cycle.
+//
+// Deprecated: kept only so the separate benchmark module (bench/srvperf)
+// still builds; it will be deleted with that caller.
+func RefTickCore() bool { return false }
 
 // ResetFleet zeroes the package default Env's fleet counters.
 func ResetFleet() { defaultEnv.ResetFleet() }

@@ -33,11 +33,6 @@ type Env struct {
 	// FailFast aborts a benchmark on its first failing loop instead of
 	// containing the failure in BenchResult.Failures.
 	FailFast bool
-	// RefTickCore runs every loop simulation on the per-cycle reference tick
-	// core instead of the event-driven scheduler. The two are held
-	// bit-identical by the equivalence suite, but their wall-clock throughput
-	// differs, so timing reports record the setting.
-	RefTickCore bool
 	// SimTimeout bounds each simulation variant's wall-clock time through
 	// the pipeline's cooperative cancellation (0 = unbounded).
 	SimTimeout time.Duration

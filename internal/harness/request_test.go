@@ -153,6 +153,28 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Fatal("explicit default config hashes differently from nil config")
 	}
 
+	// The checkpoint interval is not part of a configuration: a body that
+	// still spells the field configurations once had is the same simulation.
+	raw, err := json.Marshal(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["config"].(map[string]any)["CheckpointEvery"] = 100000
+	if raw, err = json.Marshal(body); err != nil {
+		t.Fatal(err)
+	}
+	var stale Request
+	if err := json.Unmarshal(raw, &stale); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := stale.CacheKey(); err != nil || k != kNamed {
+		t.Fatalf("a config spelling CheckpointEvery hashes to %s (%v), want %s", k, err, kNamed)
+	}
+
 	// Any semantic change must change the key.
 	ls := testLoopSpec()
 	mutations := map[string]Request{

@@ -74,3 +74,42 @@ func TestCompileLeavesLoopUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopPipelineMatchesRunLoop: a variant run on LoopPipeline (srvsim's
+// single-mode path) takes the cycles RunLoop reports for it. Without the
+// harness's cache warm-up these loops take more cycles (is.rank under SRV:
+// 69 861 cold, 28 901 warm).
+func TestLoopPipelineMatchesRunLoop(t *testing.T) {
+	e := &Env{}
+	for _, name := range []string{"is", "lc"} {
+		b, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("benchmark %s is not registered", name)
+		}
+		for i, ls := range b.Loops {
+			seed := int64(7 + i)
+			lr, err := e.RunLoop(context.Background(), b.Name, ls, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []struct {
+				mode compiler.Mode
+				want int64
+			}{{compiler.ModeScalar, lr.ScalarCycles}, {compiler.ModeSRV, lr.SRVCycles}} {
+				l, im := ls.Instantiate(seed)
+				c, err := compiler.Compile(l, im, v.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := LoopPipeline(l, c.Prog, im)
+				if err := p.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if p.Stats.Cycles != v.want {
+					t.Errorf("%s/%s %v: LoopPipeline took %d cycles, RunLoop reports %d",
+						b.Name, ls.Shape.Name, v.mode, p.Stats.Cycles, v.want)
+				}
+			}
+		}
+	}
+}

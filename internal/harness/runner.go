@@ -11,6 +11,7 @@ import (
 
 	"srvsim/internal/compiler"
 	"srvsim/internal/flexvec"
+	"srvsim/internal/isa"
 	"srvsim/internal/mem"
 	"srvsim/internal/pipeline"
 	"srvsim/internal/power"
@@ -80,20 +81,27 @@ func warm(p *pipeline.Pipeline, arrays []*compiler.Array) {
 	}
 }
 
-// prepare arms a freshly-built pipeline for measurement: cache warm-up and —
+// newPipeline builds a pipeline armed for measurement: cache warm-up and —
 // on diagnostic re-runs — per-cycle invariant checking plus the pipeview
 // timeline, so a reproduced failure comes back with forensics attached.
 // (The per-simulation wall-clock bound is a context deadline; see
 // simContext.)
-func (e *Env) prepare(p *pipeline.Pipeline, arrays []*compiler.Array, diag bool) {
+func newPipeline(pcfg pipeline.Config, prog *isa.Program, im *mem.Image, arrays []*compiler.Array, diag bool) *pipeline.Pipeline {
+	p := pipeline.New(pcfg, prog, im)
 	warm(p, arrays)
-	if e.RefTickCore {
-		p.UseReferenceTickCore()
-	}
 	if diag {
 		p.EnableParanoid()
 		p.EnableTimeline()
 	}
+	return p
+}
+
+// LoopPipeline builds the pipeline the harness measures a variant of loop l
+// on, for prog compiled from l over im: the harness's default configuration
+// and cycle budget, with l's arrays warmed through the cache hierarchy. A
+// single-variant run on it takes the cycles RunLoop reports.
+func LoopPipeline(l *compiler.Loop, prog *isa.Program, im *mem.Image) *pipeline.Pipeline {
+	return newPipeline(cfg(), prog, im, l.Arrays(), false)
 }
 
 // simContext derives the context one simulation variant runs under: the
@@ -210,8 +218,7 @@ func (e *Env) runLoop(ctx context.Context, pcfg pipeline.Config, bench string, l
 			if err != nil {
 				return a.simErr(KindCompileError, "%v", err)
 			}
-			p := pipeline.New(pcfg, c.Prog, v.im)
-			e.prepare(p, arrays, diag)
+			p := newPipeline(pcfg, c.Prog, v.im, arrays, diag)
 			if err := armCheckpoints(ctx, p, a); err != nil {
 				return err
 			}

@@ -37,7 +37,7 @@ import (
 // Derived state is rebuilt, not captured: the instruction pointer comes
 // from the program at the captured PC, the scheduler's lists, operand counts
 // and wake chains are rebuilt from the ROB (relinkScheduler), the issue
-// scan's fullMask cache and stepQuiet are recomputed every step, and the
+// scan's fullMask cache is recomputed every step, and the
 // lazily-built metrics registry re-registers against the restored counters
 // on next use. The issue-queue population is counted from the ROB while
 // relinkScheduler walks it.
@@ -157,12 +157,18 @@ type Checkpoint struct {
 // on free-list entries had no observable effect either.
 var danglingLSUEntry = &lsu.Entry{Instance: lsu.NoInstance, ID: -1}
 
-// SetCheckpointSink installs the periodic-checkpoint callback. With a sink
-// installed and Config.CheckpointEvery > 0, RunContext emits a fresh
-// Checkpoint at every cancellation-poll boundary at least CheckpointEvery
-// cycles after the previous emission. The sink runs on the simulation
-// goroutine: it should hand the checkpoint off quickly.
-func (p *Pipeline) SetCheckpointSink(fn func(*Checkpoint)) { p.ckptSink = fn }
+// SetCheckpointSink installs the periodic-checkpoint callback: RunContext
+// emits a fresh Checkpoint at every cancellation-poll boundary at least
+// every cycles after the previous emission. every <= 0 or a nil fn removes
+// the sink. The sink runs on the simulation goroutine: it should hand the
+// checkpoint off quickly. The interval is not part of Config because it
+// changes no simulated output.
+func (p *Pipeline) SetCheckpointSink(every int64, fn func(*Checkpoint)) {
+	if every <= 0 {
+		fn = nil
+	}
+	p.ckptSink, p.ckptEvery = fn, every
+}
 
 // Checkpoint captures the full machine state. The pipeline must be at a
 // step boundary (between cycles): inside Run that means the cancellation

@@ -15,7 +15,7 @@ import (
 	"srvsim/internal/obsv"
 )
 
-// Checkpoint/restore equivalence suite. Every scenario of the cross-core
+// Checkpoint/restore equivalence suite. Every scenario of the equivalence
 // matrix (equiv_test.go) runs three ways: uninterrupted, with periodic
 // checkpointing enabled, and restored-from-checkpoint at several capture
 // points. Checkpointing must not change the run at all (digest including
@@ -24,9 +24,8 @@ import (
 // and its sampler — which records only from the restore on — the
 // uninterrupted run's rows past the restore cycle (see sampleRowsAfter for
 // the first row's interval IPC). Checkpoints cross the
-// JSON boundary before every restore, and restores alternate between the
-// event-driven and reference tick cores, so the suite also proves
-// serialisation fidelity and that emission cycles are core-independent.
+// JSON boundary before every restore, so the suite also proves
+// serialisation fidelity.
 
 // collectCheckpoints runs p with periodic checkpointing enabled and returns
 // the digest plus the captured checkpoints (capped; long runs keep the first
@@ -34,9 +33,8 @@ import (
 const checkpointCollectCap = 64
 
 func collectCheckpoints(p *Pipeline, every int64) (string, []*Checkpoint) {
-	p.Cfg.CheckpointEvery = every
 	var cps []*Checkpoint
-	p.SetCheckpointSink(func(cp *Checkpoint) {
+	p.SetCheckpointSink(every, func(cp *Checkpoint) {
 		if len(cps) < checkpointCollectCap {
 			cps = append(cps, cp)
 		}
@@ -107,20 +105,15 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 
 			// Restore at up to three capture points: first, middle, last.
-			// Alternate the restored core so event-captured state continues
-			// on the tick core and vice versa.
 			points := []int{0, len(cps) / 2, len(cps) - 1}
 			seen := map[int]bool{}
-			for i, pi := range points {
+			for _, pi := range points {
 				if seen[pi] {
 					continue
 				}
 				seen[pi] = true
 				cp := jsonRoundTrip(t, cps[pi])
 				p2, im2 := sc.build()
-				if i%2 == 1 {
-					p2.UseReferenceTickCore()
-				}
 				if err := p2.Restore(cp); err != nil {
 					t.Fatalf("restore at cycle %d: %v", cp.Cycle, err)
 				}
@@ -292,7 +285,7 @@ func TestSnapshotElision(t *testing.T) {
 }
 
 // BenchmarkStepCheckpointOff guards the default-path contract: with no sink
-// installed and CheckpointEvery zero, the per-cycle step stays allocation-
+// installed, the per-cycle step stays allocation-
 // free — checkpointing support costs one predictable branch at the poll
 // boundary and nothing else.
 func BenchmarkStepCheckpointOff(b *testing.B) {

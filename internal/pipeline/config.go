@@ -19,16 +19,13 @@
 // and under the ConservativeMem ablation, a load waits for every older
 // store to execute.
 //
-// Scheduling is event-driven at two levels. Within a cycle, issue selects
-// from a ready list that completing producers feed through per-entry wake
-// chains, complete walks only granted in-flight entries, and no stage scans
-// the reorder buffer window (wakeup.go). Across cycles, a step that changes
-// no state lets the run jump to the next wake event (scheduler.go). The
-// per-cycle reference tick core (UseReferenceTickCore) shares every stage
-// and differs only in never jumping. The fetch queue is a fixed ring of
-// 2 x Width x FrontEndDelay slots (fetchq.go), and ROB entries keep their
-// bulky operands, results and LSU pointers in a payload carved from the
-// entry slab.
+// The core steps every cycle, and scheduling within a cycle is
+// event-driven: issue selects from a ready list that completing producers
+// feed through per-entry wake chains, complete walks only granted in-flight
+// entries, and no stage scans the reorder buffer window (wakeup.go). The
+// fetch queue is a fixed ring of 2 x Width x FrontEndDelay slots
+// (fetchq.go), and ROB entries keep their bulky operands, results and LSU
+// pointers in a payload carved from the entry slab.
 package pipeline
 
 // Config holds the structural and latency parameters of the core.
@@ -53,15 +50,6 @@ type Config struct {
 	VecFPLat  int
 
 	MaxCycles int64 // safety bound; 0 means default
-
-	// CheckpointEvery, when positive, emits a full machine checkpoint
-	// (Pipeline.Checkpoint) through the installed sink roughly every this
-	// many cycles. Emission happens only at the cancellation-poll boundaries
-	// both schedulers visit (every cancelCheckMask+1 cycles), so the emitted
-	// cycles are identical on the event-driven and reference tick cores. 0
-	// (the default) disables periodic checkpointing; the run path then pays a
-	// single predictable branch per poll.
-	CheckpointEvery int64
 
 	// WatchdogCycles is the forward-progress window: if no instruction
 	// commits for this many consecutive cycles Run returns a *DeadlockError

@@ -20,17 +20,14 @@ import (
 	"srvsim/internal/workloads"
 )
 
-// Cross-core equivalence suite: the event-driven scheduler must be
-// bit-identical to the reference tick core — same Stats, same controller
-// and LSU counters, same DumpStats rendering, same architectural state,
-// same memory image, same sampler rows and trace events, across the whole
-// workload sweep plus interrupt / fault / wedge / budget / ablation
-// variants and randomised fuzz loops.
-//
-// Both cores share fetch, issue and complete, so a change to that shared
-// code cannot show up as a cross-core mismatch. testdata/equiv_digests.golden
-// therefore pins every scenario's outputs as well: one line per scenario
-// holding a hash of the event core's digest text and final memory image.
+// Equivalence suite: every scenario's observable outputs — Stats, the
+// controller and LSU counters, the DumpStats rendering, architectural
+// state, the memory image, sampler rows and trace events — are pinned
+// across the whole workload sweep plus interrupt / fault / wedge / budget /
+// ablation variants and randomised fuzz loops. testdata/equiv_digests.golden
+// holds one line per scenario: a hash of its digest text and final memory
+// image. The test keeps its historical name, TestCrossCoreEquivalence, from
+// when a second scheduler was compared against the same scenarios.
 // After an intentional change to simulated behaviour, regenerate it with
 // `go test ./internal/pipeline -run TestCrossCoreEquivalence -update-golden`
 // (or `make equiv-golden`). Setting SRVSIM_EQUIV_GOLDEN=<path> additionally
@@ -70,7 +67,7 @@ func modeName(m compiler.Mode) string {
 	}
 }
 
-// equivScenarios enumerates every behaviour the two cores must agree on.
+// equivScenarios enumerates every behaviour the golden file pins.
 func equivScenarios() []equivScenario {
 	var scns []equivScenario
 	add := func(name string, build func() (*Pipeline, *mem.Image)) {
@@ -137,7 +134,7 @@ func equivScenarios() []equivScenario {
 	})
 
 	// 4. Abnormal exits: the cycle-budget and watchdog paths must fire at
-	// the same cycle with the same snapshot under both cores.
+	// the pinned cycle with the pinned snapshot.
 	add("budget", func() (*Pipeline, *mem.Image) {
 		cfg, c, im := buildWorkload("is", 0, compiler.ModeSRV)
 		cfg.MaxCycles = 2500
@@ -367,20 +364,10 @@ func readEquivGolden(t *testing.T) map[string]string {
 	return lines
 }
 
-// configureCore selects the scheduler under test. The reference tick core
-// never skips a cycle; the event core may only jump across provably quiet
-// stretches.
-func configureCore(p *Pipeline, tick bool) {
-	if tick {
-		p.UseReferenceTickCore()
-	}
-}
-
-// TestCrossCoreEquivalence runs every scenario under both cores and
-// requires bit-identical digests and memory images, and the event core's
-// digest and image to match testdata/equiv_digests.golden. With
-// SRVSIM_EQUIV_GOLDEN set it additionally writes the event-core digests to
-// the named file for out-of-tree diffing.
+// TestCrossCoreEquivalence runs every scenario once and requires its digest
+// and memory image to match testdata/equiv_digests.golden. With
+// SRVSIM_EQUIV_GOLDEN set it additionally writes the digests to the named
+// file for out-of-tree diffing.
 func TestCrossCoreEquivalence(t *testing.T) {
 	golden := os.Getenv("SRVSIM_EQUIV_GOLDEN")
 	var goldenBuf bytes.Buffer
@@ -393,29 +380,16 @@ func TestCrossCoreEquivalence(t *testing.T) {
 	for _, sc := range scns {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			pEvent, imEvent := sc.build()
-			configureCore(pEvent, false)
-			dEvent := equivDigest(pEvent)
-
-			pTick, imTick := sc.build()
-			configureCore(pTick, true)
-			dTick := equivDigest(pTick)
-
-			if dEvent != dTick {
-				t.Errorf("digest mismatch between event and tick cores:\n--- event ---\n%s\n--- tick ---\n%s",
-					dEvent, dTick)
-			}
-			if addr, diff := imEvent.FirstDiff(imTick); diff {
-				t.Errorf("memory image diverges at %#x", addr)
-			}
-			line := goldenLine(sc.name, dEvent, imEvent)
+			p, im := sc.build()
+			d := equivDigest(p)
+			line := goldenLine(sc.name, d, im)
 			lines = append(lines, line)
 			if want != nil && want[sc.name] != line {
 				t.Errorf("outputs drifted from %s:\n got: %s\nwant: %s\n(if the change to simulated behaviour is intentional, run `make equiv-golden`)",
 					equivGoldenPath, line, want[sc.name])
 			}
 			if golden != "" {
-				fmt.Fprintf(&goldenBuf, "=== %s\n%s\n", sc.name, dEvent)
+				fmt.Fprintf(&goldenBuf, "=== %s\n%s\n", sc.name, d)
 			}
 		})
 	}

@@ -102,7 +102,6 @@ func (p *Pipeline) execute(e *robEntry, loadSlots, storeSlots *int) bool {
 	if DebugTrace {
 		defer p.traceExec(e)
 	}
-	p.stepQuiet = false
 	p.iqCount-- // e leaves the issue queue (always sDispatched on entry)
 	e.state = sIssued
 	e.granted = true

@@ -231,7 +231,7 @@ type Pipeline struct {
 	committedSeq int64
 
 	// entryPool recycles retired/squashed robEntries so dispatch allocates
-	// nothing (GC scan cost dominated the tick core). New fills it from one
+	// nothing (GC scan cost once dominated the core). New fills it from one
 	// slab of Cfg.ROBSize entries, the most the ROB can hold, up to maxSlab.
 	entryPool []*robEntry
 
@@ -247,12 +247,6 @@ type Pipeline struct {
 	// issue scan; readySrcs consults it for every merge-only source, and
 	// issue recomputes it after each execute (which can change it).
 	fullMask bool
-
-	// stepQuiet is true after a step that performed no work: nothing was
-	// fetched, dispatched, issued, drained, completed, committed or counted.
-	// The event-driven scheduler may then advance time straight to the next
-	// wake event (scheduler.go).
-	stepQuiet bool
 
 	// Dispatcher region state.
 	dispRegionCounter int
@@ -323,17 +317,13 @@ type Pipeline struct {
 	// otherwise-healthy programs. 0 = disabled.
 	wedgeAt int64
 
-	// tickRef selects the per-cycle reference scheduler over the default
-	// event-driven one (UseReferenceTickCore).
-	tickRef bool
-
-	// Periodic checkpointing (checkpoint.go): with a sink installed and
-	// Cfg.CheckpointEvery > 0, RunContext emits a full machine checkpoint at
-	// the first cancellation-poll boundary at least CheckpointEvery cycles
-	// after the previous emission. ckptLastAt anchors the cadence; Restore
-	// sets it to the restored cycle so a resumed run continues the original
-	// rhythm.
+	// Periodic checkpointing (checkpoint.go): with a sink installed,
+	// RunContext emits a full machine checkpoint at the first
+	// cancellation-poll boundary at least ckptEvery cycles after the
+	// previous emission. ckptLastAt anchors the cadence; Restore sets it to
+	// the restored cycle so a resumed run continues the original rhythm.
 	ckptSink   func(*Checkpoint)
+	ckptEvery  int64
 	ckptLastAt int64
 
 	// Restore hands the captured watchdog anchor to the next RunContext
@@ -397,11 +387,12 @@ func (p *Pipeline) ScheduleInterrupt(at, dur int64) {
 // — the synthetic livelock the watchdog exists to catch.
 func (p *Pipeline) InjectWedge(cycle int64) { p.wedgeAt = cycle }
 
-// UseReferenceTickCore forces the per-cycle reference scheduler: every
-// cycle runs a full step with no quiet-stretch skipping. The event-driven
-// scheduler must be bit-identical to this core on every observable output;
-// the cross-core equivalence suite holds it to that contract.
-func (p *Pipeline) UseReferenceTickCore() { p.tickRef = true }
+// UseReferenceTickCore does nothing: the pipeline has one scheduler, which
+// steps every cycle.
+//
+// Deprecated: kept only so the separate benchmark module (bench/srvperf)
+// still builds; it will be deleted with that caller.
+func (p *Pipeline) UseReferenceTickCore() {}
 
 // DefaultWatchdogCycles is the forward-progress window when
 // Config.WatchdogCycles is 0: generous enough that no legitimate commit gap
@@ -449,12 +440,11 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 				p.Stats.Cycles = p.cycle
 				return fmt.Errorf("%w at cycle %d: %v", ErrCancelled, p.cycle, context.Cause(ctx))
 			}
-			// Periodic checkpoint emission shares the poll boundary: both
-			// schedulers visit every boundary (quietTarget clamps to them),
-			// so emitted cycles are identical across cores. With no sink the
-			// default path pays only this one predictable branch.
+			// Periodic checkpoint emission shares the poll boundary. With
+			// no sink the default path pays only this one predictable
+			// branch.
 			if p.ckptSink != nil {
-				if every := p.Cfg.CheckpointEvery; every > 0 && p.cycle-p.ckptLastAt >= every {
+				if p.cycle-p.ckptLastAt >= p.ckptEvery {
 					p.ckptLastAt = p.cycle
 					p.Stats.Cycles = p.cycle
 					p.ckptSink(p.checkpoint(lastProgress))
@@ -471,18 +461,6 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 			p.Stats.Cycles = p.cycle
 			return &DeadlockError{Cycle: p.cycle, Window: wd, PC: p.fetchPC,
 				Snapshot: p.Snapshot(), Checkpoint: p.checkpoint(lastProgress)}
-		}
-		// Event-driven scheduling: after a step that did no work, advance
-		// time straight to the next wake event instead of ticking through
-		// the dead stretch (scheduler.go). The reference tick core never
-		// skips.
-		if p.stepQuiet && !p.tickRef && !p.halted {
-			if target := p.quietTarget(max, wd, lastProgress); target > p.cycle {
-				p.advanceQuiet(target)
-				if p.resumeAt > p.cycle {
-					lastProgress = p.cycle // frozen cycles count as progress
-				}
-			}
 		}
 	}
 	p.Stats.Cycles = p.cycle
@@ -564,7 +542,6 @@ func (p *Pipeline) step() {
 	// snapshots, sampler rows, paranoid panics) report the true cycle count
 	// instead of whatever the last exit path left behind.
 	p.Stats.Cycles = p.cycle
-	p.stepQuiet = true
 	if p.sampleEvery > 0 || p.tracer != nil {
 		p.observeCycle()
 	}
@@ -576,7 +553,6 @@ func (p *Pipeline) step() {
 		if p.cycle < p.resumeAt {
 			return
 		}
-		p.stepQuiet = false
 		p.resumeAt = 0
 		if p.resuming {
 			p.Ctrl.Resume(p.savedSRV)
@@ -612,7 +588,6 @@ func (p *Pipeline) raiseFault(e *robEntry, addr uint64) {
 // mappable, the pipeline flushes, and execution resumes at the faulting
 // instruction — through the §III-D2 save/resume path when inside a region.
 func (p *Pipeline) deliverFault() {
-	p.stepQuiet = false
 	e := p.rob[p.robHead]
 	p.Stats.Exceptions++
 	if p.tracer != nil {
@@ -660,7 +635,6 @@ func (p *Pipeline) fetch() {
 	if p.fetchStalled {
 		return
 	}
-	p.stepQuiet = false
 	readyAt := p.cycle + int64(p.Cfg.FrontEndDelay)
 	for n := 0; n < p.Cfg.Width && !p.fetchq.full(); n++ {
 		if p.fetchPC < 0 || p.fetchPC >= p.Prog.Len() {
@@ -708,12 +682,10 @@ func (p *Pipeline) dispatch() {
 			return
 		}
 		if p.robLen() >= p.Cfg.ROBSize {
-			p.stepQuiet = false
 			p.Stats.DispatchStallROB++
 			return
 		}
 		if p.iqCount >= p.Cfg.IQSize {
-			p.stepQuiet = false
 			p.Stats.DispatchStallIQ++
 			return
 		}
@@ -753,7 +725,6 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 
-		p.stepQuiet = false
 		p.nextSeq++
 		p.fetchq.pop()
 
@@ -833,7 +804,6 @@ func (p *Pipeline) reserveLSU(e *robEntry, instance int) bool {
 			p.enterFallback(e.pc)
 			return false
 		}
-		p.stepQuiet = false
 		p.Stats.DispatchStallLSQ++
 		return false
 	}
@@ -885,7 +855,6 @@ func (p *Pipeline) issue() {
 			ports = &sc.storeSlots
 		}
 		for e.memElems > 0 && *ports > 0 {
-			p.stepQuiet = false
 			e.memElems--
 			*ports--
 		}
@@ -942,7 +911,6 @@ func (p *Pipeline) issueOne(e *robEntry, sc *issueScan) bool {
 			return true // nothing younger issues in the same cycle
 		}
 		if e.state == sIssued && p.anyYoungerReady(e.seq) {
-			p.stepQuiet = false
 			p.Stats.BarrierCycles++
 		}
 		if !p.Cfg.RelaxedBarrier {
@@ -1223,7 +1191,6 @@ func (p *Pipeline) complete() {
 			continue
 		}
 		e.state = sDone
-		p.stepQuiet = false
 		if e == p.endIssued {
 			p.endIssued = nil
 		}
@@ -1242,7 +1209,6 @@ func (p *Pipeline) commit() {
 		if e.state != sDone || e.faulted {
 			return
 		}
-		p.stepQuiet = false
 		p.rob[p.robHead] = nil
 		p.robHead++
 		if p.robHead == len(p.rob) {
@@ -1326,7 +1292,6 @@ func (p *Pipeline) writeArch(e *robEntry) {
 // squashAfter removes every instruction with seq > after, restoring the
 // rename table and dispatcher state.
 func (p *Pipeline) squashAfter(after int64) {
-	p.stepQuiet = false
 	win := p.robWin()
 	cut := len(win)
 	for i, e := range win {
@@ -1391,7 +1356,6 @@ func (p *Pipeline) squashAfter(after int64) {
 }
 
 func (p *Pipeline) redirect(pc int) {
-	p.stepQuiet = false
 	p.fetchPC = pc
 	p.fetchStalled = false
 	p.fetchq.clear()
@@ -1428,7 +1392,6 @@ func (p *Pipeline) interruptSafe() bool {
 }
 
 func (p *Pipeline) takeInterrupt() {
-	p.stepQuiet = false
 	p.Stats.Interrupts++
 	p.profSuspend()
 	if p.tracer != nil {

@@ -93,6 +93,15 @@ func (c *ResultCache) Get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).result, true
 }
 
+// Has reports whether key is cached, without counting as a use: the LRU
+// order is left as it was.
+func (c *ResultCache) Has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // GetBody resolves a submission body's digest through the alias index. A
 // hit returns the reply's key, its "mode"/"bench" lines and the rendered
 // result; the caller stamps trace, node and tenant.

@@ -243,7 +243,7 @@ func assertJournalConsistent(t *testing.T, dir string) {
 // daemon SIGKILLed in the middle of one long simulation (periodic machine
 // checkpoints already journaled, no terminal record) must, on restart, resume
 // the job from its last checkpoint rather than cycle 0 and finish it with a
-// result byte-identical to an uninterrupted local run.
+// result byte-identical to an uninterrupted run.
 func TestSIGKILLMidSimResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real daemon")
@@ -253,56 +253,71 @@ func TestSIGKILLMidSimResume(t *testing.T) {
 	journal := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	req := bigLoopReq(150_000, 7)
+	// A gather-bound SRV variant: 11M cycles, 22 checkpoint intervals at
+	// phase 1's -checkpoint-every, with 6 MB checkpoints. The poll below
+	// has seconds to see the first checkpoint before the job finishes, even
+	// while other test binaries keep every CPU busy.
+	req := bigLoopReq(80_000, 7)
+	req.Loop.Shape.GatherStmt, req.Loop.Shape.Gathers = true, 4
+
+	// The reference is the same job run uninterrupted on a daemon of its
+	// own. The daemon is built without the race detector, so this takes
+	// seconds where an in-process run under -race would take minutes.
+	refAddr := freePort(t)
+	ref := startSrvd(t, bin, refAddr, t.TempDir(), "-checkpoint-every", "0")
+	t0 := time.Now()
+	want, err := NewClient("http://"+refAddr).Do(ctx, req)
+	if err != nil {
+		t.Fatalf("uninterrupted job: %v", err)
+	}
+	t.Logf("uninterrupted job: %v, scalar %d and SRV %d cycles", time.Since(t0), want.Loop.ScalarCycles, want.Loop.SRVCycles)
+	wantBytes, _ := json.Marshal(want)
+	_ = ref.Process.Kill()
+	_ = ref.Wait()
 
 	// Phase 1: a checkpoint interval a small fraction of the job's length, so
 	// the kill lands after at least one checkpoint but well before the
 	// simulation finishes.
-	daemon := startSrvd(t, bin, addr, journal, "-checkpoint-every", "100000")
+	daemon := startSrvd(t, bin, addr, journal, "-checkpoint-every", "500000")
 	c := NewClient("http://" + addr)
 	if _, err := c.Submit(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for a fully-written checkpoint record. Only newline-terminated
-	// lines count: a SIGKILL can land while a multi-megabyte checkpoint line
-	// is mid-write, and that torn tail is (correctly) dropped at replay —
-	// matching a prefix of it here would kill too early and leave nothing to
-	// resume from.
-	jpath := filepath.Join(journal, journalFile)
+	// Wait for a second fully-written journal record: the submit, then a
+	// checkpoint. The daemon counts a record once it is written and
+	// fsynced, so a checkpoint line still mid-write (a torn tail that
+	// replay drops) does not count. Asking the daemon keeps each poll
+	// cheap however large the journal grows.
 	deadline := time.Now().Add(time.Minute)
-	for found := false; !found; {
-		data, _ := os.ReadFile(jpath)
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			complete := data[:i+1]
-			if bytes.Contains(complete, []byte(`"op":"done"`)) {
-				t.Fatal("job finished before it could be killed; enlarge the workload")
-			}
-			found = bytes.Contains(complete, []byte(`"op":"ckpt"`))
+	for metricValue(t, c, "serve.journal.records") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint journaled before the deadline")
 		}
-		if !found {
-			if time.Now().After(deadline) {
-				t.Fatal("no checkpoint journaled before the deadline")
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if err := daemon.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = daemon.Wait()
+	data, err := os.ReadFile(filepath.Join(journal, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := data[:bytes.LastIndexByte(data, '\n')+1]
+	if bytes.Contains(complete, []byte(`"op":"done"`)) {
+		t.Fatal("job finished before it could be killed; enlarge the workload")
+	}
+	if !bytes.Contains(complete, []byte(`"op":"ckpt"`)) {
+		t.Fatal("no complete checkpoint record in the journal at the kill")
+	}
 
 	// Phase 2: restart over the same journal. The job must be re-enqueued
 	// with its checkpoints and complete without resubmission.
-	startSrvd(t, bin, addr, journal, "-checkpoint-every", "500000")
+	startSrvd(t, bin, addr, journal, "-checkpoint-every", "2000000")
 	cc := NewClient("http://" + addr)
 	if n := metricValue(t, cc, "serve.journal.replayed_resumed"); n != 1 {
 		t.Fatalf("replayed_resumed = %d, want 1", n)
 	}
-	want, err := harness.Run(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, _ := json.Marshal(want)
 	res, err := cc.Do(ctx, req) // coalesces with the resumed in-flight job
 	if err != nil {
 		t.Fatalf("job after restart: %v", err)

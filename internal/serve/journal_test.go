@@ -171,6 +171,52 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalCompactionBoundedByCache: a restart keeps a done record only
+// for a key the refilled result cache still holds, so the compacted journal
+// holds at most CacheSize of them. The keys served are those an unbounded
+// compaction serves, the newest CacheSize, and a second restart over the
+// compacted journal serves the same keys again.
+func TestJournalCompactionBoundedByCache(t *testing.T) {
+	const cacheSize, done = 3, 8
+	dir := t.TempDir()
+	req := testLoopReq()
+	now := time.Now()
+	var recs []journalRecord
+	for i := range done {
+		key := fmt.Sprintf("k%d", i)
+		recs = append(recs,
+			journalRecord{Op: opSubmit, Key: key, At: now, Req: &req},
+			journalRecord{Op: opDone, Key: key, At: now, Result: json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))})
+	}
+	appendAll(t, dir, recs...)
+
+	for restart := 1; restart <= 2; restart++ {
+		s, err := New(Config{JournalDir: dir, CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range done {
+			key := fmt.Sprintf("k%d", i)
+			if want := i >= done-cacheSize; s.cache.Has(key) != want {
+				t.Errorf("restart %d: cache holds %s = %v, want %v", restart, key, !want, want)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, []byte(`"op":"done"`)); n != cacheSize {
+			t.Fatalf("restart %d: compacted journal holds %d done records, want %d:\n%s", restart, n, cacheSize, data)
+		}
+	}
+}
+
 // TestJournalRecoveryInProcess is the crash-recovery story without a real
 // process kill (e2e_test.go does that): phase 1 completes one job and queues
 // two more on a server whose workers never start, phase 2 opens the same

@@ -44,6 +44,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -188,7 +189,9 @@ type Server struct {
 // Config.JournalDir set it replays the journal first: completed jobs are
 // restored into the result cache, interrupted ones are staged for
 // re-execution (they run once Start is called), and the journal is compacted
-// to the live state before new records are appended.
+// to the live state before new records are appended. Only the completed
+// jobs the cache still holds keep their record, so the compacted journal is
+// bounded by the cache rather than by every job the node ever finished.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.TenantQuota.validate(); err != nil {
@@ -222,6 +225,13 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: journal replay: %w", err)
 		}
+		for _, e := range st.completed {
+			s.cache.Put(e.key, e.result)
+			s.met.journalReplayedDone.Add(1)
+		}
+		// A result the cache evicted during the fill is never served, so
+		// its done record need not outlive this compaction.
+		st.completed = slices.DeleteFunc(st.completed, func(e replayEntry) bool { return !s.cache.Has(e.key) })
 		if err := compactJournal(cfg.JournalDir, st, time.Now()); err != nil {
 			return nil, fmt.Errorf("serve: journal compact: %w", err)
 		}
@@ -233,10 +243,6 @@ func New(cfg Config) (*Server, error) {
 		s.journal = jl
 		if st.truncated {
 			s.met.journalErrors.Add(1)
-		}
-		for _, e := range st.completed {
-			s.cache.Put(e.key, e.result)
-			s.met.journalReplayedDone.Add(1)
 		}
 		for _, e := range st.pending {
 			j := newJob(e.key, *e.req, time.Now())
