@@ -34,7 +34,7 @@ bench:
 
 # bench-speed is the simulator-throughput check: the core hot-path
 # microbenchmarks with allocation reporting (the observability hooks, the
-# bitvec disambiguation kernels, the LSU's
+# Mask128 footprint kernels the LSU disambiguates with, the LSU's
 # reservation paths outside and inside regions, and whole-pipeline
 # cycles/sec, including the gather/scatter path), then a fresh timing report
 # (BENCH_harness.json) carrying informational cycles_per_sec deltas against
@@ -142,6 +142,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenantOverride$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedStatus$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileBlock$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/compiler
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 30s -fuzzminimizetime 1x -parallel 2 ./internal/isa
 
 # serve-chaos is the service-layer resilience drill, run under the race
 # detector: remote submissions through a seeded fault-injecting transport

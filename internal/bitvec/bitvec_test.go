@@ -1,9 +1,6 @@
 package bitvec
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBaseOffset(t *testing.T) {
 	cases := []struct {
@@ -27,191 +24,24 @@ func TestBaseOffset(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	m := Range(16, 16)
-	if m.Count() != 16 {
-		t.Fatalf("count = %d, want 16", m.Count())
-	}
-	for i := 0; i < RegionSize; i++ {
-		want := i >= 16 && i < 32
-		if m.Test(i) != want {
-			t.Errorf("bit %d = %v, want %v", i, m.Test(i), want)
-		}
-	}
-	if got := Range(0, RegionSize).Count(); got != 64 {
-		t.Errorf("full range count = %d, want 64", got)
-	}
-	if got := Range(5, 0); got != 0 {
-		t.Errorf("empty range = %v, want 0", got)
-	}
-}
-
-func TestRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Range(60, 8) should panic: crosses region boundary")
-		}
-	}()
-	Range(60, 8)
-}
-
-func TestFromUpto(t *testing.T) {
-	// Fig 4 of the paper: horizontal-violation vector "set from bit 24
-	// onwards".
-	m := From(24)
-	if m.Count() != 40 {
-		t.Fatalf("From(24) count = %d, want 40", m.Count())
-	}
-	if m.Test(23) || !m.Test(24) || !m.Test(63) {
-		t.Errorf("From(24) has wrong boundary bits: %v", m)
-	}
-	if From(0) != ^Mask(0) {
-		t.Error("From(0) should be all ones")
-	}
-	if From(RegionSize) != 0 {
-		t.Error("From(RegionSize) should be empty")
-	}
-	if Upto(24) != ^From(24) {
-		t.Error("Upto must complement From")
-	}
-}
-
-func TestSetClearLowest(t *testing.T) {
-	var m Mask
-	m = m.Set(12).Set(15).Set(3)
-	if m.Lowest() != 3 {
-		t.Errorf("lowest = %d, want 3", m.Lowest())
-	}
-	m = m.Clear(3)
-	if m.Lowest() != 12 {
-		t.Errorf("lowest after clear = %d, want 12", m.Lowest())
-	}
-	if Mask(0).Lowest() != RegionSize {
-		t.Errorf("empty lowest = %d, want %d", Mask(0).Lowest(), RegionSize)
-	}
-}
-
-func TestSplitSpanSingleRegion(t *testing.T) {
-	rms := SplitSpan(Span{Addr: 0xAB10, N: 16})
-	if len(rms) != 1 {
-		t.Fatalf("got %d regions, want 1", len(rms))
-	}
-	if rms[0].Base != 0xAB00 {
-		t.Errorf("base = %#x, want 0xAB00", rms[0].Base)
-	}
-	if rms[0].Mask != Range(16, 16) {
-		t.Errorf("mask = %v, want bytes 16..31", rms[0].Mask)
-	}
-}
-
-func TestSplitSpanTwoRegions(t *testing.T) {
-	// Paper example: 0x0C..0x4C spans two consecutive alignment regions.
-	rms := SplitSpan(Span{Addr: 0x0C, N: 64})
-	if len(rms) != 2 {
-		t.Fatalf("got %d regions, want 2", len(rms))
-	}
-	if rms[0].Base != 0x0 || rms[0].Mask != Range(12, 52) {
-		t.Errorf("first region wrong: base %#x mask %v", rms[0].Base, rms[0].Mask)
-	}
-	if rms[1].Base != 0x40 || rms[1].Mask != Range(0, 12) {
-		t.Errorf("second region wrong: base %#x mask %v", rms[1].Base, rms[1].Mask)
-	}
-}
-
-func TestSplitSpanEmpty(t *testing.T) {
-	if got := SplitSpan(Span{Addr: 0x10, N: 0}); got != nil {
-		t.Errorf("empty span should produce nil, got %v", got)
-	}
-}
-
-func TestSplitSpanCoversAllBytes(t *testing.T) {
-	// Property: the union of region masks covers exactly the span bytes.
-	f := func(addr uint32, n uint8) bool {
-		sp := Span{Addr: uint64(addr), N: int(n)}
-		total := 0
-		prevEnd := uint64(0)
-		for i, rm := range SplitSpan(sp) {
-			total += rm.Mask.Count()
-			if i > 0 && rm.Base != prevEnd {
-				return false // regions must be consecutive
-			}
-			prevEnd = rm.Base + RegionSize
-		}
-		return total == int(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSetOverlap(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.AddSpan(Span{Addr: 0xAB10, N: 16}) // store A, bytes 16..31
-	b.AddSpan(Span{Addr: 0xAB10, N: 16}) // load B, same bytes
-	ov := Overlap(a, b)
-	if len(ov) != 1 || ov[0].Mask != Range(16, 16) {
-		t.Fatalf("VOB should be bytes 16..31, got %v", ov)
-	}
-	if !Overlaps(a, b) {
-		t.Error("Overlaps should be true")
-	}
-	// Fig 4: load C at offset 24, store A at 16; VOB = bytes 24..31.
-	c := NewSet()
-	c.AddSpan(Span{Addr: 0xAB18, N: 16})
-	ov = Overlap(a, c)
-	if len(ov) != 1 || ov[0].Mask != Range(24, 8) {
-		t.Fatalf("VOB should be bytes 24..31, got %v", ov)
-	}
-}
-
-func TestSetDisjoint(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.AddSpan(Span{Addr: 0x100, N: 8})
-	b.AddSpan(Span{Addr: 0x108, N: 8})
-	if Overlaps(a, b) {
-		t.Error("adjacent spans must not overlap")
-	}
-	if got := Overlap(a, b); got != nil {
-		t.Errorf("Overlap = %v, want nil", got)
-	}
-}
-
-func TestSetBytesAndContains(t *testing.T) {
+func TestSetAddGetReset(t *testing.T) {
+	// An 8-byte write at 0x3C crosses the region boundary at 0x40: the
+	// caller splits it into one RegionMask per region.
 	s := NewSet()
-	s.AddSpan(Span{Addr: 0x3C, N: 8}) // crosses region boundary at 0x40
-	if s.Bytes() != 8 {
-		t.Errorf("bytes = %d, want 8", s.Bytes())
+	s.Add(RegionMask{Base: 0x00, Mask: 0xF << 60})
+	s.Add(RegionMask{Base: 0x40, Mask: 0xF})
+	s.Add(RegionMask{Base: 0x40, Mask: 0x3 << 2}) // overlaps: OR, not replace
+	if got := s.Get(0x00); got != 0xF<<60 || got.Count() != 4 {
+		t.Errorf("region 0x00 = %#x, want bytes 60..63", uint64(got))
 	}
-	for a := uint64(0x3C); a < 0x44; a++ {
-		if !s.Contains(a) {
-			t.Errorf("should contain %#x", a)
-		}
+	if got := s.Get(0x40); got != 0xF {
+		t.Errorf("region 0x40 = %#x, want bytes 0..3", uint64(got))
 	}
-	if s.Contains(0x3B) || s.Contains(0x44) {
-		t.Error("contains bytes outside span")
-	}
-}
-
-func TestSetEachByte(t *testing.T) {
-	s := NewSet()
-	s.AddSpan(Span{Addr: 0x10, N: 4})
-	var got []uint64
-	s.EachByte(func(a uint64) { got = append(got, a) })
-	if len(got) != 4 {
-		t.Fatalf("EachByte visited %d bytes, want 4", len(got))
-	}
-}
-
-func TestSetCloneIndependent(t *testing.T) {
-	s := NewSet()
-	s.AddSpan(Span{Addr: 0x10, N: 4})
-	c := s.Clone()
-	c.AddSpan(Span{Addr: 0x20, N: 4})
-	if s.Bytes() != 4 || c.Bytes() != 8 {
-		t.Errorf("clone not independent: s=%d c=%d", s.Bytes(), c.Bytes())
+	if got := s.Get(0x80); got != 0 {
+		t.Errorf("untouched region = %#x, want 0", uint64(got))
 	}
 	s.Reset()
-	if !s.Empty() || c.Bytes() != 8 {
-		t.Error("reset affected clone or did not empty set")
+	if s.Get(0x00) != 0 || s.Get(0x40) != 0 {
+		t.Error("Reset must empty every region")
 	}
 }

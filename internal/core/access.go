@@ -1,15 +1,14 @@
 // Package core implements the architectural heart of selective-replay
 // vectorisation (SRV): the taxonomy of vector memory accesses, the
 // horizontal disambiguation rules between SIMD lanes of different vector
-// instructions (paper §IV), the violation classification (RAW / WAR / WAW,
-// vertical vs horizontal), and the SRV region controller that owns the
+// instructions (paper §IV) as the two word-parallel rules the load-store
+// unit runs — ViolatingLaneMask for RAW and WAW, Forwardable for
+// forwarding and WAR — and the SRV region controller that owns the
 // SRV-replay and SRV-needs-replay predicate registers and drives selective
 // replay and the LSU-overflow sequential fallback (paper §III).
 package core
 
 import (
-	"fmt"
-
 	"srvsim/internal/bitvec"
 	"srvsim/internal/isa"
 )
@@ -64,17 +63,6 @@ func (a Access) Bytes() int {
 	return a.Elem
 }
 
-// Span returns the byte span the access touches.
-func (a Access) Span() bitvec.Span {
-	return bitvec.Span{Addr: a.Addr, N: a.Bytes()}
-}
-
-// RegionMasks returns the bytes-accessed bit vectors, one per alignment
-// region touched (paper §IV-B).
-func (a Access) RegionMasks() []bitvec.RegionMask {
-	return bitvec.SplitSpan(a.Span())
-}
-
 // LaneBounds returns the inclusive range of lanes that touch the byte at
 // addr. Contiguous accesses attribute each byte to exactly one lane
 // (reversed under a DOWN region direction); broadcasts attribute every byte
@@ -116,137 +104,6 @@ func SeqBefore(laneA, posA, laneB, posB int) bool {
 	return posA < posB
 }
 
-// Violation classifies a detected memory-dependence violation.
-type Violation int
-
-const (
-	NoViolation Violation = iota
-	// RAW: an issuing store overlaps bytes already read by a sequentially
-	// younger load in a later lane. Resolved by selective replay
-	// (paper §III-B3).
-	RAW
-	// WAR: an issuing load overlaps bytes written by a sequentially older
-	// store in a later lane. Resolved immediately by suppressing forwarding
-	// from that store.
-	WAR
-	// WAW: an issuing store overlaps bytes written by a sequentially younger
-	// store in a later lane. Resolved by selective memory update at region
-	// commit.
-	WAW
-)
-
-func (v Violation) String() string {
-	switch v {
-	case RAW:
-		return "RAW"
-	case WAR:
-		return "WAR"
-	case WAW:
-		return "WAW"
-	default:
-		return "none"
-	}
-}
-
-// PairMasks is the result of horizontal disambiguation between an issuing
-// access and one older queue entry, per alignment region (paper §IV-B/C).
-type PairMasks struct {
-	Base uint64      // alignment-region base
-	VOB  bitvec.Mask // vertically overlapped bytes: both accesses touch them
-	HV   bitvec.Mask // horizontal-violation vector: bytes whose queue-entry lane is sequentially later than the issuing access's lane
-	HOB  bitvec.Mask // horizontally overlapped (violating) bytes = VOB & HV
-}
-
-// LoadVsOlderStore performs the horizontal disambiguation of paper §IV-C for
-// an issuing load against one older store entry. loadPos and storePos are
-// the program positions (SRV-ids) of the two instructions.
-//
-// Returned masks: HOB marks overlapped bytes written by a sequentially LATER
-// position of the store — a WAR, so those bytes are not forwardable and must
-// come from memory or older entries. VOB &^ HV marks the forwardable bytes.
-func LoadVsOlderStore(load Access, loadPos int, store Access, storePos int) []PairMasks {
-	return pairMasks(load, loadPos, store, storePos)
-}
-
-// StoreVsYoungerLoad performs horizontal disambiguation for an issuing store
-// against one load entry (paper §III-B2). HOB marks overlapped bytes that a
-// sequentially younger position of the load has already read — a horizontal
-// RAW requiring replay of the load's lanes.
-func StoreVsYoungerLoad(store Access, storePos int, load Access, loadPos int) []PairMasks {
-	return pairMasks(store, storePos, load, loadPos)
-}
-
-// StoreVsStore performs disambiguation between an issuing store and an older
-// store entry. HOB marks overlapped bytes whose entry position is
-// sequentially later — a WAW, recorded so that only the youngest data per
-// byte reaches memory.
-func StoreVsStore(issuing Access, issuingPos int, older Access, olderPos int) []PairMasks {
-	return pairMasks(issuing, issuingPos, older, olderPos)
-}
-
-// pairMasks computes, per alignment region, the VOB (bytes touched by both
-// accesses), and the HV/HOB vectors where the entry access's byte belongs to
-// a sequentially LATER (lane, pos) than the issuing access's byte. Broadcast
-// entries attribute bytes to their full lane range; a byte violates when any
-// attributed entry lane is later than every attributed issuing lane that is
-// not later — conservatively, when the entry's maximum lane exceeds the
-// issuing access's minimum lane ordering.
-func pairMasks(issuing Access, issuingPos int, entry Access, entryPos int) []PairMasks {
-	im := bitvec.NewSet()
-	for _, rm := range issuing.RegionMasks() {
-		im.Add(rm)
-	}
-	var out []PairMasks
-	for _, rm := range entry.RegionMasks() {
-		vob := rm.Mask & im.Get(rm.Base)
-		if vob == 0 {
-			continue
-		}
-		var hv, hob bitvec.Mask
-		for off := 0; off < bitvec.RegionSize; off++ {
-			addr := rm.Base + uint64(off)
-			// HV considers every byte of the entry's mask (the paper sets it
-			// independently of the overlap, Fig 4/5); HOB = VOB & HV.
-			if !rm.Mask.Test(off) {
-				continue
-			}
-			if entryByteLater(issuing, issuingPos, entry, entryPos, addr) {
-				hv = hv.Set(off)
-			}
-		}
-		hob = vob & hv
-		out = append(out, PairMasks{Base: rm.Base, VOB: vob, HV: hv, HOB: hob})
-	}
-	return out
-}
-
-// entryByteLater reports whether the entry's byte at addr belongs to a
-// strictly LATER lane than the issuing access's lane for that byte.
-// Horizontal disambiguation is purely cross-lane: same-lane ordering is a
-// vertical dependence handled by the conventional mechanism. For bytes the
-// issuing access does not touch, the issuing lane used is the access's own
-// lane (KindElem) or lane 0 — matching Fig 5 of the paper, where the
-// horizontal-violation vector for a scatter element in lane L marks all
-// load bytes in lanes > L regardless of overlap, and HOB = VOB & HV masks
-// the rest out.
-func entryByteLater(issuing Access, issuingPos int, entry Access, entryPos int, addr uint64) bool {
-	_, eHi := entry.LaneBounds(addr)
-	var iLo int
-	if issuing.Contains(addr) {
-		iLo, _ = issuing.LaneBounds(addr)
-	} else {
-		switch issuing.Kind {
-		case KindElem:
-			iLo = issuing.Lane
-		default:
-			iLo = 0
-		}
-	}
-	_ = issuingPos
-	_ = entryPos
-	return eHi > iLo
-}
-
 // AllLanes is the lane mask with every architectural lane set.
 const AllLanes = bitvec.LaneMask(1)<<isa.NumLanes - 1
 
@@ -270,30 +127,17 @@ func MaskPred(m bitvec.LaneMask) isa.Pred {
 	return p
 }
 
-// ViolatingLanes returns the set of entry lanes in strictly LATER lanes than
-// the issuing access at overlapping bytes — the lanes to record for replay
+// ViolatingLaneMask returns the entry lanes strictly LATER than the
+// issuing access's lane at a shared byte: the lanes to record for replay
 // (issuing store vs load entries, horizontal RAW) or for selective
 // write-back ordering (store vs store, horizontal WAW). Same-lane conflicts
-// are vertical and are NOT reported here. For contiguous entries the lane is
-// derived per byte; broadcast entries attribute each byte to all lanes.
-func ViolatingLanes(issuing Access, entry Access) isa.Pred {
-	return MaskPred(ViolatingLaneMask(issuing, entry, AllLanes))
-}
-
-// ViolatingLanesMasked is ViolatingLanes restricted to issuing-access bytes
-// whose lane is in issuingLanes. During a replay round only the re-executed
-// (updated) lanes of a store may raise new RAW flags: bytes of unchanged
-// lanes were already visible to every re-executed load through forwarding,
-// and re-flagging them would stall the replay frontier (the N-1 bound of
-// paper §III-A relies on flags coming only from strictly later lanes of
-// freshly produced data).
-func ViolatingLanesMasked(issuing Access, entry Access, issuingLanes isa.Pred) isa.Pred {
-	return MaskPred(ViolatingLaneMask(issuing, entry, PredMask(issuingLanes)))
-}
-
-// ViolatingLaneMask is the word-parallel disambiguation kernel behind
-// ViolatingLanes/ViolatingLanesMasked: whole lane ranges compare as single
-// AND/OR operations on bitvec.LaneMask words instead of per-byte loops.
+// are vertical and are not reported. Only issuing bytes whose lane is in
+// issuingLanes count: during a replay round only the re-executed lanes of a
+// store may raise new RAW flags, since bytes of unchanged lanes were
+// already visible to every re-executed load through forwarding, and
+// re-flagging them would stall the replay frontier (the N-1 bound of paper
+// §III-A). Whole lane ranges compare as single AND/OR operations on
+// bitvec.LaneMask words instead of per-byte loops.
 //
 // The per-byte rule being vectorised: for every byte the two accesses
 // share, with issuing lane iL and entry lanes [eLo, eHi], the entry lanes
@@ -375,14 +219,13 @@ func issuingLaneSet(a Access, lo, hi uint64) bitvec.LaneMask {
 	}
 }
 
-// violatingLanesRef is the retained per-byte reference implementation of
-// ViolatingLanesMasked; the property suite holds the word-parallel kernel
+// violatingLanesRef is the per-byte reference implementation of
+// ViolatingLaneMask; the property suite holds the word-parallel kernel
 // bit-identical to it.
 func violatingLanesRef(issuing Access, entry Access, issuingLanes isa.Pred) isa.Pred {
 	var lanes isa.Pred
-	span := issuing.Span()
-	for b := 0; b < span.N; b++ {
-		addr := span.Addr + uint64(b)
+	end := issuing.Addr + uint64(issuing.Bytes())
+	for addr := issuing.Addr; addr < end; addr++ {
 		if !entry.Contains(addr) {
 			continue
 		}
@@ -409,8 +252,4 @@ func violatingLanesRef(issuing Access, entry Access, issuingLanes isa.Pred) isa.
 // passed explicitly.
 func Forwardable(storeLaneHi, storePos, loadLane, loadPos int) bool {
 	return SeqBefore(storeLaneHi, storePos, loadLane, loadPos)
-}
-
-func (p PairMasks) String() string {
-	return fmt.Sprintf("base=%#x VOB=%s HV=%s HOB=%s", p.Base, p.VOB, p.HV, p.HOB)
 }

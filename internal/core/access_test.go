@@ -7,72 +7,6 @@ import (
 	"srvsim/internal/isa"
 )
 
-// TestFig3VerticalOverlap reproduces the paper's Fig 3: instruction A
-// (vector store, 16 one-byte lanes at alignment offset 16) and instruction B
-// (vector load of the same span). The VOB has bits 16..31 set: all data is
-// forwardable.
-func TestFig3VerticalOverlap(t *testing.T) {
-	store := Access{Kind: KindContig, Addr: 0xAB10, Elem: 1}
-	load := Access{Kind: KindContig, Addr: 0xAB10, Elem: 1}
-	masks := LoadVsOlderStore(load, 2, store, 1)
-	if len(masks) != 1 {
-		t.Fatalf("got %d regions, want 1", len(masks))
-	}
-	m := masks[0]
-	if m.Base != 0xAB00 {
-		t.Errorf("base = %#x, want 0xAB00", m.Base)
-	}
-	if m.VOB != bitvec.Range(16, 16) {
-		t.Errorf("VOB = %v, want bits 16..31", m.VOB)
-	}
-	if m.HOB != 0 {
-		t.Errorf("HOB = %v, want empty (same lanes, vertical only)", m.HOB)
-	}
-}
-
-// TestFig4HorizontalWAR reproduces Fig 4: store A at offset 16, load C at
-// offset 24 (eight lanes further on). The overlap (bits 24..31) belongs to
-// later lanes of the store, so every overlapped byte violates: HOB = VOB.
-func TestFig4HorizontalWAR(t *testing.T) {
-	store := Access{Kind: KindContig, Addr: 0xAB10, Elem: 1}
-	load := Access{Kind: KindContig, Addr: 0xAB18, Elem: 1}
-	masks := LoadVsOlderStore(load, 3, store, 1)
-	if len(masks) != 1 {
-		t.Fatalf("got %d regions, want 1", len(masks))
-	}
-	m := masks[0]
-	if m.VOB != bitvec.Range(24, 8) {
-		t.Errorf("VOB = %v, want bits 24..31", m.VOB)
-	}
-	if m.HOB != bitvec.Range(24, 8) {
-		t.Errorf("HOB = %v, want bits 24..31 (all overlapped bytes violate)", m.HOB)
-	}
-	// The paper's Fig 4 narrative: "the vector store cannot forward these
-	// bytes to the vector load" — no forwardable overlap remains.
-	if fw := m.VOB &^ m.HOB; fw != 0 {
-		t.Errorf("forwardable bytes = %v, want none", fw)
-	}
-}
-
-// TestFig4Reversed checks the symmetric case: the load sits at a LOWER
-// offset than the store, so the overlap comes from earlier store lanes and
-// everything is forwardable (paper §IV-C1).
-func TestFig4Reversed(t *testing.T) {
-	store := Access{Kind: KindContig, Addr: 0xAB18, Elem: 1}
-	load := Access{Kind: KindContig, Addr: 0xAB10, Elem: 1}
-	masks := LoadVsOlderStore(load, 3, store, 1)
-	if len(masks) != 1 {
-		t.Fatalf("got %d regions, want 1", len(masks))
-	}
-	m := masks[0]
-	if m.VOB != bitvec.Range(24, 8) {
-		t.Errorf("VOB = %v, want bits 24..31", m.VOB)
-	}
-	if m.HOB != 0 {
-		t.Errorf("HOB = %v, want empty (store lanes are earlier)", m.HOB)
-	}
-}
-
 // TestFig5ScatterVsLoad reproduces the paper's Fig 5 worked example:
 // listing 2's first iteration with a[] at 0xFF00, 4-byte elements, and
 // x = {3,0,1,2,7,...}. The v_load occupies one contiguous LQ entry; the
@@ -80,86 +14,36 @@ func TestFig4Reversed(t *testing.T) {
 func TestFig5ScatterVsLoad(t *testing.T) {
 	load := Access{Kind: KindContig, Addr: 0xFF00, Elem: 4}
 
-	// Step 1: scatter element lane 0 writes a[3] at 0xFF0C.
+	// Step 1: scatter element lane 0 writes a[3] at 0xFF0C; the load's
+	// lane 3 read those bytes too early.
 	st0 := Access{Kind: KindElem, Lane: 0, Addr: 0xFF0C, Elem: 4}
-	masks := StoreVsYoungerLoad(st0, 5, load, 3)
-	if len(masks) != 1 {
-		t.Fatalf("step 1: got %d regions, want 1", len(masks))
-	}
-	m := masks[0]
-	if m.VOB != bitvec.Range(12, 4) {
-		t.Errorf("step 1 VOB = %v, want bits 12..15", m.VOB)
-	}
-	// "All but the first 4 bits of the horizontal-violation bit vector are
-	// set to 1."
-	if m.HV != bitvec.From(4) {
-		t.Errorf("step 1 HV = %v, want bits 4..63", m.HV)
-	}
-	if m.HOB != bitvec.Range(12, 4) {
-		t.Errorf("step 1 HOB = %v, want bits 12..15", m.HOB)
-	}
-	if lanes := ViolatingLanes(st0, load); !lanes[3] || lanes.Count() != 1 {
-		t.Errorf("step 1 violating lanes = %v, want {3}", lanes)
+	if lanes := ViolatingLaneMask(st0, load, AllLanes); lanes != 1<<3 {
+		t.Errorf("step 1 violating lanes = %016b, want {3}", lanes)
 	}
 
-	// Step 2: scatter element lane 1 writes a[0] at 0xFF00.
+	// Step 2: scatter element lane 1 writes a[0] at 0xFF00: a conflict with
+	// an earlier load lane, but no violation.
 	st1 := Access{Kind: KindElem, Lane: 1, Addr: 0xFF00, Elem: 4}
-	masks = StoreVsYoungerLoad(st1, 5, load, 3)
-	m = masks[0]
-	if m.VOB != bitvec.Range(0, 4) {
-		t.Errorf("step 2 VOB = %v, want bits 0..3", m.VOB)
-	}
-	// "All bits from the 8th inwards are set" (lanes 2 onward).
-	if m.HV != bitvec.From(8) {
-		t.Errorf("step 2 HV = %v, want bits 8..63", m.HV)
-	}
-	if m.HOB != 0 {
-		t.Errorf("step 2 HOB = %v, want empty (conflict but no violation)", m.HOB)
-	}
-	if lanes := ViolatingLanes(st1, load); lanes.Any() {
-		t.Errorf("step 2 violating lanes = %v, want none", lanes)
+	if lanes := ViolatingLaneMask(st1, load, AllLanes); lanes.Any() {
+		t.Errorf("step 2 violating lanes = %016b, want none", lanes)
 	}
 
 	// Steps 3-5 equivalents: writes to a[1], a[2] are fine; a[7] from lane 4
 	// violates lane 7.
 	st4 := Access{Kind: KindElem, Lane: 4, Addr: 0xFF00 + 7*4, Elem: 4}
-	if lanes := ViolatingLanes(st4, load); !lanes[7] || lanes.Count() != 1 {
-		t.Errorf("a[7] write violating lanes = %v, want {7}", lanes)
+	if lanes := ViolatingLaneMask(st4, load, AllLanes); lanes != 1<<7 {
+		t.Errorf("a[7] write violating lanes = %016b, want {7}", lanes)
 	}
 
 	// Full scatter: lanes 0,4,8,12 write a[3],a[7],a[11],a[15]; the combined
 	// needs-replay set is {3,7,11,15} — the paper's SRV-needs-replay value.
-	var combined isa.Pred
+	var combined bitvec.LaneMask
 	for _, c := range []struct{ lane, idx int }{{0, 3}, {4, 7}, {8, 11}, {12, 15}} {
 		st := Access{Kind: KindElem, Lane: c.lane, Addr: 0xFF00 + uint64(c.idx*4), Elem: 4}
-		lanes := ViolatingLanes(st, load)
-		for i, b := range lanes {
-			if b {
-				combined[i] = true
-			}
-		}
+		combined |= ViolatingLaneMask(st, load, AllLanes)
 	}
-	want := isa.Pred{}
-	want[3], want[7], want[11], want[15] = true, true, true, true
-	if combined != want {
-		t.Errorf("combined needs-replay = %v, want lanes {3,7,11,15}", combined)
-	}
-}
-
-func TestGatherScatterLaneRule(t *testing.T) {
-	// Paper §IV-C2: both gather/scatter elements — compare lane fields.
-	// Load lane >= store lane: forwardable; load lane < store lane: WAR.
-	addr := uint64(0x1000)
-	st := Access{Kind: KindElem, Lane: 5, Addr: addr, Elem: 4}
-	ldLater := Access{Kind: KindElem, Lane: 9, Addr: addr, Elem: 4}
-	masks := LoadVsOlderStore(ldLater, 7, st, 2)
-	if len(masks) != 1 || masks[0].HOB != 0 {
-		t.Errorf("load lane 9 vs store lane 5: HOB = %v, want empty (forwardable)", masks)
-	}
-	ldEarlier := Access{Kind: KindElem, Lane: 2, Addr: addr, Elem: 4}
-	masks = LoadVsOlderStore(ldEarlier, 7, st, 2)
-	if len(masks) != 1 || masks[0].HOB != masks[0].VOB || masks[0].VOB == 0 {
-		t.Errorf("load lane 2 vs store lane 5: want full WAR, got %v", masks)
+	if want := bitvec.LaneMask(1<<3 | 1<<7 | 1<<11 | 1<<15); combined != want {
+		t.Errorf("combined needs-replay = %016b, want lanes {3,7,11,15}", combined)
 	}
 }
 
@@ -169,12 +53,8 @@ func TestBroadcastTreatedAsAllLanes(t *testing.T) {
 	// violates lanes 6..15 (they should have seen the new data).
 	st := Access{Kind: KindElem, Lane: 5, Addr: 0x2000, Elem: 4}
 	bc := Access{Kind: KindBcast, Addr: 0x2000, Elem: 4}
-	lanes := ViolatingLanes(st, bc)
-	for i := 0; i < isa.NumLanes; i++ {
-		want := i > 5
-		if lanes[i] != want {
-			t.Errorf("broadcast lane %d violation = %v, want %v", i, lanes[i], want)
-		}
+	if lanes := ViolatingLaneMask(st, bc, AllLanes); lanes != bitvec.LaneRange(6, isa.NumLanes-1) {
+		t.Errorf("broadcast violating lanes = %016b, want 6..15", lanes)
 	}
 }
 
@@ -190,21 +70,6 @@ func TestDownDirectionReversesLanes(t *testing.T) {
 	lo, _ = a.LaneBounds(0x3000 + 15*4)
 	if lo != 0 {
 		t.Errorf("DOWN last element lane = %d, want 0", lo)
-	}
-	// Under DOWN, a load at a HIGHER address than an older store overlaps
-	// EARLIER lanes of the store, so it is forwardable (the mirror image of
-	// Fig 4).
-	store := Access{Kind: KindContig, Addr: 0xAB10, Elem: 1, Dir: isa.DirDown}
-	load := Access{Kind: KindContig, Addr: 0xAB18, Elem: 1, Dir: isa.DirDown}
-	m := LoadVsOlderStore(load, 3, store, 1)[0]
-	if m.HOB != 0 {
-		t.Errorf("DOWN HOB = %v, want empty", m.HOB)
-	}
-	// And a load at a LOWER address violates.
-	load2 := Access{Kind: KindContig, Addr: 0xAB08, Elem: 1, Dir: isa.DirDown}
-	m = LoadVsOlderStore(load2, 3, store, 1)[0]
-	if m.HOB != m.VOB || m.VOB == 0 {
-		t.Errorf("DOWN lower-address load: want full WAR, got %v", m)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"srvsim/internal/bitvec"
 	"srvsim/internal/isa"
 )
 
@@ -20,7 +21,7 @@ func TestViolatingLanesMaskedRestriction(t *testing.T) {
 	// Unmasked: every load byte in a lane later than its store lane — for
 	// identical contiguous footprints lane(byte) is equal on both sides, so
 	// nothing is strictly later.
-	if got := ViolatingLanes(store, load); got.Any() {
+	if got := ViolatingLaneMask(store, load, AllLanes); got.Any() {
 		t.Fatalf("identical contiguous accesses: no strictly-later lanes, got %v", got)
 	}
 
@@ -28,32 +29,24 @@ func TestViolatingLanesMaskedRestriction(t *testing.T) {
 	// bytes -> entry (load) lanes are strictly later for every overlapped
 	// byte of store lanes 1..15.
 	loadUp := Access{Kind: KindContig, Addr: base - 4, Elem: 4}
-	full := ViolatingLanes(store, loadUp)
+	full := ViolatingLaneMask(store, loadUp, AllLanes)
 	if !full.Any() {
 		t.Fatal("shifted overlap must violate")
 	}
 
 	// Restrict the store's updated lanes to {8..15}: flags from bytes of
 	// lanes 0..7 must vanish.
-	var replayed isa.Pred
-	for l := 8; l < isa.NumLanes; l++ {
-		replayed[l] = true
-	}
-	masked := ViolatingLanesMasked(store, loadUp, replayed)
-	for l := 0; l < isa.NumLanes; l++ {
-		if l <= 8 && masked[l] {
-			// Store lane 8's byte flags load lanes > 8 only.
-			t.Errorf("lane %d flagged by a non-re-executed store byte", l)
-		}
+	masked := ViolatingLaneMask(store, loadUp, bitvec.LaneRange(8, isa.NumLanes-1))
+	// Store lane 8's byte flags load lanes > 8 only.
+	if low := masked & bitvec.LaneRange(0, 8); low != 0 {
+		t.Errorf("lanes %016b flagged by non-re-executed store bytes", low)
 	}
 	if !masked.Any() {
 		t.Error("re-executed lanes must still flag later load lanes")
 	}
 	// Masked must be a subset of the unmasked result.
-	for l := range masked {
-		if masked[l] && !full[l] {
-			t.Errorf("masked flag %d not present unmasked", l)
-		}
+	if extra := masked &^ full; extra != 0 {
+		t.Errorf("masked flags %016b not present unmasked", extra)
 	}
 }
 
@@ -65,56 +58,31 @@ func TestViolatingLanesMaskedFrontierAdvance(t *testing.T) {
 	for k := 0; k < isa.NumLanes; k++ {
 		store := Access{Kind: KindContig, Addr: base, Elem: 4}
 		load := Access{Kind: KindContig, Addr: base, Elem: 4}
-		var only isa.Pred
-		only[k] = true
-		got := ViolatingLanesMasked(store, load, only)
-		for l := 0; l <= k; l++ {
-			if got[l] {
-				t.Fatalf("store lane %d flagged lane %d: frontier would stall", k, l)
-			}
+		got := ViolatingLaneMask(store, load, bitvec.LaneRange(k, k))
+		if stall := got & bitvec.LaneRange(0, k); stall != 0 {
+			t.Fatalf("store lane %d flagged lanes %016b: frontier would stall", k, stall)
 		}
 	}
 }
 
-// TestStoreVsStoreWAW checks WAW mask computation: an issuing scatter
-// element in lane 2 against an older contiguous store covering all lanes
-// must mark the bytes whose entry lane is later than 2.
+// TestStoreVsStoreWAW checks the horizontal WAW rule ExecStore runs: an
+// issuing scatter element against an older contiguous store covering all
+// lanes violates only where the older store's lane at the shared bytes is
+// strictly later than the element's lane.
 func TestStoreVsStoreWAW(t *testing.T) {
 	const base = 0x3000 // 64-aligned
 	older := Access{Kind: KindContig, Addr: base, Elem: 4}
-	issuing := Access{Kind: KindElem, Lane: 2, Addr: base + 2*4, Elem: 4}
-
-	pms := StoreVsStore(issuing, 7, older, 3)
-	if len(pms) != 1 {
-		t.Fatalf("one alignment region expected, got %d", len(pms))
+	// The element in lane 2 writes lane 2's bytes: a same-lane overlap is
+	// vertical, not a horizontal WAW.
+	same := Access{Kind: KindElem, Lane: 2, Addr: base + 2*4, Elem: 4}
+	if lanes := ViolatingLaneMask(same, older, AllLanes); lanes.Any() {
+		t.Errorf("same-lane overlap flagged lanes %016b, want none", lanes)
 	}
-	pm := pms[0]
-	// VOB: exactly the 4 bytes both stores touch.
-	if pm.VOB.Count() != 4 {
-		t.Errorf("VOB = %d bytes, want 4", pm.VOB.Count())
-	}
-	// HOB: the overlap belongs to entry lane 2 == issuing lane 2, not
-	// strictly later -> same-lane WAW is vertical, not horizontal.
-	if pm.HOB != 0 {
-		t.Errorf("same-lane overlap must not be a horizontal WAW, HOB=%s", pm.HOB)
-	}
-	// HV must mark the entry bytes of lanes 3..15 (strictly later).
-	wantHV := 0
-	for off := 0; off < 64; off++ {
-		if off >= 3*4 { // lane 3 starts at byte 12
-			wantHV++
-		}
-	}
-	if pm.HV.Count() != wantHV {
-		t.Errorf("HV = %d bytes, want %d (lanes 3..15)", pm.HV.Count(), wantHV)
-	}
-
-	// Issuing element one lane down (lane 1) at lane-3's bytes: the entry
-	// byte lanes are strictly later -> horizontal WAW.
-	issuing2 := Access{Kind: KindElem, Lane: 1, Addr: base + 3*4, Elem: 4}
-	pms2 := StoreVsStore(issuing2, 7, older, 3)
-	if len(pms2) != 1 || pms2[0].HOB.Count() != 4 {
-		t.Fatalf("cross-lane WAW must mark the 4 overlapped bytes, got %+v", pms2)
+	// The element in lane 1 writes lane 3's bytes: a horizontal WAW on
+	// lane 3.
+	cross := Access{Kind: KindElem, Lane: 1, Addr: base + 3*4, Elem: 4}
+	if lanes := ViolatingLaneMask(cross, older, AllLanes); lanes != 1<<3 {
+		t.Errorf("cross-lane WAW flagged lanes %016b, want {3}", lanes)
 	}
 }
 
@@ -161,16 +129,8 @@ func TestStringers(t *testing.T) {
 		KindBcast.String() != "bcast" || KindScalar.String() != "scalar" {
 		t.Error("Kind strings changed")
 	}
-	if RAW.String() != "RAW" || WAR.String() != "WAR" || WAW.String() != "WAW" ||
-		NoViolation.String() != "none" {
-		t.Error("Violation strings changed")
-	}
 	if ModeOff.String() != "off" || ModeSpeculative.String() != "speculative" ||
 		ModeFallback.String() != "fallback" {
 		t.Error("Mode strings changed")
-	}
-	pm := PairMasks{Base: 0x40}
-	if pm.String() == "" {
-		t.Error("PairMasks must format")
 	}
 }

@@ -28,29 +28,6 @@ func randAccess(kindSel, lane uint8, off uint16, elemSel uint8) Access {
 	return a
 }
 
-// TestQuickHOBWithinVOB: for every access pair, the horizontally overlapped
-// bytes are exactly VOB AND HV, and therefore a subset of the vertical
-// overlap (paper §IV-C: "Each VOB bit vector is ANDed with its corresponding
-// horizontal-violation bit vectors").
-func TestQuickHOBWithinVOB(t *testing.T) {
-	f := func(k1, l1 uint8, o1 uint16, e1, k2, l2 uint8, o2 uint16, e2 uint8) bool {
-		load := randAccess(k1, l1, o1, e1)
-		store := randAccess(k2, l2, o2, e2)
-		for _, pm := range LoadVsOlderStore(load, 7, store, 3) {
-			if pm.HOB != pm.VOB&pm.HV {
-				return false
-			}
-			if pm.HOB&^pm.VOB != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickViolatingLanesAreLater: every lane reported for replay is
 // strictly later than the issuing access's lane at some overlapping byte —
 // the guarantee behind the replay-frontier progress bound (paper §III-A:
@@ -59,7 +36,7 @@ func TestQuickViolatingLanesAreLater(t *testing.T) {
 	f := func(k1, l1 uint8, o1 uint16, e1, k2, l2 uint8, o2 uint16, e2 uint8) bool {
 		issuing := randAccess(k1, l1, o1, e1)
 		entry := randAccess(k2, l2, o2, e2)
-		lanes := ViolatingLanes(issuing, entry)
+		lanes := ViolatingLaneMask(issuing, entry, AllLanes)
 		if !lanes.Any() {
 			return true
 		}
@@ -69,9 +46,8 @@ func TestQuickViolatingLanesAreLater(t *testing.T) {
 		// The minimum issuing lane over the overlap bounds every reported
 		// lane from below.
 		minIssuing := isa.NumLanes
-		span := issuing.Span()
-		for bidx := 0; bidx < span.N; bidx++ {
-			addr := span.Addr + uint64(bidx)
+		end := issuing.Addr + uint64(issuing.Bytes())
+		for addr := issuing.Addr; addr < end; addr++ {
 			if !entry.Contains(addr) {
 				continue
 			}
@@ -80,12 +56,7 @@ func TestQuickViolatingLanesAreLater(t *testing.T) {
 				minIssuing = lo
 			}
 		}
-		for lane, set := range lanes {
-			if set && lane <= minIssuing {
-				return false
-			}
-		}
-		return true
+		return lanes&bitvec.LaneRange(0, minIssuing) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -192,25 +163,15 @@ func TestQuickForwardable(t *testing.T) {
 }
 
 // TestQuickMaskedViolationsSubset: restricting the issuing lanes can only
-// remove flags, never add them — and with all lanes active the masked and
-// unmasked results are identical. The replay frontier's strict advance
-// relies on this (§III-A).
+// remove flags, never add them. The replay frontier's strict advance relies
+// on this (§III-A).
 func TestQuickMaskedViolationsSubset(t *testing.T) {
 	f := func(k1, l1 uint8, o1 uint16, e1, k2, l2 uint8, o2 uint16, e2 uint8, maskBits uint16) bool {
 		issuing := randAccess(k1, l1, o1, e1)
 		entry := randAccess(k2, l2, o2, e2)
-		var lanes isa.Pred
-		for i := 0; i < isa.NumLanes; i++ {
-			lanes[i] = maskBits&(1<<i) != 0
-		}
-		full := ViolatingLanes(issuing, entry)
-		masked := ViolatingLanesMasked(issuing, entry, lanes)
-		for i := 0; i < isa.NumLanes; i++ {
-			if masked[i] && !full[i] {
-				return false
-			}
-		}
-		return ViolatingLanesMasked(issuing, entry, isa.AllTrue()) == full
+		full := ViolatingLaneMask(issuing, entry, AllLanes)
+		masked := ViolatingLaneMask(issuing, entry, bitvec.LaneMask(maskBits))
+		return masked&^full == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Fatal(err)
@@ -224,7 +185,7 @@ func TestQuickViolatingLanesStrictlyLater(t *testing.T) {
 	f := func(k1, l1 uint8, o1 uint16, e1, k2, l2 uint8, o2 uint16, e2 uint8) bool {
 		issuing := randAccess(k1, l1, o1, e1)
 		entry := randAccess(k2, l2, o2, e2)
-		return !ViolatingLanes(issuing, entry)[0]
+		return !ViolatingLaneMask(issuing, entry, AllLanes).Test(0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Fatal(err)
@@ -256,10 +217,10 @@ func TestQuickViolatingLaneMaskMatchesReference(t *testing.T) {
 		for i := 0; i < isa.NumLanes; i++ {
 			lanes[i] = maskBits&(1<<i) != 0
 		}
-		if ViolatingLanesMasked(issuing, entry, lanes) != violatingLanesRef(issuing, entry, lanes) {
+		if MaskPred(ViolatingLaneMask(issuing, entry, PredMask(lanes))) != violatingLanesRef(issuing, entry, lanes) {
 			return false
 		}
-		return ViolatingLanes(issuing, entry) == violatingLanesRef(issuing, entry, isa.AllTrue())
+		return MaskPred(ViolatingLaneMask(issuing, entry, AllLanes)) == violatingLanesRef(issuing, entry, isa.AllTrue())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)

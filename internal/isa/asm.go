@@ -241,13 +241,8 @@ func parseData(s string) (DataInit, error) {
 		return di, fmt.Errorf(".data address: %w", err)
 	}
 	di.Addr = uint64(addr)
-	if di.Elem, err = strconv.Atoi(parts[1]); err != nil {
-		return di, fmt.Errorf(".data element size: %w", err)
-	}
-	switch di.Elem {
-	case 1, 2, 4, 8:
-	default:
-		return di, fmt.Errorf(".data element size must be 1, 2, 4 or 8, got %d", di.Elem)
+	if di.Elem, err = parseElem(parts[1]); err != nil {
+		return di, fmt.Errorf(".data %w", err)
 	}
 	for _, v := range parts[2:] {
 		x, err := parseImm(v)
@@ -272,9 +267,9 @@ func parseInst(line string) (Inst, error) {
 	in := Inst{Pg: NoPred}
 	// Trailing predicate "?pN".
 	if i := strings.LastIndex(line, "?p"); i >= 0 {
-		pg, err := strconv.Atoi(strings.TrimSpace(line[i+2:]))
+		pg, err := parseReg(strings.TrimSpace(line[i+1:]), 'p')
 		if err != nil {
-			return in, fmt.Errorf("bad predicate %q", line[i:])
+			return in, fmt.Errorf("bad predicate %q: %w", line[i:], err)
 		}
 		in.Pg = pg
 		line = strings.TrimSpace(line[:i])
@@ -345,6 +340,16 @@ func parseReg(s string, prefix byte) (int, error) {
 	return n, nil
 }
 
+// parseElem parses a memory element size: 1, 2, 4 or 8 bytes, the sizes
+// the LSU and the functional memory move.
+func parseElem(s string) (int, error) {
+	switch n, _ := strconv.Atoi(s); n {
+	case 1, 2, 4, 8:
+		return n, nil
+	}
+	return 0, fmt.Errorf("element size must be 1, 2, 4 or 8, got %q", s)
+}
+
 func parseImm(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
@@ -359,11 +364,10 @@ func parseMemS(s string) (rs int, imm int64, err error) {
 		return 0, 0, fmt.Errorf("expected memory operand, got %q", s)
 	}
 	body := s[1 : len(s)-1]
-	i := strings.IndexAny(body[1:], "+-")
-	if i < 0 {
-		return 0, 0, fmt.Errorf("memory operand %q needs an offset", s)
+	i := strings.IndexAny(body, "+-")
+	if i < 1 {
+		return 0, 0, fmt.Errorf("memory operand %q must be [sN+offset]", s)
 	}
-	i++
 	rs, err = parseReg(body[:i], 's')
 	if err != nil {
 		return
@@ -403,7 +407,7 @@ func parseMemG(s string) (rs, vidx, elem int, imm int64, err error) {
 		err = fmt.Errorf("gather operand %q needs an offset", s)
 		return
 	}
-	elem, err = strconv.Atoi(tail[:j])
+	elem, err = parseElem(tail[:j])
 	if err != nil {
 		return
 	}
@@ -507,7 +511,7 @@ func fillOperands(in Inst, ops []string) (Inst, error) {
 		if in.Rs1, in.Imm, err = parseMemS(ops[1]); err != nil {
 			return fail(err)
 		}
-		if in.Elem, err = strconv.Atoi(ops[2]); err != nil {
+		if in.Elem, err = parseElem(ops[2]); err != nil {
 			return fail(err)
 		}
 	case formStore:
@@ -520,7 +524,7 @@ func fillOperands(in Inst, ops []string) (Inst, error) {
 		if in.Rs2, err = parseReg(ops[1], 's'); err != nil {
 			return fail(err)
 		}
-		if in.Elem, err = strconv.Atoi(ops[2]); err != nil {
+		if in.Elem, err = parseElem(ops[2]); err != nil {
 			return fail(err)
 		}
 	case formVLoad, formVBcast:
@@ -533,7 +537,7 @@ func fillOperands(in Inst, ops []string) (Inst, error) {
 		if in.Rs1, in.Imm, err = parseMemS(ops[1]); err != nil {
 			return fail(err)
 		}
-		if in.Elem, err = strconv.Atoi(ops[2]); err != nil {
+		if in.Elem, err = parseElem(ops[2]); err != nil {
 			return fail(err)
 		}
 	case formVStore:
@@ -546,7 +550,7 @@ func fillOperands(in Inst, ops []string) (Inst, error) {
 		if in.Rs2, err = parseReg(ops[1], 'v'); err != nil {
 			return fail(err)
 		}
-		if in.Elem, err = strconv.Atoi(ops[2]); err != nil {
+		if in.Elem, err = parseElem(ops[2]); err != nil {
 			return fail(err)
 		}
 	case formGather:

@@ -23,6 +23,18 @@ func TestAssembleRejects(t *testing.T) {
 		{"bad immediate", "\tmovi s0, notanumber", "immediate"},
 		{"bad data directive", ".data zzz, 4, 1", "data"},
 		{"bad data element size", ".data 0x100, 3, 1", "data"},
+		// Operands the parser used to panic on, or accepted and left the
+		// pipeline to panic on; each error names its line.
+		{"empty memory operand", "\tv_load v1, [], 4", "line 1: memory operand"},
+		{"load element size 16", "\tnop\n\tload s2, [s1+0], 16", "line 2: element size"},
+		{"store element size 0", "\tstore [s1+0], s1, 0", "line 1: element size"},
+		{"v_load element size 9", "\tv_load v1, [s1+0], 9", "line 1: element size"},
+		{"v_store element size 3", "\tv_store [s1+0], v1, 3", "line 1: element size"},
+		{"v_bcast element size 16", "\tv_bcast v1, [s1+0], 16", "line 1: element size"},
+		{"gather element size 3", "\tv_gather v0, [s1+v2*3+0]", "line 1: element size"},
+		{"scatter element size 0", "\tv_scatter [s1+v2*0+0], v3", "line 1: element size"},
+		{"guard out of range", "\tv_add v1, v2, v3 ?p99", "line 1: bad predicate"},
+		{"negative guard", "\tv_add v1, v2, v3 ?p-1", "line 1: bad predicate"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

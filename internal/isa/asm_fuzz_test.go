@@ -151,3 +151,32 @@ func splitLines(s string) []string {
 	}
 	return out
 }
+
+// FuzzAssemble feeds arbitrary source to the assembler. It must never
+// panic, and every program it accepts must carry only operands the core can
+// run: element sizes of 1, 2, 4 or 8 bytes on memory instructions and .data
+// directives, and guards that name a predicate register. Running the
+// accepted programs is out of scope here.
+func FuzzAssemble(f *testing.F) {
+	validElem := func(n int) bool { return n == 1 || n == 2 || n == 4 || n == 8 }
+	f.Fuzz(func(t *testing.T, src string) {
+		p, data, err := AssembleWithData(src)
+		if err != nil {
+			return
+		}
+		for pc := range p.Insts {
+			in := &p.Insts[pc]
+			if in.IsMem() && !validElem(in.Elem) {
+				t.Errorf("inst %d (%v) accepted with element size %d", pc, in.Op, in.Elem)
+			}
+			if in.Pg != NoPred && (in.Pg < 0 || in.Pg >= NumPredReg) {
+				t.Errorf("inst %d (%v) accepted with guard p%d", pc, in.Op, in.Pg)
+			}
+		}
+		for _, d := range data {
+			if !validElem(d.Elem) {
+				t.Errorf(".data at %#x accepted with element size %d", d.Addr, d.Elem)
+			}
+		}
+	})
+}

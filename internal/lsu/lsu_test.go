@@ -192,6 +192,68 @@ func TestRegionScatterRAWFig5(t *testing.T) {
 	}
 }
 
+// TestRegionForwardingLaneRules checks forwarding and WAR on the LSU path
+// for the paper's cases beyond Figs 3-5: Fig 4 with the load below the
+// store, the §IV-C2 lane rule between gather and scatter elements, and
+// Fig 4 under a DOWN region, where lanes run against the addresses.
+func TestRegionForwardingLaneRules(t *testing.T) {
+	type acc struct {
+		kind core.Kind
+		lane int // entry lane for KindElem, -1 otherwise
+		addr uint64
+		elem int
+	}
+	cases := []struct {
+		name    string
+		dir     isa.Direction
+		st, ld  acc
+		wantFwd int
+		wantWAR bool
+	}{
+		// Fig 4 reversed: store lanes 0-7 feed load lanes 8-15.
+		{"fig4_reversed", isa.DirUp,
+			acc{core.KindContig, -1, 0xAB18, 1}, acc{core.KindContig, -1, 0xAB10, 1}, 8, false},
+		// §IV-C2: load element lane >= store element lane forwards ...
+		{"elem_later_lane_forwards", isa.DirUp,
+			acc{core.KindElem, 5, 0x1000, 4}, acc{core.KindElem, 9, 0x1000, 4}, 4, false},
+		// ... and an earlier load lane reads memory past a WAR.
+		{"elem_earlier_lane_war", isa.DirUp,
+			acc{core.KindElem, 5, 0x1000, 4}, acc{core.KindElem, 2, 0x1000, 4}, 0, true},
+		// Fig 4 under DOWN: the load above the store meets earlier store
+		// lanes and forwards; the load below meets later ones.
+		{"down_load_above_forwards", isa.DirDown,
+			acc{core.KindContig, -1, 0xAB10, 1}, acc{core.KindContig, -1, 0xAB18, 1}, 8, false},
+		{"down_load_below_war", isa.DirDown,
+			acc{core.KindContig, -1, 0xAB10, 1}, acc{core.KindContig, -1, 0xAB08, 1}, 0, true},
+	}
+	lanes := func(a acc) isa.Pred {
+		if a.kind == core.KindElem {
+			return onlyLane(a.lane)
+		}
+		return all()
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l, _, ctrl := newLSU(64)
+			must(t, ctrl.Start(1, c.dir))
+			st := reserve(t, l, 0, 2, c.st.lane, true, 1)
+			l.ExecStore(st, c.st.kind, c.st.addr, c.st.elem, c.dir, lanes(c.st), lanes(c.st),
+				vecOf(func(int) int64 { return 99 }), 1)
+			ld := reserve(t, l, 0, 4, c.ld.lane, false, 2)
+			res := l.ExecLoad(ld, c.ld.kind, c.ld.addr, c.ld.elem, c.dir, lanes(c.ld), lanes(c.ld), 2)
+			if res.FwdBytes != c.wantFwd {
+				t.Errorf("forwarded bytes = %d, want %d", res.FwdBytes, c.wantFwd)
+			}
+			if res.WARSuppr != c.wantWAR {
+				t.Errorf("WAR suppression = %v, want %v", res.WARSuppr, c.wantWAR)
+			}
+			if ctrl.NeedsReplay().Any() {
+				t.Error("forwarding and WAR never set needs-replay")
+			}
+		})
+	}
+}
+
 func TestRegionCommitWAWYoungestWins(t *testing.T) {
 	l, im, ctrl := newLSU(64)
 	must(t, ctrl.Start(1, isa.DirUp))
